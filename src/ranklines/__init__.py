@@ -54,7 +54,6 @@ from .pencils import (
     PencilAnalysis,
     classify_line,
     det_pencil,
-    eval_poly,
     minor_gcd,
 )
 from .polynomials import Poly, poly_gcd, rational_roots

@@ -137,14 +137,7 @@ def minor_gcd(A: Matrix, N: Matrix) -> Poly:
     return g
 
 
-def eval_poly(g: Poly, t0) -> Scalar:
-    """g(t0) as a Scalar (Horner evaluation)."""
-    return Scalar(g.field, g(t0))
-
-
-def _classify_formal(poly: Poly, witness: Scalar | None = None) -> str:
-    if witness is not None:
-        return HAS_ROOT
+def _classify_formal(poly: Poly) -> str:
     if poly.is_zero:
         return IDENTICALLY_ZERO
     return CONSTANT_NONZERO if poly.degree == 0 else NONCONSTANT_NO_ROOT

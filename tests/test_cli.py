@@ -80,6 +80,20 @@ def test_check_line_malformed_matrix_exits_two(workdir):
     assert main(["check-line", A, N]) == 2
 
 
+def test_check_line_rational_with_30_bit_entries(workdir, capsys):
+    # det(A + tN) has a 120-bit constant term; trial division over its
+    # divisors never finished, the p-adic root search is immediate.
+    from ranklines.fields import RATIONALS
+    diag = (1073741789, 1073741827, 1073741831, 1073741833)
+    A = _matrix_file(workdir / "A.txt", Matrix.from_rows(
+        RATIONALS, [[diag[i] if i == j else 0 for j in range(4)] for i in range(4)]))
+    N = _matrix_file(workdir / "N.txt", Matrix.from_rows(
+        RATIONALS, [[1 if i == j < 3 else 0 for j in range(4)] for i in range(4)]))
+    code = main(["check-line", A, N])
+    assert code == 1
+    assert "rank drops at t = -1073741789" in capsys.readouterr().out
+
+
 # --------------------------------------------------------------------- witness
 
 

@@ -21,7 +21,6 @@ from ranklines.pencils import (
     _pencil_entries,
     classify_line,
     det_pencil,
-    eval_poly,
     minor_gcd,
 )
 from ranklines.polynomials import Poly
@@ -183,18 +182,6 @@ def test_minor_gcd_roots_are_exactly_the_rank_drops():
         else:
             for t in F3.elements():
                 assert (g(t) == 0) == (rank(_shift(A, N, t)) < p)
-
-
-# ------------------------------------------------------------------- eval_poly
-
-
-def test_eval_poly_returns_boxed_scalar():
-    p = Poly.from_coeffs(F3, (1, 2))
-    v = eval_poly(p, 2)
-    assert isinstance(v, Scalar)
-    assert v.field == F3 and v.value == 2
-    q = Poly.from_coeffs(RATIONALS, (Fraction(1, 2), 1))
-    assert eval_poly(q, Fraction(-1, 2)).value == 0
 
 
 # --------------------------------------------------------------- classify_line

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -180,6 +181,116 @@ def test_rational_roots_random_products_recovered():
         # multiply in an irreducible quadratic so spurious roots would show up
         p = p * _poly(RATIONALS, 1, 0, 1)
         assert set(rational_roots(p)) == roots
+
+
+# Trial-division root finder: every +-num/den with num | constant term and
+# den | leading coefficient, checked by Fraction evaluation.  Exponential in
+# the coefficients' bit size, so it is the oracle for small inputs only.
+
+
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of n >= 1, ascending."""
+    small, large = [], []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+    return small + large[::-1]
+
+
+def _rational_roots_trial(poly: Poly) -> list[Fraction]:
+    coeffs = list(poly.coeffs)
+    shift = 0
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+        shift += 1
+    roots: list[Fraction] = [Fraction(0)] if shift else []
+    if len(coeffs) > 1:
+        mult = lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * mult) for c in coeffs]
+        content = 0
+        for v in ints:
+            content = gcd(content, v)
+        ints = [v // content for v in ints]
+        for num in _divisors(abs(ints[0])):
+            for den in _divisors(abs(ints[-1])):
+                if gcd(num, den) != 1:
+                    continue
+                for cand in (Fraction(num, den), Fraction(-num, den)):
+                    if poly(cand) == 0:
+                        roots.append(cand)
+    roots.sort(key=lambda r: (abs(r.numerator) + r.denominator, r < 0, abs(r.numerator)))
+    return roots
+
+
+_IRREDUCIBLE_QUADRATICS = ((1, 0, 1), (-2, 0, 1), (3, 0, 2), (1, 1, 1), (-3, 2, 5))
+
+
+def _oracle_inputs(seed: int, count: int, max_root: int) -> list[Poly]:
+    """Seeded nonzero polynomials with roots a/b, |a| <= max_root, b <= 3.
+
+    Most are a rational scalar times t^k times products of (b*t - a)^m,
+    sometimes times an irreducible quadratic.  Inputs 0, 10, 20, ... are
+    constants and inputs 5, 15, 25, ... random dense polynomials with
+    small coefficients.
+    """
+    rng = random.Random(seed)
+    t = Poly.t(RATIONALS)
+    c = lambda v: Poly.constant(RATIONALS, v)  # noqa: E731
+    out = []
+    for i in range(count):
+        scalar = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        if i % 10 == 0:
+            out.append(c(scalar))
+            continue
+        if i % 5 == 0:
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [rng.randint(1, 9)]
+            out.append(_poly(RATIONALS, *coeffs).scale(scalar))
+            continue
+        p = c(scalar)
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):
+            p = p * t
+        for _ in range(rng.randint(0, 3)):
+            root = Fraction(rng.randint(-max_root, max_root), rng.randint(1, 3))
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                p = p * (c(root.denominator) * t - c(root.numerator))
+        if rng.random() < 0.4:
+            p = p * _poly(RATIONALS, *rng.choice(_IRREDUCIBLE_QUADRATICS))
+        out.append(p)
+    return out
+
+
+def test_rational_roots_match_trial_division_oracle():
+    # Equal lists: same roots, each once, in the documented order.
+    for p in _oracle_inputs(seed=2024, count=500, max_root=6):
+        assert rational_roots(p) == _rational_roots_trial(p), str(p)
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    key = lambda r: (abs(r.numerator) + r.denominator, r < 0, abs(r.numerator))  # noqa: E731
+    # Larger roots than the trial-division oracle can afford.
+    for p in _oracle_inputs(seed=7, count=200, max_root=1 << 20):
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+        expected = sorted((Fraction(int(r.p), int(r.q))
+                           for r in sympy.Poly(coeffs, x, domain="QQ").ground_roots()), key=key)
+        assert rational_roots(p) == expected, str(p)
+
+
+def test_rational_roots_large_constant_terms():
+    # Trial division needs ~2^24 and ~2^60 steps here; the p-adic search
+    # is polynomial in the bit size.
+    t = Poly.t(RATIONALS)
+    c = lambda v: Poly.constant(RATIONALS, v)  # noqa: E731
+    p48 = (t - c(281474976710597)) * (t * t + c(1))  # 2^48 - 59 is prime
+    assert abs(p48.coeff(0)).numerator.bit_length() == 48
+    assert rational_roots(p48) == [281474976710597]
+    primes = (1073741789, 1073741827, 1073741831, 1073741833)  # four primes near 2^30
+    p120 = (c(3) * t - c(primes[0] * primes[1])) * (t + c(primes[2] * primes[3])) * (t * t + t + c(1))
+    assert abs(p120.coeff(0)).numerator.bit_length() == 120
+    assert rational_roots(p120) == [Fraction(primes[0] * primes[1], 3), -primes[2] * primes[3]]
 
 
 def test_roots_only_supported_over_rationals():
