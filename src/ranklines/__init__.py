@@ -33,10 +33,8 @@ from .lines import (
 )
 from .matrices import (
     Matrix,
-    block_decompose,
     canonical_N,
     det,
-    equivalence_apply,
     hstack,
     is_invertible,
     kernel_basis,
@@ -63,14 +61,11 @@ from .spaces import (
     BudgetExceededError,
     LinearMatrixSubspace,
     MatrixSpaceShape,
-    SubspaceIterator,
     affine_from_point,
     count_subspaces,
-    elements,
     enumerate_affine,
     enumerate_subspaces,
     from_generators,
-    membership,
     parse_subspace_text,
     random_affine,
     random_subspace,
@@ -87,11 +82,6 @@ from .verify import (
     expected_total,
     replay_failure,
     run_campaign,
-    run_flanders,
-    run_main,
-    run_pencil,
-    run_remark2,
-    run_square,
     validate_spec,
 )
 

@@ -2,9 +2,10 @@
 
 Subcommands: check-line, witness, verify, gen, pencil-det.  Exit codes are
 a stable contract: 0 success/verified, 1 definite negative (rank drop,
-no witness, campaign failure), 2 usage/parse/hypothesis error, 3 resource
-exhaustion (budgets).  All randomness flows from --seed, which defaults
-to 0 rather than entropy.
+no witness, campaign failure), 2 usage/parse/hypothesis error (including
+the library's ValueError for a bad A/N pair), 3 resource exhaustion
+(budgets).  All randomness flows from --seed, which defaults to 0 rather
+than entropy.
 """
 
 from __future__ import annotations
@@ -66,28 +67,19 @@ def _load_space(path: str):
         raise _UsageError(f"{path}: {exc}") from exc
 
 
-def _check_pair(A: Matrix, N: Matrix) -> None:
-    if A.field != N.field:
-        raise _UsageError(f"field mismatch: {A.field} vs {N.field}")
-    if (A.nrows, A.ncols) != (N.nrows, N.ncols):
-        raise _UsageError(f"shape mismatch: {A.nrows}x{A.ncols} vs {N.nrows}x{N.ncols}")
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     """Accepts '1', '0,2', and '0-3' (inclusive range) forms."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if "-" in part:
-            lo_s, hi_s = part.split("-", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise _UsageError(f"empty range {part!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(part))
-    if not out:
-        raise _UsageError(f"no values in {text!r}")
+        lo_s, sep, hi_s = part.partition("-")
+        try:
+            lo, hi = int(lo_s), int(hi_s if sep else lo_s)
+        except ValueError:
+            raise _UsageError(f"expected an integer or a range lo-hi, got {part!r}") from None
+        if hi < lo:
+            raise _UsageError(f"empty range {part!r}")
+        out.extend(range(lo, hi + 1))
     return tuple(out)
 
 
@@ -98,10 +90,10 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _cmd_check_line(args) -> int:
     A = _load_matrix(args.A)
     N = _load_matrix(args.N)
-    _check_pair(A, N)
-    if A.nrows < A.ncols:
-        raise _UsageError(f"expected at least as many rows as columns, got {A.nrows}x{A.ncols}")
-    ok, payload = line_full_rank(A, N)
+    try:
+        ok, payload = line_full_rank(A, N)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     f = A.field
     if ok:
         if args.format == "json":
@@ -245,10 +237,10 @@ def _cmd_gen(args) -> int:
 def _cmd_pencil_det(args) -> int:
     A = _load_matrix(args.A)
     N = _load_matrix(args.N)
-    _check_pair(A, N)
-    if not A.is_square:
-        raise _UsageError(f"pencil determinant requires square matrices, got {A.nrows}x{A.ncols}")
-    poly = det_pencil(A, N)
+    try:
+        poly = det_pencil(A, N)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     if args.format == "json":
         f = A.field
         print(json.dumps({

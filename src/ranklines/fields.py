@@ -143,7 +143,10 @@ class FieldDesc:
         token = token.strip()
         if self.kind == "gf":
             return int(token) % self.modulus
-        return Fraction(token)
+        try:
+            return Fraction(token)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {token!r}") from None
 
     def format(self, value: RawValue) -> str:
         return str(value)

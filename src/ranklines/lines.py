@@ -15,7 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import FieldDesc, RawValue, Scalar
-from .matrices import Matrix, _det_modp, hstack, kernel_basis, rank, rank_rows
+from .matrices import (
+    Matrix,
+    _det_modp,
+    check_pair,
+    hstack,
+    kernel_basis,
+    line_rows,
+    rank,
+    rank_rows,
+)
 from .pencils import PencilAnalysis, classify_line, det_pencil
 from .polynomials import Poly
 from .spaces import DEFAULT_ELEMENT_BUDGET, AffineMatrixSubspace, vectorize
@@ -101,38 +110,22 @@ class SearchOutcome:
         return self.status == WITNESS_FOUND
 
 
-def _check_line_shapes(A: Matrix, N: Matrix) -> None:
-    if A.field != N.field:
-        raise ValueError(f"cannot mix {A.field} and {N.field}")
-    if (A.nrows, A.ncols) != (N.nrows, N.ncols):
-        raise ValueError(f"shape mismatch: {A.nrows}x{A.ncols} vs {N.nrows}x{N.ncols}")
-    if A.nrows < A.ncols:
-        raise ValueError(f"expected at least as many rows as columns, got {A.nrows}x{A.ncols}")
-
-
 def _full_rank_all_t(field: FieldDesc, a_rows, n_rows, p: int) -> bool:
     """True iff rank(A + tN) = p for every t in the (finite) field."""
     pm = field.modulus
-    if rank_rows(field, a_rows, p) < p:
-        return False
-    for t in range(1, pm):
-        rows = tuple(tuple((a + t * b) % pm for a, b in zip(ra, rb))
-                     for ra, rb in zip(a_rows, n_rows))
-        if rank_rows(field, rows, p) < p:
+    for t in range(pm):
+        if rank_rows(field, line_rows(a_rows, n_rows, t, pm), p) < p:
             return False
     return True
 
 
 def _finite_certificate(A: Matrix, N: Matrix) -> WitnessCertificate:
-    f = A.field
-    p = A.ncols
-    pm = f.modulus
-    table = []
-    for t in f.elements():
-        rows = tuple(tuple((a + t * b) % pm for a, b in zip(ra, rb))
-                     for ra, rb in zip(A.rows, N.rows))
-        table.append((t, rank_rows(f, rows, p)))
-    return WitnessCertificate(A, N, table=tuple(table))
+    """Certificate for a finite line already seen to have rank p at every t.
+
+    Callers only get here after computing each rank (or a nonzero constant
+    determinant) themselves, so the table records p without recomputing.
+    """
+    return WitnessCertificate(A, N, table=tuple((t, A.ncols) for t in A.field.elements()))
 
 
 def line_full_rank(A: Matrix, N: Matrix):
@@ -142,15 +135,14 @@ def line_full_rank(A: Matrix, N: Matrix):
     element at which the rank drops.  Finite fields are swept directly;
     the rationals go through the minor-gcd classification.
     """
-    _check_line_shapes(A, N)
+    check_pair(A, N)
+    if A.nrows < A.ncols:
+        raise ValueError(f"expected at least as many rows as columns, got {A.nrows}x{A.ncols}")
     f = A.field
     p = A.ncols
     if f.is_finite:
-        pm = f.modulus
         for t in f.elements():
-            rows = tuple(tuple((a + t * b) % pm for a, b in zip(ra, rb))
-                         for ra, rb in zip(A.rows, N.rows)) if t else A.rows
-            if rank_rows(f, rows, p) < p:
+            if rank_rows(f, line_rows(A.rows, N.rows, t, f.modulus), p) < p:
                 return False, Scalar(f, t)
         return True, _finite_certificate(A, N)
     analysis = classify_line(A, N)
@@ -172,11 +164,8 @@ def validate_certificate(cert: WitnessCertificate) -> bool:
             return False
         if sorted(t for t, _ in cert.table) != list(f.elements()):
             return False
-        pm = f.modulus
         for t, recorded in cert.table:
-            rows = tuple(tuple((a + t * b) % pm for a, b in zip(ra, rb))
-                         for ra, rb in zip(A.rows, N.rows))
-            r = rank_rows(f, rows, p)
+            r = rank_rows(f, line_rows(A.rows, N.rows, t, f.modulus), p)
             if r != recorded or r != p:
                 return False
         return True
@@ -206,9 +195,8 @@ def ker_coker_noninjective(M: Matrix, N: Matrix) -> bool:
 
 
 def _check_square_pair(M: Matrix, N: Matrix) -> None:
-    if M.field != N.field:
-        raise ValueError(f"cannot mix {M.field} and {N.field}")
-    if not (M.is_square and N.is_square and M.nrows == N.nrows):
+    check_pair(M, N)
+    if not M.is_square:
         raise ValueError("both matrices must be square of the same size")
 
 
@@ -310,8 +298,7 @@ def constant_det_witness_search(space, N: Matrix,
             d0 = _det_modp(A.rows, pm)
             if d0 == 0:
                 continue
-            if all(_det_modp(tuple(tuple((a + t * b) % pm for a, b in zip(ra, rb))
-                                   for ra, rb in zip(A.rows, n_rows)), pm) == d0
+            if all(_det_modp(line_rows(A.rows, n_rows, t, pm), pm) == d0
                    for t in range(1, pm)):
                 return SearchOutcome(WITNESS_FOUND, _finite_certificate(A, N), cases)
         return SearchOutcome(EXHAUSTED_NO_WITNESS, None, cases)

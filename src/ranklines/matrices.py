@@ -4,6 +4,7 @@ Entries are stored as raw canonical values (see :mod:`ranklines.fields`)
 in immutable row tuples.  All operations are pure functions; matrices are
 safe to share freely.  Rank over GF(2) runs on packed machine words, which
 is observably identical to the generic elimination path (tested against it).
+``line_rows`` is the one place that evaluates a line A + t*N over GF(p).
 """
 
 from __future__ import annotations
@@ -61,27 +62,18 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def scalar_at(self, i: int, j: int) -> Scalar:
-        return Scalar(self.field, self.rows[i][j])
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.ncols, self.nrows, tuple(zip(*self.rows)) if self.rows else ())
 
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.field != other.field:
-            raise FieldMismatchError(f"cannot mix {self.field} and {other.field}")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
-
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
+        check_pair(self, other)
         f = self.field
         return Matrix(f, self.nrows, self.ncols,
                       tuple(tuple(f.add(a, b) for a, b in zip(ra, rb))
                             for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
+        check_pair(self, other)
         f = self.field
         return Matrix(f, self.nrows, self.ncols,
                       tuple(tuple(f.sub(a, b) for a, b in zip(ra, rb))
@@ -153,6 +145,26 @@ class Matrix:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+# ---------------------------------------------------------------------------
+# pairs and lines A + t*N
+
+
+def check_pair(A: Matrix, B: Matrix) -> None:
+    """Raise unless A and B share a field (FieldMismatchError) and a shape (ValueError)."""
+    if A.field != B.field:
+        raise FieldMismatchError(f"cannot mix {A.field} and {B.field}")
+    if (A.nrows, A.ncols) != (B.nrows, B.ncols):
+        raise ValueError(f"shape mismatch: {A.nrows}x{A.ncols} vs {B.nrows}x{B.ncols}")
+
+
+def line_rows(a_rows, n_rows, t: int, modulus: int):
+    """Raw rows of A + t*N over GF(modulus); t = 0 returns A's rows unchanged."""
+    if not t:
+        return a_rows
+    return tuple(tuple((a + t * b) % modulus for a, b in zip(ra, rb))
+                 for ra, rb in zip(a_rows, n_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +251,6 @@ def rank_rows(field: FieldDesc, rows, ncols: int) -> int:
     if field.kind == "gf":
         if field.modulus == 2:
             return _rank_gf2_packed(rows, ncols)
-        return _rank_modp(rows, field.modulus)
-    return _rank_rat(rows)
-
-
-def rank_rows_generic(field: FieldDesc, rows, ncols: int) -> int:
-    """Rank via the generic elimination path only (no GF(2) packing)."""
-    if field.kind == "gf":
         return _rank_modp(rows, field.modulus)
     return _rank_rat(rows)
 
@@ -399,22 +404,7 @@ def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# blocks and transforms
-
-
-def block_decompose(M: Matrix, r: int) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    """Split a square matrix as [[A, C], [B, D]] with A of size r x r."""
-    if not M.is_square:
-        raise ValueError("block decomposition requires a square matrix")
-    n = M.nrows
-    if not 0 <= r <= n:
-        raise ValueError(f"block size {r} outside [0, {n}]")
-    f = M.field
-    a = Matrix(f, r, r, tuple(row[:r] for row in M.rows[:r]))
-    c = Matrix(f, r, n - r, tuple(row[r:] for row in M.rows[:r]))
-    b = Matrix(f, n - r, r, tuple(row[:r] for row in M.rows[r:]))
-    d = Matrix(f, n - r, n - r, tuple(row[r:] for row in M.rows[r:]))
-    return a, c, b, d
+# transforms
 
 
 def canonical_N(field: FieldDesc, nrows: int, ncols: int, r: int) -> Matrix:
@@ -425,17 +415,6 @@ def canonical_N(field: FieldDesc, nrows: int, ncols: int, r: int) -> Matrix:
     return Matrix(field, nrows, ncols,
                   tuple(tuple(o if i == j and i < r else z for j in range(ncols))
                         for i in range(nrows)))
-
-
-def equivalence_apply(P: Matrix, M: Matrix, Q: Matrix) -> Matrix:
-    """P @ M @ Q for invertible P and Q (rank-preserving transport)."""
-    if not is_invertible(P):
-        raise ValueError("left factor is not invertible")
-    if not is_invertible(Q):
-        raise ValueError("right factor is not invertible")
-    if P.ncols != M.nrows or M.ncols != Q.nrows:
-        raise ValueError("incompatible sizes for P @ M @ Q")
-    return P @ M @ Q
 
 
 def to_rank_normal_form(M: Matrix) -> tuple[Matrix, Matrix]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .fields import FieldDesc, FieldMismatchError, Scalar
-from .matrices import Matrix, rank_rows
+from .fields import FieldDesc, Scalar
+from .matrices import Matrix, check_pair, line_rows, rank_rows
 from .polynomials import Poly, poly_gcd, rational_roots
 
 IDENTICALLY_ZERO = "identically-zero"
@@ -42,13 +42,6 @@ class PencilAnalysis:
     def full_rank(self) -> bool:
         """True iff every matrix of the line has full column rank."""
         return self.classification in (CONSTANT_NONZERO, NONCONSTANT_NO_ROOT)
-
-
-def _check_line(A: Matrix, N: Matrix) -> None:
-    if A.field != N.field:
-        raise FieldMismatchError(f"cannot mix {A.field} and {N.field}")
-    if (A.nrows, A.ncols) != (N.nrows, N.ncols):
-        raise ValueError(f"shape mismatch: {A.nrows}x{A.ncols} vs {N.nrows}x{N.ncols}")
 
 
 def _pencil_entries(A: Matrix, N: Matrix) -> list[list[Poly]]:
@@ -109,7 +102,7 @@ def _det_bareiss_poly(entries: list[list[Poly]], field: FieldDesc) -> Poly:
 
 def det_pencil(A: Matrix, N: Matrix) -> Poly:
     """The exact polynomial det(A + t*N); degree at most rank(N)."""
-    _check_line(A, N)
+    check_pair(A, N)
     if not A.is_square:
         raise ValueError(f"pencil determinant requires square matrices, got {A.nrows}x{A.ncols}")
     entries = _pencil_entries(A, N)
@@ -122,7 +115,7 @@ def det_pencil(A: Matrix, N: Matrix) -> Poly:
 
 def minor_gcd(A: Matrix, N: Matrix) -> Poly:
     """Monic gcd of all maximal p x p minors of A + tN (zero iff all vanish)."""
-    _check_line(A, N)
+    check_pair(A, N)
     n, p = A.nrows, A.ncols
     if n < p:
         raise ValueError(f"expected at least as many rows as columns, got {n}x{p}")
@@ -151,20 +144,16 @@ def classify_line(A: Matrix, N: Matrix) -> PencilAnalysis:
     minor gcd and its rational roots.  Full column rank everywhere is
     equivalent to classification constant-nonzero or nonconstant-no-root-in-K.
     """
-    _check_line(A, N)
     n, p = A.nrows, A.ncols
-    if n < p:
-        raise ValueError(f"expected at least as many rows as columns, got {n}x{p}")
     f = A.field
+    # det_pencil and minor_gcd reject mismatched pairs and n < p.
     poly = det_pencil(A, N) if n == p else minor_gcd(A, N)
     kind = "det" if n == p else "minor-gcd"
     if f.is_finite:
         witness = None
         failures = 0
         for t in f.elements():
-            rows = tuple(tuple((a + t * b) % f.modulus for a, b in zip(ra, rb))
-                         for ra, rb in zip(A.rows, N.rows))
-            if rank_rows(f, rows, p) < p:
+            if rank_rows(f, line_rows(A.rows, N.rows, t, f.modulus), p) < p:
                 failures += 1
                 if witness is None:
                     witness = Scalar(f, t)

@@ -163,10 +163,6 @@ def affine_from_point(linear: LinearMatrixSubspace, point: Matrix) -> AffineMatr
     return AffineMatrixSubspace(linear, base)
 
 
-def membership(space, M: Matrix) -> bool:
-    return space.contains(M)
-
-
 def transport(space, P: Matrix, Q: Matrix):
     """Image of a subspace under M -> P @ M @ Q (P, Q invertible)."""
     if isinstance(space, AffineMatrixSubspace):
@@ -213,11 +209,6 @@ def _iter_coset(shape: MatrixSpaceShape, basis, base_vec, budget: int | None):
         yield Matrix(f, n, p, tuple(tuple(vec[i * p:(i + 1) * p]) for i in range(n)))
 
 
-def elements(space, budget: int | None = DEFAULT_ELEMENT_BUDGET):
-    """All q^dim members of a linear or affine subspace, coordinate order."""
-    return space.elements(budget=budget)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -257,30 +248,18 @@ def _iter_rref_bases(m: int, d: int, q: int):
             yield tuple(tuple(r) for r in template), prof
 
 
-class SubspaceIterator:
-    """Single-consumer stream of all codim-c subspaces of a finite shape."""
+def enumerate_subspaces(shape: MatrixSpaceShape, codim: int):
+    """Single-pass generator of all codim-c subspaces of a finite shape.
 
-    def __init__(self, shape: MatrixSpaceShape, codim: int):
-        if not shape.field.is_finite:
-            raise ValueError("subspace enumeration requires a finite field")
-        if not 0 <= codim <= shape.ambient_dim:
-            raise ValueError(f"codimension {codim} outside [0, {shape.ambient_dim}]")
-        self.shape = shape
-        self.codim = codim
-        self._gen = (LinearMatrixSubspace(shape, rows, prof)
-                     for rows, prof in _iter_rref_bases(shape.ambient_dim,
-                                                        shape.ambient_dim - codim,
-                                                        shape.field.order))
-
-    def __iter__(self) -> "SubspaceIterator":
-        return self
-
-    def __next__(self) -> LinearMatrixSubspace:
-        return next(self._gen)
-
-
-def enumerate_subspaces(shape: MatrixSpaceShape, codim: int) -> SubspaceIterator:
-    return SubspaceIterator(shape, codim)
+    The arguments are checked when it is called, not when iteration starts.
+    """
+    if not shape.field.is_finite:
+        raise ValueError("subspace enumeration requires a finite field")
+    m = shape.ambient_dim
+    if not 0 <= codim <= m:
+        raise ValueError(f"codimension {codim} outside [0, {m}]")
+    return (LinearMatrixSubspace(shape, rows, prof)
+            for rows, prof in _iter_rref_bases(m, m - codim, shape.field.order))
 
 
 def enumerate_affine(shape: MatrixSpaceShape, codim: int):

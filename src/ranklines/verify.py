@@ -543,37 +543,6 @@ def run_campaign(spec: CampaignSpec, on_case=None) -> VerificationReport:
     return _tally(spec, merged, elapsed, incomplete)
 
 
-def run_flanders(spec: CampaignSpec) -> VerificationReport:
-    _require_theorem(spec, "flanders")
-    return run_campaign(spec)
-
-
-def run_main(spec: CampaignSpec) -> VerificationReport:
-    _require_theorem(spec, "main")
-    return run_campaign(spec)
-
-
-def run_pencil(spec: CampaignSpec) -> VerificationReport:
-    _require_theorem(spec, "pencil")
-    return run_campaign(spec)
-
-
-def run_square(spec: CampaignSpec) -> VerificationReport:
-    _require_theorem(spec, "square")
-    return run_campaign(spec)
-
-
-def run_remark2(spec: CampaignSpec) -> VerificationReport:
-    if spec.theorem not in ("remark2-strong", "remark2-conjecture"):
-        raise CampaignSpecError(f"expected a remark2 campaign, got {spec.theorem!r}")
-    return run_campaign(spec)
-
-
-def _require_theorem(spec: CampaignSpec, theorem: str) -> None:
-    if spec.theorem != theorem:
-        raise CampaignSpecError(f"expected theorem {theorem!r}, got {spec.theorem!r}")
-
-
 def replay_failure(record: CaseRecord, spec: CampaignSpec) -> bool:
     """True iff re-judging the recorded case reproduces the failure."""
     space = record.space()

@@ -31,7 +31,6 @@ from ranklines.polynomials import Poly, rational_roots
 from ranklines.spaces import (
     MatrixSpaceShape,
     count_subspaces,
-    elements,
     enumerate_affine,
     enumerate_subspaces,
     parse_subspace_text,
@@ -40,11 +39,6 @@ from ranklines.verify import (
     CampaignSpec,
     VerificationReport,
     run_campaign,
-    run_flanders,
-    run_main,
-    run_pencil,
-    run_remark2,
-    run_square,
 )
 
 F2 = GF(2)
@@ -70,7 +64,7 @@ def test_criterion_01_main_theorem_exhaustive_gf2():
             spec = CampaignSpec(theorem="main", field=F2, n=n, p=p,
                                 codims=tuple(range(n - 1)),
                                 rank_range=tuple(range(p)))
-            rep = run_main(spec)
+            rep = run_campaign(spec)
             assert rep.failures == (), (n, p, rep.failures)
             assert rep.findings == ()
             assert rep.verified
@@ -132,7 +126,7 @@ def test_criterion_05_square_theorem_and_pencil_agreement():
     def check():
         spec1 = CampaignSpec(theorem="square", field=F2, n=3, p=3,
                              codims=(0, 1), rank_range=(1,))
-        rep1 = run_square(spec1)
+        rep1 = run_campaign(spec1)
         assert rep1.total == 1023
         assert rep1.failures == () and rep1.findings == ()
         # at r = n-1 the square and pencil side conditions coincide, so the
@@ -156,7 +150,7 @@ def test_criterion_06_constant_det_strong_form_gf3():
     def check():
         spec = CampaignSpec(theorem="remark2-strong", field=F3, n=3, p=3,
                             codims=(0, 1), rank_range=(2,))
-        rep = run_remark2(spec)
+        rep = run_campaign(spec)
         assert rep.total == 1 + 9841 * 3
         assert rep.failures == ()
         assert rep.findings == ()
@@ -176,7 +170,7 @@ def test_criterion_07_constant_det_fails_over_gf2():
         plain = witness_search(space, N)
         assert plain.found
         # adjugate identity, both sides assembled independently
-        for M in elements(space):
+        for M in space.elements():
             A2 = [M.rows[0][:2], M.rows[1][:2]]
             (a, b), (c, d2) = A2
             C = [[M.rows[0][2]], [M.rows[1][2]]]
@@ -201,13 +195,13 @@ def test_criterion_08_rank_bound_contrapositive():
     def check():
         spec = CampaignSpec(theorem="flanders", field=F2, n=3, p=3,
                             codims=(1,), rank_range=(2,))
-        rep = run_flanders(spec)
+        rep = run_campaign(spec)
         assert rep.total == 511
         assert rep.passed == 511  # dim 8 > 6 = n*r, so none are filtered
         assert rep.failures == ()
         extremal = flanders_extremal(3, 3, 2, F2)
         assert extremal.dim == 6
-        ranks = [rank(M) for M in elements(extremal)]
+        ranks = [rank(M) for M in extremal.elements()]
         assert max(ranks) == 2
 
     _run(8, "all 511 codim-1 subspaces of Mat3(GF(2)) have a rank-3 member; "
@@ -291,7 +285,7 @@ def test_criterion_10_infrastructure_properties():
         for workers in (1, 2, 8):
             spec = CampaignSpec(theorem="main", field=F2, n=3, p=3,
                                 codims=(1,), rank_range=(1,), workers=workers)
-            sigs.add(run_main(spec).signature())
+            sigs.add(run_campaign(spec).signature())
         assert len(sigs) == 1
         # serialized artifacts round-trip
         M = Matrix.from_rows(RATIONALS, [[Fraction(-7, 3), 1], [0, 4]])
@@ -307,8 +301,8 @@ def test_criterion_10_infrastructure_properties():
         _, rcert = line_full_rank(lemma1_witness(3, 2, 1, RATIONALS),
                                   canonical_N(RATIONALS, 3, 2, 1))
         assert WitnessCertificate.from_json(rcert.to_json()) == rcert
-        rep = run_main(CampaignSpec(theorem="main", field=F2, n=2, p=2,
-                                    codims=(0,), rank_range=(1,)))
+        rep = run_campaign(CampaignSpec(theorem="main", field=F2, n=2, p=2,
+                                        codims=(0,), rank_range=(1,)))
         back = VerificationReport.from_json(rep.to_json())
         assert back.signature() == rep.signature()
         assert json.loads(rep.to_json())["verdict"] == "verified"

@@ -1,0 +1,48 @@
+"""The benchmark's traced run can still wrap every name it patches.
+
+``bench/trace.py`` replaces module attributes of the package by name, so a
+rename under ``src/`` would break the traced run without failing any other
+test.  The check runs in a subprocess: ``install`` patches classes for the
+rest of the process, and ``bench/trace.py`` shadows the standard library's
+``trace`` module once ``bench/`` is first on ``sys.path``.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import json, sys
+sys.path.insert(0, "bench")
+import trace, workloads
+assert trace.__file__.endswith("bench/trace.py"), trace.__file__
+rl = workloads.load_ranklines()
+tracer = trace.Tracer()
+hooks = trace.install(tracer, rl)
+F2, F3 = rl.fields.GF(2), rl.fields.GF(3)
+Spec = rl.verify.CampaignSpec
+hooks["run_campaign"](Spec(theorem="main", field=F2, n=3, p=2, codims=(1,), rank_range=(1,)))
+hooks["run_campaign"](Spec(theorem="remark2-strong", field=F3, n=3, p=3, codims=(1,),
+                           rank_range=(2,), mode="sample", samples=20, seed=1))
+Q = rl.fields.RATIONALS
+M = rl.matrices.Matrix
+hooks["classify_line"](M.from_rows(Q, [[1, 2], [3, 4]]), M.from_rows(Q, [[1, 0], [0, 0]]))
+print(json.dumps({k: v for k, (v, _u) in trace.layer_metrics(tracer).items()}))
+"""
+
+
+def test_trace_install_patches_every_name_and_records_each_layer():
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    for name in ("spaces.members", "spaces.enum_spaces", "spaces.to_text_calls",
+                 "matrices.rank_calls", "matrices.det_calls", "lines.searches",
+                 "verify.cases", "verify.side_condition_calls", "pencils.classify_calls",
+                 "pencils.det_pencil_calls", "polynomials.roots_calls"):
+        assert metrics[name] > 0, name

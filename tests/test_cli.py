@@ -80,6 +80,13 @@ def test_check_line_malformed_matrix_exits_two(workdir):
     assert main(["check-line", A, N]) == 2
 
 
+def test_check_line_zero_denominator_exits_two(workdir, capsys):
+    A = _write(workdir / "A.txt", "field rat\nsize 2 2\n1/0 0\n0 1\n")
+    N = _write(workdir / "N.txt", "field rat\nsize 2 2\n1 0\n0 0\n")
+    assert main(["check-line", A, N]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_check_line_rational_with_30_bit_entries(workdir, capsys):
     # det(A + tN) has a 120-bit constant term; trial division over its
     # divisors never finished, the p-adic root search is immediate.
@@ -150,6 +157,13 @@ def test_witness_rank_precondition_exits_two(workdir, capsys):
     assert main(["witness", space, N]) == 2
 
 
+def test_witness_zero_denominator_in_space_exits_two(workdir, capsys):
+    space = _write(workdir / "space.txt", "field rat\nsize 1 1\ndim 1\n3/0\n")
+    N = _write(workdir / "N.txt", "field rat\nsize 1 1\n0\n")
+    assert main(["witness", space, N]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------- verify
 
 
@@ -217,6 +231,13 @@ def test_verify_comma_and_range_codim_syntax(capsys):
     assert code == 0
     rep = VerificationReport.from_json(out)
     assert rep.spec.codims == (0, 2)
+
+
+@pytest.mark.parametrize("flag, value", [("--codim", "x"), ("--codim", "1-"), ("--rank", ",")])
+def test_verify_non_integer_list_exits_two(flag, value, capsys):
+    code = main(["verify", "--theorem", "main", "--q", "2", "--n", "3", flag, value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ------------------------------------------------------------------------- gen

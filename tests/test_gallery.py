@@ -25,7 +25,6 @@ from ranklines.lines import (
 from ranklines.matrices import Matrix, canonical_N, rank
 from ranklines.pencils import det_pencil
 from ranklines.polynomials import Poly
-from ranklines.spaces import elements, membership
 
 F2 = GF(2)
 F3 = GF(3)
@@ -85,8 +84,8 @@ def test_sharpness_space_membership_pattern():
     space, _ = sharpness_example(3, 2, F3)
     ok = Matrix.from_rows(F3, [[2, 1], [0, 2], [0, 1]])
     bad = Matrix.from_rows(F3, [[0, 0], [1, 0], [0, 0]])
-    assert membership(space, ok)
-    assert not membership(space, bad)
+    assert space.contains(ok)
+    assert not space.contains(bad)
 
 
 def test_sharpness_example_defeats_search():
@@ -109,14 +108,14 @@ def test_remark1_affine_hyperplane():
     space, N = remark1_example(3, F2)
     assert space.codim == 1
     assert rank(N) == 2
-    for M in elements(space):
+    for M in space.elements():
         assert M.rows[2][2] == 1
 
 
 def test_remark1_every_member_has_monic_degree_n_minus_1_det():
     for field, n in ((F2, 2), (F2, 3), (F3, 2)):
         space, N = remark1_example(n, field)
-        for M in elements(space):
+        for M in space.elements():
             p = det_pencil(M, N)
             assert p.degree == n - 1
             assert p.leading() == field.one
@@ -124,7 +123,7 @@ def test_remark1_every_member_has_monic_degree_n_minus_1_det():
 
 def test_remark1_no_member_satisfies_side_condition():
     space, N = remark1_example(3, F2)
-    for M in elements(space):
+    for M in space.elements():
         assert not maps_ker_into_im(M, N)
 
 
@@ -154,7 +153,7 @@ def test_remark2_f2_shape():
 
 def test_remark2_f2_members_satisfy_the_affine_constraint():
     space, _ = remark2_f2_example()
-    mats = list(elements(space))
+    mats = list(space.elements())
     assert len(mats) == 256
     for M in mats:
         assert (M.rows[0][2] + M.rows[2][1]) % 2 == 1
@@ -183,7 +182,7 @@ def test_remark2_f2_adjugate_identity_on_every_member():
     # det(M + tN) = d*det(A + t I_2) + t*(BC) + B*adj(A)*C, assembled here
     # coefficient by coefficient without calling the pencil determinant.
     space, N = remark2_f2_example()
-    for M in elements(space):
+    for M in space.elements():
         A = Matrix.from_rows(F2, [M.rows[0][:2], M.rows[1][:2]])
         C = Matrix.from_rows(F2, [[M.rows[0][2]], [M.rows[1][2]]])
         B = Matrix.from_rows(F2, [M.rows[2][:2]])
@@ -212,7 +211,7 @@ def test_flanders_extremal_dimension_is_nr():
 
 def test_flanders_extremal_ranks_are_bounded_by_r():
     space = flanders_extremal(3, 3, 2, F2)
-    mats = list(elements(space))
+    mats = list(space.elements())
     assert len(mats) == 64
     assert all(rank(M) <= 2 for M in mats)
     assert max(rank(M) for M in mats) == 2
@@ -223,7 +222,7 @@ def test_flanders_extremal_edge_ranks():
     assert zero.dim == 0
     full = flanders_extremal(2, 2, 2, F2)
     assert full.dim == 4
-    assert any(rank(M) == 2 for M in elements(full))
+    assert any(rank(M) == 2 for M in full.elements())
 
 
 def test_flanders_extremal_rejects_r_above_p():
@@ -233,6 +232,6 @@ def test_flanders_extremal_rejects_r_above_p():
 
 def test_flanders_extremal_supported_on_first_r_columns():
     space = flanders_extremal(4, 3, 2, F5)
-    for M in itertools.islice(elements(space), 40):
+    for M in itertools.islice(space.elements(), 40):
         for row in M.rows:
             assert row[2] == 0

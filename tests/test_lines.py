@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from ranklines.matrices import (
     Matrix,
     canonical_N,
     det,
+    line_rows,
     random_invertible,
     random_matrix,
     rank,
@@ -39,15 +41,19 @@ from ranklines.spaces import (
     BudgetExceededError,
     MatrixSpaceShape,
     affine_from_point,
-    elements,
     from_generators,
-    membership,
     random_affine,
+    random_subspace,
 )
 
 F2 = GF(2)
 F3 = GF(3)
 F5 = GF(5)
+F7 = GF(7)
+
+# sha256 of the JSON of every certificate _seeded_certificates builds, taken
+# with the earlier code that recomputed each rank of a witness's table.
+CERT_JSON_SHA256 = "7070e053bb7e8039e3dc79d2201574ae5f35ed4105df224250b3f8e2c1f3222f"
 
 
 def _full_space(field, n, p):
@@ -149,6 +155,74 @@ def test_certificate_json_round_trip_rational():
     assert validate_certificate(back)
 
 
+# -------------------------------------------- line kernel and certificate oracle
+
+
+def _seeded_certificates(field):
+    """(source, certificate) pairs from line_full_rank and all three searches."""
+    rng = random.Random(f"certs:{field}")
+    out = []
+    for _ in range(25):
+        p = rng.randint(1, 3)
+        n = rng.randint(p, 4)
+        ok, cert = line_full_rank(random_matrix(field, n, p, rng),
+                                  random_matrix(field, n, p, rng))
+        if ok:
+            out.append(("line_full_rank", cert))
+    for n, p, codim in ((2, 2, 0), (3, 2, 2)):
+        shape = MatrixSpaceShape(field, n, p)
+        for _ in range(4):
+            space = random_subspace(shape, codim, rng)
+            N = canonical_N(field, n, p, rng.randrange(p))
+            for strategy in (EXHAUSTIVE, RANDOM):
+                res = witness_search(space, N, strategy=strategy, budget=200 if
+                                     strategy == RANDOM else None, seed=rng.randrange(100))
+                if res.found:
+                    out.append((strategy, res.certificate))
+    shape = MatrixSpaceShape(field, 2, 2)
+    for _ in range(4):
+        res = constant_det_witness_search(random_affine(shape, 1, rng), canonical_N(field, 2, 2, 1))
+        if res.found:
+            out.append(("constant-det", res.certificate))
+    return out
+
+
+def _recomputed_certificate(A, N):
+    """The certificate with every rank of A + tN recomputed by Matrix arithmetic."""
+    return WitnessCertificate(A, N, table=tuple((t, rank(A + N.scale(t)))
+                                                for t in A.field.elements()))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F7])
+def test_line_rows_matches_matrix_arithmetic(field):
+    rng = random.Random(f"line_rows:{field}")
+    for _ in range(30):
+        p = rng.randint(1, 3)
+        n = rng.randint(1, 4)
+        A = random_matrix(field, n, p, rng)
+        N = random_matrix(field, n, p, rng)
+        assert line_rows(A.rows, N.rows, 0, field.modulus) is A.rows
+        for t in field.elements():
+            assert line_rows(A.rows, N.rows, t, field.modulus) == (A + N.scale(t)).rows
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F7])
+def test_certificates_equal_fully_recomputed_ones(field):
+    pairs = _seeded_certificates(field)
+    assert {src for src, _ in pairs} == {"line_full_rank", EXHAUSTIVE, RANDOM, "constant-det"}
+    for _src, cert in pairs:
+        fresh = _recomputed_certificate(cert.A, cert.N)
+        assert cert == fresh
+        assert cert.to_json() == fresh.to_json()
+        assert validate_certificate(cert)
+
+
+def test_certificate_json_unchanged_from_recomputing_searches():
+    blob = "\n".join(cert.to_json() for field in (F2, F3, F5, F7)
+                     for _src, cert in _seeded_certificates(field))
+    assert hashlib.sha256(blob.encode()).hexdigest() == CERT_JSON_SHA256
+
+
 def test_tampered_certificate_fails_validation():
     A = Matrix.from_rows(F2, [[0, 0], [1, 0], [0, 1]])
     N = canonical_N(F2, 3, 2, 1)
@@ -199,7 +273,7 @@ def test_side_conditions_agree_at_corank_one():
     N = canonical_N(F2, 3, 3, 2)
     shape = MatrixSpaceShape(F2, 3, 3)
     full = _full_space(F2, 3, 3)
-    for M in elements(full):
+    for M in full.elements():
         assert maps_ker_into_im(M, N) == ker_coker_noninjective(M, N)
     assert shape.ambient_dim == 9
 
@@ -239,7 +313,7 @@ def test_witness_search_full_space_finds_subdiagonal_style_witness():
     assert out.status == WITNESS_FOUND
     assert out.found
     assert validate_certificate(out.certificate)
-    assert membership(space, out.certificate.A)
+    assert space.contains(out.certificate.A)
     assert out.cases_examined >= 1
 
 

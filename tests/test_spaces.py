@@ -16,11 +16,9 @@ from ranklines.spaces import (
     MatrixSpaceShape,
     affine_from_point,
     count_subspaces,
-    elements,
     enumerate_affine,
     enumerate_subspaces,
     from_generators,
-    membership,
     parse_subspace_text,
     random_affine,
     random_subspace,
@@ -97,11 +95,11 @@ def test_membership_linear():
                                 Matrix.unit(F2, 3, 2, 1, 1)])
     inside = Matrix.from_rows(F2, [[1, 0], [0, 1], [0, 0]])
     outside = Matrix.from_rows(F2, [[0, 0], [1, 0], [0, 0]])
-    assert membership(s, inside)
-    assert not membership(s, outside)
-    assert membership(s, Matrix.zeros(F2, 3, 2))
+    assert s.contains(inside)
+    assert not s.contains(outside)
+    assert s.contains(Matrix.zeros(F2, 3, 2))
     with pytest.raises(ValueError):
-        membership(s, Matrix.zeros(F2, 2, 2))
+        s.contains(Matrix.zeros(F2, 2, 2))
 
 
 def test_affine_membership_and_canonical_base():
@@ -167,6 +165,16 @@ def test_enumeration_matches_count_and_is_distinct():
             assert len(seen) == count_subspaces(n * p, codim, q)
 
 
+def test_enumeration_rejects_bad_codim_and_infinite_field_when_called():
+    # The checks run at the call, before the caller starts iterating.
+    with pytest.raises(ValueError):
+        enumerate_subspaces(_shape(F2, 2, 2), 5)
+    with pytest.raises(ValueError):
+        enumerate_subspaces(_shape(F2, 2, 2), -1)
+    with pytest.raises(ValueError):
+        enumerate_subspaces(_shape(RATIONALS, 2, 2), 1)
+
+
 def test_enumeration_is_deterministic():
     shape = _shape(F2, 2, 2)
     first = [s.basis for s in enumerate_subspaces(shape, 2)]
@@ -199,19 +207,19 @@ def test_affine_enumeration_codim_zero_is_the_full_space():
 def test_elements_of_linear_space():
     shape = _shape(F3, 2, 1)
     s = from_generators(shape, [Matrix.from_rows(F3, [[1], [0]])])
-    mats = list(elements(s))
+    mats = list(s.elements())
     assert len(mats) == 3
     assert mats[0] == Matrix.zeros(F3, 2, 1)  # zero element first
     assert len(set(mats)) == 3
-    assert all(membership(s, m) for m in mats)
+    assert all(s.contains(m) for m in mats)
 
 
 def test_elements_cover_whole_space_in_stable_order():
     shape = _shape(F2, 2, 2)
     s = from_generators(shape, [Matrix.unit(F2, 2, 2, i, j)
                                 for i in range(2) for j in range(2)])
-    run1 = list(elements(s))
-    run2 = list(elements(s))
+    run1 = list(s.elements())
+    run2 = list(s.elements())
     assert run1 == run2
     assert len(run1) == 16
     assert len(set(run1)) == 16
@@ -221,7 +229,7 @@ def test_elements_of_affine_space_stay_in_the_coset():
     shape = _shape(F3, 2, 2)
     rng = random.Random(11)
     aff = random_affine(shape, 2, rng)
-    mats = list(elements(aff))
+    mats = list(aff.elements())
     assert len(mats) == 9
     assert mats[0] == aff.base
     assert all(aff.contains(m) for m in mats)
@@ -231,9 +239,9 @@ def test_elements_of_affine_space_stay_in_the_coset():
 def test_elements_zero_dimensional():
     shape = _shape(F2, 2, 2)
     zero = from_generators(shape, [])
-    assert list(elements(zero)) == [Matrix.zeros(F2, 2, 2)]
+    assert list(zero.elements()) == [Matrix.zeros(F2, 2, 2)]
     point = affine_from_point(zero, Matrix.identity(F2, 2))
-    assert list(elements(point)) == [Matrix.identity(F2, 2)]
+    assert list(point.elements()) == [Matrix.identity(F2, 2)]
 
 
 def test_elements_budget_enforcement():
@@ -241,10 +249,10 @@ def test_elements_budget_enforcement():
     full = from_generators(shape, [Matrix.unit(F2, 5, 5, i, j)
                                    for i in range(5) for j in range(5)])
     assert full.dim == 25  # 2^25 exceeds the default budget
-    gen = elements(full)
+    gen = full.elements()
     with pytest.raises(BudgetExceededError):
         next(gen)
-    capped = elements(full, budget=None)
+    capped = full.elements(budget=None)
     assert next(capped) == Matrix.zeros(F2, 5, 5)
     assert DEFAULT_ELEMENT_BUDGET == 1 << 24
 
@@ -253,7 +261,7 @@ def test_elements_rejects_infinite_fields():
     shape = _shape(RATIONALS, 2, 2)
     s = from_generators(shape, [Matrix.unit(RATIONALS, 2, 2, 0, 0)])
     with pytest.raises(ValueError):
-        next(elements(s))
+        next(s.elements())
 
 
 # ------------------------------------------------------------------- transport
@@ -268,7 +276,7 @@ def test_transport_preserves_dim_and_membership():
     s2 = transport(s, P, Q)
     assert s2.dim == s.dim
     for m in s.basis_matrices():
-        assert membership(s2, P @ m @ Q)
+        assert s2.contains(P @ m @ Q)
 
 
 def test_transport_affine():
@@ -280,7 +288,7 @@ def test_transport_affine():
     aff2 = transport(aff, P, Q)
     assert aff2.dim == aff.dim
     assert aff2.contains(P @ aff.base @ Q)
-    for m in list(elements(aff))[:8]:
+    for m in list(aff.elements())[:8]:
         assert aff2.contains(P @ m @ Q)
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from ranklines.fields import GF, RATIONALS
 from ranklines.matrices import rank
-from ranklines.spaces import elements
 from ranklines.verify import (
     CampaignSpec,
     CampaignSpecError,
@@ -18,11 +17,6 @@ from ranklines.verify import (
     expected_total,
     replay_failure,
     run_campaign,
-    run_flanders,
-    run_main,
-    run_pencil,
-    run_remark2,
-    run_square,
     validate_spec,
 )
 
@@ -105,25 +99,18 @@ def test_validate_main_needs_p_at_least_two():
         validate_spec(_spec(n=3, p=1, codims=(1,), rank_range=(0,)))
 
 
-def test_wrappers_enforce_their_theorem():
-    with pytest.raises(CampaignSpecError):
-        run_pencil(_spec())
-    with pytest.raises(CampaignSpecError):
-        run_remark2(_spec())
-
-
 # ------------------------------------------------------------------- execution
 
 
 def test_expected_total_matches_stream():
     spec = _spec(codims=(0, 1))
-    rep = run_main(spec)
+    rep = run_campaign(spec)
     assert rep.total == expected_total(spec)
     assert rep.total == (1 + 63) * 2
 
 
 def test_main_campaign_small_sweep_passes():
-    rep = run_main(_spec(codims=(1,)))
+    rep = run_campaign(_spec(codims=(1,)))
     assert rep.verified
     assert rep.failures == ()
     assert rep.findings == ()
@@ -134,7 +121,7 @@ def test_main_campaign_small_sweep_passes():
 def test_flanders_campaign_counts_and_filtering():
     spec = CampaignSpec(theorem="flanders", field=F2, n=2, p=2,
                         codims=(0, 1, 2), rank_range=(0, 1, 2))
-    rep = run_flanders(spec)
+    rep = run_campaign(spec)
     assert rep.verified
     # r = 2 filters everything (dim <= 4 always); r = 0 filters only dim 0
     assert rep.total == (1 + 15 + 35) * 3
@@ -144,7 +131,7 @@ def test_flanders_campaign_counts_and_filtering():
 def test_pencil_campaign_tiny():
     spec = CampaignSpec(theorem="pencil", field=F2, n=2, p=2,
                         codims=(0,), rank_range=(1,))
-    rep = run_pencil(spec)
+    rep = run_campaign(spec)
     assert rep.verified
     assert rep.total == 1  # codim 0 has a single coset: the whole space
     assert rep.passed == 1
@@ -162,7 +149,7 @@ def test_square_campaign_r0_witness_iff_invertible_member():
     from ranklines.verify import _case_stream
 
     for idx, codim, space, r in _case_stream(spec):
-        ranks = [rank(M) for M in elements(space)]
+        ranks = [rank(M) for M in space.elements()]
         if min(ranks) == 2:
             expected = "filtered"  # no singular member: side condition fails
         elif max(ranks) == 2:
@@ -176,7 +163,7 @@ def test_remark2_conjecture_sample_smoke():
     spec = CampaignSpec(theorem="remark2-conjecture", field=F2, n=4, p=4,
                         codims=(1,), rank_range=(3,), mode="sample",
                         samples=3, seed=7)
-    rep = run_remark2(spec)
+    rep = run_campaign(spec)
     assert rep.verified
     assert rep.total == 3
     assert rep.failures == ()
@@ -185,7 +172,7 @@ def test_remark2_conjecture_sample_smoke():
 def test_out_of_hypothesis_failures_become_findings():
     spec = _spec(n=2, p=2, codims=(1, 2), rank_range=(1,),
                  allow_out_of_hypothesis=True)
-    rep = run_main(spec)
+    rep = run_campaign(spec)
     assert rep.failures == ()
     assert rep.findings  # sharp examples exist at codim n-1 = 1
     assert rep.verified  # findings do not gate
@@ -209,32 +196,32 @@ def test_on_case_is_called_in_index_order():
 
 def test_reports_are_deterministic():
     spec = _spec(codims=(1,))
-    a = run_main(spec)
-    b = run_main(spec)
+    a = run_campaign(spec)
+    b = run_campaign(spec)
     assert a.signature() == b.signature()
     assert a.case_order_hash == b.case_order_hash
 
 
 def test_sample_mode_is_seed_deterministic():
     spec = _spec(mode="sample", samples=20, seed=11, random_conjugates=1)
-    a = run_main(spec)
-    b = run_main(spec)
+    a = run_campaign(spec)
+    b = run_campaign(spec)
     assert a.signature() == b.signature()
-    c = run_main(_spec(mode="sample", samples=20, seed=12))
+    c = run_campaign(_spec(mode="sample", samples=20, seed=12))
     assert c.case_order_hash != a.case_order_hash
 
 
 def test_parallel_run_matches_serial():
     spec = _spec(codims=(1,))
-    serial = run_main(spec)
-    parallel = run_main(_spec(codims=(1,), workers=2))
+    serial = run_campaign(spec)
+    parallel = run_campaign(_spec(codims=(1,), workers=2))
     assert serial.signature() == parallel.signature()
 
 
 def test_parallel_sample_mode_matches_serial():
     spec = _spec(mode="sample", samples=12, seed=3)
-    serial = run_main(spec)
-    parallel = run_main(_spec(mode="sample", samples=12, seed=3, workers=3))
+    serial = run_campaign(spec)
+    parallel = run_campaign(_spec(mode="sample", samples=12, seed=3, workers=3))
     assert serial.signature() == parallel.signature()
 
 
@@ -249,7 +236,7 @@ def test_workers_do_not_change_report_identity():
 
 def test_report_json_round_trip():
     spec = _spec(codims=(1,), rank_range=(1,))
-    rep = run_main(spec)
+    rep = run_campaign(spec)
     blob = rep.to_json()
     data = json.loads(blob)
     assert data["verdict"] == "verified"
@@ -263,7 +250,7 @@ def test_report_json_round_trip():
 def test_report_json_round_trip_with_findings():
     spec = _spec(n=2, p=2, codims=(1,), rank_range=(1,),
                  allow_out_of_hypothesis=True)
-    rep = run_main(spec)
+    rep = run_campaign(spec)
     back = VerificationReport.from_json(rep.to_json())
     assert back.findings == rep.findings
     assert back.signature() == rep.signature()
@@ -272,7 +259,7 @@ def test_report_json_round_trip_with_findings():
 def test_case_record_round_trip():
     spec = _spec(n=2, p=2, codims=(1,), rank_range=(1,),
                  allow_out_of_hypothesis=True)
-    rep = run_main(spec)
+    rep = run_campaign(spec)
     rec = rep.findings[0]
     back = CaseRecord.from_json_obj(rec.to_json_obj())
     assert back == rec
@@ -282,7 +269,7 @@ def test_case_record_round_trip():
 
 
 def test_summary_text_mentions_counts():
-    rep = run_main(_spec(codims=(1,), rank_range=(1,)))
+    rep = run_campaign(_spec(codims=(1,), rank_range=(1,)))
     text = rep.summary_text()
     assert "passed" in text
     assert str(rep.total) in text
