@@ -205,6 +205,7 @@ def _check_square_pair(M: Matrix, N: Matrix) -> None:
 
 
 def _check_search_inputs(space, N: Matrix) -> int:
+    """Check a search's direction against its space; returns rank(N)."""
     shape = space.shape
     if N.field != shape.field or (N.nrows, N.ncols) != (shape.n, shape.p):
         raise ValueError(f"direction {N.nrows}x{N.ncols} over {N.field} does not match "
@@ -214,7 +215,7 @@ def _check_search_inputs(space, N: Matrix) -> int:
     rk = rank(N)
     if rk >= shape.p:
         raise ValueError(f"direction rank {rk} is not below p = {shape.p}")
-    return shape.p
+    return rk
 
 
 def _random_member(space, rng: random.Random) -> Matrix:
@@ -248,7 +249,8 @@ def witness_search(space, N: Matrix, strategy: str = EXHAUSTIVE,
     strategy draws ``budget`` seeded uniform samples (default 10,000) and
     never claims nonexistence.
     """
-    p = _check_search_inputs(space, N)
+    _check_search_inputs(space, N)
+    p = space.shape.p
     f = space.shape.field
     n_rows = N.rows
     if strategy == EXHAUSTIVE:
@@ -281,9 +283,9 @@ def constant_det_witness_search(space, N: Matrix,
     shape = space.shape
     if shape.n != shape.p:
         raise ValueError("constant-determinant search requires a square shape")
-    _check_search_inputs(space, N)
-    if rank(N) != shape.n - 1:
-        raise ValueError(f"direction rank must be n-1 = {shape.n - 1}, got {rank(N)}")
+    rk = _check_search_inputs(space, N)
+    if rk != shape.n - 1:
+        raise ValueError(f"direction rank must be n-1 = {shape.n - 1}, got {rk}")
     limit = DEFAULT_ELEMENT_BUDGET if budget is None else budget
     cases = 0
     f = shape.field

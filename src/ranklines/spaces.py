@@ -262,18 +262,26 @@ def enumerate_subspaces(shape: MatrixSpaceShape, codim: int):
             for rows, prof in _iter_rref_bases(m, m - codim, shape.field.order))
 
 
-def enumerate_affine(shape: MatrixSpaceShape, codim: int):
-    """All affine codim-c subspaces: q^codim canonical cosets per linear one."""
-    q = shape.field.order  # raises on rationals before any work
+def _canonical_cosets(lin: LinearMatrixSubspace):
+    """The q^codim cosets of lin, each based at a point that is zero at lin's pivots."""
+    shape = lin.shape
     m = shape.ambient_dim
-    for lin in enumerate_subspaces(shape, codim):
-        pivset = set(lin.pivots)
-        nonpiv = [j for j in range(m) if j not in pivset]
-        for assignment in product(range(q), repeat=len(nonpiv)):
-            vec = [0] * m
-            for j, v in zip(nonpiv, assignment):
-                vec[j] = v
-            yield AffineMatrixSubspace(lin, unvectorize(shape, vec))
+    pivset = set(lin.pivots)
+    nonpiv = [j for j in range(m) if j not in pivset]
+    for assignment in product(range(shape.field.order), repeat=len(nonpiv)):
+        vec = [0] * m
+        for j, v in zip(nonpiv, assignment):
+            vec[j] = v
+        yield AffineMatrixSubspace(lin, unvectorize(shape, vec))
+
+
+def enumerate_affine(shape: MatrixSpaceShape, codim: int):
+    """All affine codim-c subspaces: q^codim canonical cosets per linear one.
+
+    The arguments are checked when it is called, as in enumerate_subspaces.
+    """
+    return (coset for lin in enumerate_subspaces(shape, codim)
+            for coset in _canonical_cosets(lin))
 
 
 # ---------------------------------------------------------------------------

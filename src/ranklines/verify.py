@@ -20,6 +20,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 from .fields import FieldDesc, parse_field
 from .lines import constant_det_witness_search, maps_ker_into_im, witness_search
@@ -299,40 +300,33 @@ def _side_condition_exists(spec: CampaignSpec, space, N: Matrix, r: int,
 
 
 def _judge_core(spec: CampaignSpec, space, N: Matrix | None, r: int,
-                canonical: bool) -> tuple[bool, str | None]:
-    """(claim held, diagnostic detail when it did not); detail None on pass/filter.
-
-    A filtered case returns (True, "filtered")."""
+                canonical: bool) -> tuple[str, str | None]:
+    """(PASSED, FILTERED or FAILED, detail); the detail is None unless FAILED."""
     if spec.theorem == "flanders":
         if space.dim <= spec.n * r:
-            return True, "filtered"
+            return FILTERED, None
         count = 0
         for M in space.elements(budget=spec.element_budget):
             count += 1
             if rank_rows(spec.field, M.rows, spec.p) > r:
-                return True, None
-        return False, f"all {count} members have rank <= {r}"
-    if spec.theorem == "main":
-        outcome = witness_search(space, N, budget=spec.element_budget)
-        if outcome.found:
-            return True, None
-        return False, f"exhausted-no-witness after {outcome.cases_examined} members"
-    # Affine claim families: side condition first, then the search.
-    if not _side_condition_exists(spec, space, N, r, canonical):
-        return True, "filtered"
+                return PASSED, None
+        return FAILED, f"all {count} members have rank <= {r}"
+    # The affine claim families (all but main) check a side condition first.
+    if spec.theorem != "main" and not _side_condition_exists(spec, space, N, r, canonical):
+        return FILTERED, None
     if spec.theorem in ("remark2-strong", "remark2-conjecture"):
         outcome = constant_det_witness_search(space, N, budget=spec.element_budget)
         if outcome.found:
-            return True, None
-        return False, (f"no constant-determinant member among {outcome.cases_examined}")
+            return PASSED, None
+        return FAILED, f"no constant-determinant member among {outcome.cases_examined}"
     outcome = witness_search(space, N, budget=spec.element_budget)
     if outcome.found:
-        return True, None
-    return False, f"exhausted-no-witness after {outcome.cases_examined} members"
+        return PASSED, None
+    return FAILED, f"exhausted-no-witness after {outcome.cases_examined} members"
 
 
 def _conjugates_agree(spec: CampaignSpec, index: int, space, N: Matrix | None,
-                      r: int, baseline: tuple[bool, bool]) -> str | None:
+                      r: int, verdict: str) -> str | None:
     """Re-judge k random (P, Q)-conjugated copies; None if all verdicts match."""
     rng = random.Random(f"{spec.seed}:conj:{index}")
     for k in range(spec.random_conjugates):
@@ -340,39 +334,57 @@ def _conjugates_agree(spec: CampaignSpec, index: int, space, N: Matrix | None,
         Q = random_invertible(spec.field, spec.p, rng)
         space2 = transport(space, P, Q)
         N2 = P @ N @ Q if N is not None else None
-        held2, detail2 = _judge_core(spec, space2, N2, r, canonical=False)
-        verdict2 = (held2, detail2 == "filtered")
-        if verdict2 != baseline:
+        verdict2, _detail = _judge_core(spec, space2, N2, r, canonical=False)
+        if verdict2 != verdict:
             return (f"conjugate check #{k + 1} disagreed: canonical "
-                    f"{baseline} vs transported {verdict2}")
+                    f"{verdict} vs transported {verdict2}")
     return None
 
 
 def _process_case(spec: CampaignSpec, index: int, codim: int, space, r: int):
     """Returns (verdict, CaseRecord | None, digest bytes) for one case."""
-    key = f"{codim}|{r}|{space.to_text()}"
+    space_text = space.to_text()
+    key = f"{codim}|{r}|{space_text}"
     digest = hashlib.sha256(key.encode()).digest()
-    if spec.theorem == "flanders":
-        N = None
-        n_text = None
-    else:
-        N = canonical_N(spec.field, spec.n, spec.p, r)
-        n_text = N.to_text()
-    held, detail = _judge_core(spec, space, N, r, canonical=True)
-    filtered = held and detail == "filtered"
+    N = None if spec.theorem == "flanders" else canonical_N(spec.field, spec.n, spec.p, r)
+    verdict, detail = _judge_core(spec, space, N, r, canonical=True)
+    mismatch = None
     if spec.random_conjugates:
-        mismatch = _conjugates_agree(spec, index, space, N, r, (held, filtered))
-        if mismatch is not None:
-            record = CaseRecord(index, codim, r, space.to_text(), n_text, mismatch)
-            return FAILED, record, digest
-    if filtered:
-        return FILTERED, None, digest
-    if held:
-        return PASSED, None, digest
-    record = CaseRecord(index, codim, r, space.to_text(), n_text, detail)
-    if spec.theorem == "remark2-conjecture" or not _in_hypothesis_codim(spec, codim):
-        return FINDING, record, digest
-    return FAILED, record, digest
+        mismatch = _conjugates_agree(spec, index, space, N, r, verdict)
+    if mismatch is not None:
+        # A disagreement between conjugates gates in every mode.
+        verdict, detail = FAILED, mismatch
+    elif verdict == FAILED and (spec.theorem == "remark2-conjecture"
+                                or not _in_hypothesis_codim(spec, codim)):
+        verdict = FINDING
+    if verdict in (PASSED, FILTERED):
+        return verdict, None, digest
+    n_text = None if N is None else N.to_text()
+    return verdict, CaseRecord(index, codim, r, space_text, n_text, detail), digest
+
+
+def _judge(spec: CampaignSpec, lo: int = 0, hi: int | None = None):
+    """Yield (index, codim, r, verdict, CaseRecord | None, digest) for cases lo..hi-1."""
+    for idx, codim, space, r in islice(_case_stream(spec), lo, hi):
+        verdict, record, digest = _process_case(spec, idx, codim, space, r)
+        yield idx, codim, r, verdict, record, digest
+
+
+def _judge_chunk(spec: CampaignSpec, lo: int, hi: int) -> list:
+    """A worker's share of a parallel run: cases lo..hi-1, judged."""
+    return list(_judge(spec, lo, hi))
+
+
+def _judge_in_pool(spec: CampaignSpec):
+    """Yield every case's _judge tuple in index order from a process pool,
+    one contiguous index chunk per worker."""
+    total = expected_total(spec)
+    w = max(1, min(spec.workers, total))
+    bounds = [round(i * total / w) for i in range(w + 1)]
+    with ProcessPoolExecutor(max_workers=w) as pool:
+        # map cancels the chunks not yet started if iteration stops early.
+        for chunk in pool.map(_judge_chunk, [spec] * w, bounds, bounds[1:]):
+            yield from chunk
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +477,33 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _tally(spec: CampaignSpec, results, elapsed_ms: int, incomplete: bool) -> VerificationReport:
-    """Fold (index, verdict, digest, record) tuples, already in index order."""
+def run_campaign(spec: CampaignSpec, on_case=None) -> VerificationReport:
+    """Execute a campaign and aggregate the report.
+
+    ``on_case(index, codim, r, verdict)`` is invoked per case in index
+    order, with any worker count; campaigns with workers > 1 partition the
+    case index range over processes and merge in order.  An interrupt
+    gives an ``incomplete`` report of the cases judged so far.
+    """
+    validate_spec(spec)
+    start = time.monotonic()
+    cases = _judge(spec) if spec.workers == 1 else _judge_in_pool(spec)
+    results = []
+    incomplete = False
+    try:
+        for result in cases:
+            results.append(result)
+            if on_case is not None:
+                on_case(*result[:4])
+    except KeyboardInterrupt:
+        incomplete = True
+    elapsed = int((time.monotonic() - start) * 1000)
     h = hashlib.sha256()
-    total = passed = filtered = 0
+    passed = filtered = 0
     failures: list[CaseRecord] = []
     findings: list[CaseRecord] = []
-    for _idx, verdict, digest, record in results:
+    for _idx, _codim, _r, verdict, record, digest in results:
         h.update(digest)
-        total += 1
         if verdict == PASSED:
             passed += 1
         elif verdict == FILTERED:
@@ -482,70 +512,13 @@ def _tally(spec: CampaignSpec, results, elapsed_ms: int, incomplete: bool) -> Ve
             failures.append(record)
         else:
             findings.append(record)
-    return VerificationReport(spec, total, passed, filtered, tuple(failures),
-                              tuple(findings), h.hexdigest(), elapsed_ms, incomplete)
-
-
-def _worker_run(spec: CampaignSpec, lo: int, hi: int):
-    out = []
-    for idx, codim, space, r in _case_stream(spec):
-        if idx >= hi:
-            break
-        if idx < lo:
-            continue
-        verdict, record, digest = _process_case(spec, idx, codim, space, r)
-        out.append((idx, verdict, digest, record))
-    return out
-
-
-def run_campaign(spec: CampaignSpec, on_case=None) -> VerificationReport:
-    """Execute a campaign and aggregate the report.
-
-    ``on_case(index, codim, r, verdict)`` is invoked per case in index
-    order (serial runs only); campaigns with workers > 1 partition the
-    case index range over processes and merge in order.
-    """
-    validate_spec(spec)
-    start = time.monotonic()
-    if spec.workers == 1 or on_case is not None:
-        results = []
-        incomplete = False
-        try:
-            for idx, codim, space, r in _case_stream(spec):
-                verdict, record, digest = _process_case(spec, idx, codim, space, r)
-                results.append((idx, verdict, digest, record))
-                if on_case is not None:
-                    on_case(idx, codim, r, verdict)
-        except KeyboardInterrupt:
-            incomplete = True
-        elapsed = int((time.monotonic() - start) * 1000)
-        return _tally(spec, results, elapsed, incomplete)
-
-    total = expected_total(spec)
-    w = max(1, min(spec.workers, total))
-    bounds = [round(i * total / w) for i in range(w + 1)]
-    chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    merged: list = []
-    incomplete = False
-    with ProcessPoolExecutor(max_workers=w) as pool:
-        futures = [pool.submit(_worker_run, spec, lo, hi) for lo, hi in chunks]
-        done: list = []
-        try:
-            for fut in futures:
-                done.append(fut.result())
-        except KeyboardInterrupt:
-            incomplete = True
-            for fut in futures:
-                fut.cancel()
-        for part in done:
-            merged.extend(part)
-    elapsed = int((time.monotonic() - start) * 1000)
-    return _tally(spec, merged, elapsed, incomplete)
+    return VerificationReport(spec, len(results), passed, filtered, tuple(failures),
+                              tuple(findings), h.hexdigest(), elapsed, incomplete)
 
 
 def replay_failure(record: CaseRecord, spec: CampaignSpec) -> bool:
     """True iff re-judging the recorded case reproduces the failure."""
     space = record.space()
     N = record.direction()
-    held, _detail = _judge_core(spec, space, N, record.r, canonical=True)
-    return not held
+    verdict, _detail = _judge_core(spec, space, N, record.r, canonical=True)
+    return verdict == FAILED

@@ -26,13 +26,16 @@ tracer = trace.Tracer()
 hooks = trace.install(tracer, rl)
 F2, F3 = rl.fields.GF(2), rl.fields.GF(3)
 Spec = rl.verify.CampaignSpec
-hooks["run_campaign"](Spec(theorem="main", field=F2, n=3, p=2, codims=(1,), rank_range=(1,)))
-hooks["run_campaign"](Spec(theorem="remark2-strong", field=F3, n=3, p=3, codims=(1,),
-                           rank_range=(2,), mode="sample", samples=20, seed=1))
+specs = [Spec(theorem="main", field=F2, n=3, p=2, codims=(1,), rank_range=(1,)),
+         Spec(theorem="remark2-strong", field=F3, n=3, p=3, codims=(1,),
+              rank_range=(2,), mode="sample", samples=20, seed=1)]
+reports = [hooks["run_campaign"](spec) for spec in specs]
 Q = rl.fields.RATIONALS
 M = rl.matrices.Matrix
 hooks["classify_line"](M.from_rows(Q, [[1, 2], [3, 4]]), M.from_rows(Q, [[1, 0], [0, 0]]))
 print(json.dumps({k: v for k, (v, _u) in trace.layer_metrics(tracer).items()}))
+print(json.dumps({"expected": sum(rl.verify.expected_total(spec) for spec in specs),
+                  "filtered": sum(rep.filtered for rep in reports)}))
 """
 
 
@@ -40,9 +43,13 @@ def test_trace_install_patches_every_name_and_records_each_layer():
     proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    *_, metrics_line, totals_line = proc.stdout.strip().splitlines()
+    metrics, totals = json.loads(metrics_line), json.loads(totals_line)
     for name in ("spaces.members", "spaces.enum_spaces", "spaces.to_text_calls",
                  "matrices.rank_calls", "matrices.det_calls", "lines.searches",
                  "verify.cases", "verify.side_condition_calls", "pencils.classify_calls",
                  "pencils.det_pencil_calls", "polynomials.roots_calls"):
         assert metrics[name] > 0, name
+    # Every case of the hooked campaigns passed through the wrapped names.
+    assert metrics["verify.cases"] == totals["expected"]
+    assert metrics["lines.searches"] == totals["expected"] - totals["filtered"]

@@ -173,6 +173,10 @@ def test_enumeration_rejects_bad_codim_and_infinite_field_when_called():
         enumerate_subspaces(_shape(F2, 2, 2), -1)
     with pytest.raises(ValueError):
         enumerate_subspaces(_shape(RATIONALS, 2, 2), 1)
+    with pytest.raises(ValueError):
+        enumerate_affine(_shape(F2, 2, 2), 5)
+    with pytest.raises(ValueError):
+        enumerate_affine(_shape(RATIONALS, 2, 2), 1)
 
 
 def test_enumeration_is_deterministic():

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+import resource
+from itertools import islice
 
 import pytest
 
@@ -13,6 +17,7 @@ from ranklines.verify import (
     CampaignSpecError,
     CaseRecord,
     VerificationReport,
+    _case_stream,
     default_rank_range,
     expected_total,
     replay_failure,
@@ -146,8 +151,6 @@ def test_square_campaign_r0_witness_iff_invertible_member():
     verdicts = {}
     rep = run_campaign(spec, on_case=lambda idx, codim, r, v: verdicts.update({idx: v}))
     assert rep.total == len(verdicts)
-    from ranklines.verify import _case_stream
-
     for idx, codim, space, r in _case_stream(spec):
         ranks = [rank(M) for M in space.elements()]
         if min(ranks) == 2:
@@ -183,12 +186,41 @@ def test_out_of_hypothesis_failures_become_findings():
     assert replay_failure(rep.findings[0], spec)
 
 
-def test_on_case_is_called_in_index_order():
-    seen = []
+def _children_cpu() -> float:
+    ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return ru.ru_utime + ru.ru_stime
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_on_case_is_called_in_index_order(workers):
     spec = _spec(codims=(1,))
-    run_campaign(spec, on_case=lambda idx, codim, r, v: seen.append(idx))
-    assert seen == list(range(len(seen)))
+    serial = []
+    run_campaign(spec, on_case=lambda *case: serial.append(case))
+    seen = []
+    cpu0 = _children_cpu()
+    run_campaign(dataclasses.replace(spec, workers=workers),
+                 on_case=lambda idx, codim, r, v: seen.append((idx, codim, r, v)))
+    assert [case[0] for case in seen] == list(range(len(seen)))
     assert len(seen) == 126
+    assert seen == serial
+    if workers > 1:  # the cases were judged by worker processes
+        assert _children_cpu() > cpu0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupt_gives_incomplete_report_of_a_prefix(workers):
+    def on_case(idx, codim, r, verdict):
+        if idx == 70:
+            raise KeyboardInterrupt
+
+    spec = _spec(codims=(1,), workers=workers)
+    rep = run_campaign(spec, on_case=on_case)
+    assert rep.incomplete and not rep.verified
+    assert rep.total == rep.passed == 71
+    h = hashlib.sha256()  # the case hash covers exactly cases 0..70
+    for _idx, codim, space, r in islice(_case_stream(spec), 71):
+        h.update(hashlib.sha256(f"{codim}|{r}|{space.to_text()}".encode()).digest())
+    assert rep.case_order_hash == h.hexdigest()
 
 
 # ---------------------------------------------------------------- determinism
@@ -223,6 +255,53 @@ def test_parallel_sample_mode_matches_serial():
     serial = run_campaign(spec)
     parallel = run_campaign(_spec(mode="sample", samples=12, seed=3, workers=3))
     assert serial.signature() == parallel.signature()
+
+
+# (spec, case_order_hash, sha256 of signature()) for small campaigns of every
+# claim family.  Any change to case order, case hashing or verdicts breaks
+# these digests, and must be versioned in the report when they are updated.
+PINNED_REPORTS = [
+    (_spec(codims=(0, 1)),
+     "8b0e0657443eb6dbb561e2b8d9890e74a90c3d18dded91c9a92d94b03cab5b54",
+     "7c721e9a5e7c77231cb4a0392e2fde20f304137494f67e3e49065ca5cc8244fe"),
+    # out-of-hypothesis codims: 26 findings
+    (_spec(n=2, p=2, codims=(1, 2), rank_range=(1,), allow_out_of_hypothesis=True),
+     "434328ab333aa1ee28f88a47551de3b61855941f052b74075393c67134b789ff",
+     "250dc74c8995d31b8aa19698fefaa5c20bd52c47a1fca45ceb8a055da2779897"),
+    # one filtered case
+    (_spec(theorem="pencil", n=3, p=3, codims=(0, 1), rank_range=(2,)),
+     "348ff86b9ed3475d5fb5afe9d98dcfbfaf2f9c7f4f385be54ede70cb6abeac91",
+     "4a542901379421127db2e366900937e08aef4bd63725e0fac07cf15ae4259b3d"),
+    # 15 filtered cases and 84 findings
+    (_spec(theorem="square", n=2, p=2, codims=(0, 1, 2), rank_range=(0, 1),
+           allow_out_of_hypothesis=True),
+     "d2a26a9f81c9bc68c0aa08d6a84dc6607ac64cbd7dce4d11c2f8ffaadd76e16d",
+     "55da2fe36a4286c2302d3a8cdfbc3d66146704e74db848182cf26c7b304fc3d5"),
+    (_spec(theorem="remark2-strong", field=F3, n=3, p=3, codims=(1,), rank_range=(2,),
+           mode="sample", samples=15, seed=5),
+     "66467caeaa4b9f3849939b59ccd60bf0a40a6c6a60d26bd420df056e4a60886f",
+     "75f7f30dc4bcec442f9c3e32e25f94b181f2376cc6bf652f7315265276ba647c"),
+    (_spec(theorem="remark2-conjecture", n=4, p=4, codims=(1,), rank_range=(3,),
+           mode="sample", samples=2, seed=3),
+     "935543aef724953ceed8512db585bd23c70986bb2830ff5b577100fce0ea8862",
+     "6d45708edf3b548d1406600221b6ccb298335e8f482a1c0d5aac9448b694095f"),
+    # 86 filtered cases
+    (_spec(theorem="flanders", n=2, p=2, codims=(0, 1, 2), rank_range=(0, 1, 2)),
+     "918481dd19225ce0deb391b2aa99fc6c227ba745db354d2f9388e4fb26daed3b",
+     "3cb7736d0af05ca077ebe3f131ab995b9c413c75c485903bae96ca9340473f1e"),
+    (_spec(field=F3, n=2, p=2, codims=(0,), mode="sample", samples=10, seed=9,
+           random_conjugates=2),
+     "d8c6ab03af735303ed90adb256bc5bda3529fc98678c278543aa8e1c7f68e256",
+     "0e1480122e628b3018bd8c793111493aa5c5a694eaa080b7efd8d8ccf260bfcb"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_report_identity_is_pinned_for_every_family(workers):
+    for spec, order_hash, signature_hash in PINNED_REPORTS:
+        rep = run_campaign(dataclasses.replace(spec, workers=workers))
+        assert rep.case_order_hash == order_hash, spec
+        assert hashlib.sha256(rep.signature().encode()).hexdigest() == signature_hash, spec
 
 
 def test_workers_do_not_change_report_identity():
