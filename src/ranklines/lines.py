@@ -218,8 +218,8 @@ def _check_search_inputs(space, N: Matrix) -> int:
     return rk
 
 
-def _random_member(space, rng: random.Random) -> Matrix:
-    """Uniform member: base plus uniformly weighted basis combination."""
+def _random_member(space, rng: random.Random):
+    """Raw rows of a uniform member: base plus uniformly weighted basis combination."""
     shape = space.shape
     f = shape.field
     q = f.order
@@ -235,8 +235,13 @@ def _random_member(space, rng: random.Random) -> Matrix:
             for j, v in enumerate(row):
                 if v:
                     vec[j] = (vec[j] + c * v) % f.modulus
-    n, p = shape.n, shape.p
-    return Matrix(f, n, p, tuple(tuple(vec[i * p:(i + 1) * p]) for i in range(n)))
+    p = shape.p
+    return tuple(tuple(vec[i * p:(i + 1) * p]) for i in range(shape.n))
+
+
+def _check_budget(budget: int | None) -> None:
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
 
 
 def witness_search(space, N: Matrix, strategy: str = EXHAUSTIVE,
@@ -247,27 +252,30 @@ def witness_search(space, N: Matrix, strategy: str = EXHAUSTIVE,
     negative verdict is complete (every member was tried); ``budget`` caps
     the element count (default 2^24) and overrunning it raises.  Random
     strategy draws ``budget`` seeded uniform samples (default 10,000) and
-    never claims nonexistence.
+    never claims nonexistence.  A budget below 1 raises ValueError.
     """
     _check_search_inputs(space, N)
-    p = space.shape.p
-    f = space.shape.field
+    _check_budget(budget)
+    shape = space.shape
+    f, n, p = shape.field, shape.n, shape.p
     n_rows = N.rows
     if strategy == EXHAUSTIVE:
         limit = DEFAULT_ELEMENT_BUDGET if budget is None else budget
         cases = 0
-        for A in space.elements(budget=limit):
+        for a_rows in space.elements(budget=limit):
             cases += 1
-            if _full_rank_all_t(f, A.rows, n_rows, p):
-                return SearchOutcome(WITNESS_FOUND, _finite_certificate(A, N), cases)
+            if _full_rank_all_t(f, a_rows, n_rows, p):
+                return SearchOutcome(WITNESS_FOUND,
+                                     _finite_certificate(Matrix(f, n, p, a_rows), N), cases)
         return SearchOutcome(EXHAUSTED_NO_WITNESS, None, cases)
     if strategy == RANDOM:
         limit = DEFAULT_RANDOM_BUDGET if budget is None else budget
         rng = random.Random(seed)
         for i in range(limit):
-            A = _random_member(space, rng)
-            if _full_rank_all_t(f, A.rows, n_rows, p):
-                return SearchOutcome(WITNESS_FOUND, _finite_certificate(A, N), i + 1)
+            a_rows = _random_member(space, rng)
+            if _full_rank_all_t(f, a_rows, n_rows, p):
+                return SearchOutcome(WITNESS_FOUND,
+                                     _finite_certificate(Matrix(f, n, p, a_rows), N), i + 1)
         return SearchOutcome(BUDGET_EXHAUSTED, None, limit)
     raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -278,7 +286,8 @@ def constant_det_witness_search(space, N: Matrix,
 
     This is strictly stronger than a full-rank line over a finite field:
     the determinant polynomial must be constant as a formal polynomial,
-    not merely root-free.  The scan is exhaustive.
+    not merely root-free.  The scan is exhaustive; a budget below 1
+    raises ValueError.
     """
     shape = space.shape
     if shape.n != shape.p:
@@ -286,26 +295,29 @@ def constant_det_witness_search(space, N: Matrix,
     rk = _check_search_inputs(space, N)
     if rk != shape.n - 1:
         raise ValueError(f"direction rank must be n-1 = {shape.n - 1}, got {rk}")
+    _check_budget(budget)
     limit = DEFAULT_ELEMENT_BUDGET if budget is None else budget
     cases = 0
-    f = shape.field
+    f, n = shape.field, shape.n
     if f.is_finite and f.order > shape.n - 1:
         # deg det(A+tN) <= rank N = n-1 < q, and a polynomial of degree
         # below q is constant iff it takes a single value at all q points,
         # so pointwise determinants decide formal constancy here.
         pm = f.modulus
         n_rows = N.rows
-        for A in space.elements(budget=limit):
+        for a_rows in space.elements(budget=limit):
             cases += 1
-            d0 = _det_modp(A.rows, pm)
+            d0 = _det_modp(a_rows, pm)
             if d0 == 0:
                 continue
-            if all(_det_modp(line_rows(A.rows, n_rows, t, pm), pm) == d0
+            if all(_det_modp(line_rows(a_rows, n_rows, t, pm), pm) == d0
                    for t in range(1, pm)):
-                return SearchOutcome(WITNESS_FOUND, _finite_certificate(A, N), cases)
+                return SearchOutcome(WITNESS_FOUND,
+                                     _finite_certificate(Matrix(f, n, n, a_rows), N), cases)
         return SearchOutcome(EXHAUSTED_NO_WITNESS, None, cases)
-    for A in space.elements(budget=limit):
+    for a_rows in space.elements(budget=limit):
         cases += 1
+        A = Matrix(f, n, n, a_rows)
         if det_pencil(A, N).degree == 0:
             return SearchOutcome(WITNESS_FOUND, _finite_certificate(A, N), cases)
     return SearchOutcome(EXHAUSTED_NO_WITNESS, None, cases)

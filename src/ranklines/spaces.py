@@ -10,6 +10,13 @@ lexicographic order and fills the free RREF entries; this is duplicate-free
 by construction and its counts are cross-checked against Gaussian
 binomials.  The inner loops deliberately work on raw row tuples: exhaustive
 campaigns stream through millions of subspaces.
+
+``elements()`` yields a coset's members as raw row tuples, the ``rows`` a
+``Matrix`` would hold; ``Matrix(space.shape.field, n, p, rows)`` wraps
+one.  The order is an odometer over basis coefficients, last digit
+fastest.  Moving digit k resets digits k+1..d-1, so the step adds basis
+rows k..d-1 once each; that sum (the carry) is built lazily, the first
+time digit k moves, and only the matrix rows it touches are rebuilt.
 """
 
 from __future__ import annotations
@@ -95,7 +102,12 @@ class LinearMatrixSubspace:
         return all(v == z for v in self.reduce(vectorize(M)))
 
     def elements(self, budget: int | None = DEFAULT_ELEMENT_BUDGET):
-        yield from _iter_coset(self.shape, self.basis, None, budget)
+        """Every member as raw rows, in odometer order (see _iter_coset).
+
+        ``Matrix(space.shape.field, n, p, rows)`` wraps one; more than
+        ``budget`` members (None: no cap) raises BudgetExceededError.
+        """
+        return _iter_coset(self.shape, self.basis, None, budget)
 
     def to_text(self) -> str:
         shape = self.shape
@@ -129,7 +141,8 @@ class AffineMatrixSubspace:
         return self.linear.reduce(vectorize(M)) == vectorize(self.base)
 
     def elements(self, budget: int | None = DEFAULT_ELEMENT_BUDGET):
-        yield from _iter_coset(self.shape, self.linear.basis, vectorize(self.base), budget)
+        """Every member as raw rows, base first; as LinearMatrixSubspace.elements."""
+        return _iter_coset(self.shape, self.linear.basis, self.base.rows, budget)
 
     def to_text(self) -> str:
         lines = [self.linear.to_text().rstrip("\n"), "base"]
@@ -175,7 +188,8 @@ def transport(space, P: Matrix, Q: Matrix):
 # element iteration
 
 
-def _iter_coset(shape: MatrixSpaceShape, basis, base_vec, budget: int | None):
+def _iter_coset(shape: MatrixSpaceShape, basis, base_rows, budget: int | None):
+    """Members of base_rows (None: zero) + span(basis); checks run at the first next()."""
     f = shape.field
     if not f.is_finite:
         raise ValueError("element iteration requires a finite field")
@@ -185,28 +199,37 @@ def _iter_coset(shape: MatrixSpaceShape, basis, base_vec, budget: int | None):
     if budget is not None and total > budget:
         raise BudgetExceededError(f"{total} elements exceed the budget of {budget}")
     n, p = shape.n, shape.p
-    m = n * p
-    vec = list(base_vec) if base_vec is not None else [0] * m
-    yield Matrix(f, n, p, tuple(tuple(vec[i * p:(i + 1) * p]) for i in range(n)))
+    rows = list(base_rows) if base_rows is not None else [(0,) * p] * n
+    yield tuple(rows)
     if d == 0:
         return
-    # Odometer over coefficient digits, last digit fastest.  Whether a digit
-    # steps or wraps (q copies of a row cancel mod p), its row is added once.
+    # Odometer, last digit fastest.  Stepping digit k wraps digits k+1..d-1
+    # to 0 (q copies of a row cancel mod p), so it adds basis rows k..d-1
+    # once each.  carries[k] holds that sum per matrix row; it is built the
+    # first time digit k steps, as most searches stop long before the slow
+    # digits move.
+    pm = f.modulus
+    top = q - 1
     digits = [0] * d
-    pmod = f.modulus
+    carries: list = [None] * d
     for _ in range(total - 1):
         k = d - 1
-        while True:
-            row = basis[k]
-            for j in range(m):
-                if row[j]:
-                    vec[j] = (vec[j] + row[j]) % pmod
-            digits[k] += 1
-            if digits[k] < q:
-                break
+        while digits[k] == top:
             digits[k] = 0
             k -= 1
-        yield Matrix(f, n, p, tuple(tuple(vec[i * p:(i + 1) * p]) for i in range(n)))
+        digits[k] += 1
+        carry = carries[k]
+        if carry is None:
+            carry = carries[k] = _carry(basis[k:], n, p, pm)
+        for i, add in carry:
+            rows[i] = tuple([(a + b) % pm for a, b in zip(rows[i], add)])
+        yield tuple(rows)
+
+
+def _carry(basis_rows, n: int, p: int, pm: int):
+    """Sum of basis_rows mod pm, as (matrix row, entries) for each nonzero row."""
+    s = [sum(col) % pm for col in zip(*basis_rows)]
+    return [(i, tuple(s[i * p:(i + 1) * p])) for i in range(n) if any(s[i * p:(i + 1) * p])]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,12 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .fields import FieldDesc, parse_field
-from .lines import constant_det_witness_search, maps_ker_into_im, witness_search
+from .lines import (
+    constant_det_witness_search,
+    ker_coker_noninjective,
+    maps_ker_into_im,
+    witness_search,
+)
 from .matrices import Matrix, _det_modp, canonical_N, random_invertible, rank_rows
 from .spaces import (
     DEFAULT_ELEMENT_BUDGET,
@@ -283,18 +288,13 @@ def _side_condition_exists(spec: CampaignSpec, space, N: Matrix, r: int,
         return base[idx] == f.zero
     if canonical:
         pm = f.modulus
-        for M in space.elements(budget=spec.element_budget):
-            d_rows = tuple(row[r:] for row in M.rows[r:])
-            if _det_modp(d_rows, pm) == 0:
+        for rows in space.elements(budget=spec.element_budget):
+            if _det_modp(tuple(row[r:] for row in rows[r:]), pm) == 0:
                 return True
         return False
-    if spec.theorem == "square":
-        from .lines import ker_coker_noninjective
-        pred = ker_coker_noninjective
-    else:
-        pred = maps_ker_into_im
-    for M in space.elements(budget=spec.element_budget):
-        if pred(M, N):
+    pred = ker_coker_noninjective if spec.theorem == "square" else maps_ker_into_im
+    for rows in space.elements(budget=spec.element_budget):
+        if pred(Matrix(f, n, spec.p, rows), N):
             return True
     return False
 
@@ -306,9 +306,9 @@ def _judge_core(spec: CampaignSpec, space, N: Matrix | None, r: int,
         if space.dim <= spec.n * r:
             return FILTERED, None
         count = 0
-        for M in space.elements(budget=spec.element_budget):
+        for rows in space.elements(budget=spec.element_budget):
             count += 1
-            if rank_rows(spec.field, M.rows, spec.p) > r:
+            if rank_rows(spec.field, rows, spec.p) > r:
                 return PASSED, None
         return FAILED, f"all {count} members have rank <= {r}"
     # The affine claim families (all but main) check a side condition first.

@@ -170,7 +170,8 @@ def test_criterion_07_constant_det_fails_over_gf2():
         plain = witness_search(space, N)
         assert plain.found
         # adjugate identity, both sides assembled independently
-        for M in space.elements():
+        for rows in space.elements():
+            M = Matrix(F2, 3, 3, rows)
             A2 = [M.rows[0][:2], M.rows[1][:2]]
             (a, b), (c, d2) = A2
             C = [[M.rows[0][2]], [M.rows[1][2]]]
@@ -201,7 +202,7 @@ def test_criterion_08_rank_bound_contrapositive():
         assert rep.failures == ()
         extremal = flanders_extremal(3, 3, 2, F2)
         assert extremal.dim == 6
-        ranks = [rank(M) for M in extremal.elements()]
+        ranks = [rank(Matrix(F2, 3, 3, rows)) for rows in extremal.elements()]
         assert max(ranks) == 2
 
     _run(8, "all 511 codim-1 subspaces of Mat3(GF(2)) have a rank-3 member; "

@@ -147,6 +147,21 @@ def test_witness_random_budget_exhaustion_exits_three(workdir, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("strategy,budget", [("random", "-5"), ("random", "0"),
+                                             ("exhaustive", "0"), ("exhaustive", "-1")])
+def test_witness_budget_below_one_exits_two(workdir, capsys, strategy, budget):
+    assert main(["gen", "--example", "sharpness", "--n", "3", "--p", "2",
+                 "--out", str(workdir)]) == 0
+    capsys.readouterr()
+    space = str(workdir / "sharpness_space.txt")
+    N = str(workdir / "sharpness_N.txt")
+    code = main(["witness", space, N, "--strategy", strategy, "--budget", budget])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "budget must be positive" in captured.err
+    assert captured.out == ""
+
+
 def test_witness_rank_precondition_exits_two(workdir, capsys):
     full = [
         "field gf 2", "size 2 2", "dim 4",

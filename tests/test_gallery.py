@@ -101,6 +101,12 @@ def test_sharpness_example_rejects_small_p():
         sharpness_example(3, 1, F2)
 
 
+def _members(space):
+    """The space's members as Matrix objects; elements() yields raw rows."""
+    shape = space.shape
+    return (Matrix(shape.field, shape.n, shape.p, rows) for rows in space.elements())
+
+
 # --------------------------------------------------------------------- remark1
 
 
@@ -108,14 +114,14 @@ def test_remark1_affine_hyperplane():
     space, N = remark1_example(3, F2)
     assert space.codim == 1
     assert rank(N) == 2
-    for M in space.elements():
+    for M in _members(space):
         assert M.rows[2][2] == 1
 
 
 def test_remark1_every_member_has_monic_degree_n_minus_1_det():
     for field, n in ((F2, 2), (F2, 3), (F3, 2)):
         space, N = remark1_example(n, field)
-        for M in space.elements():
+        for M in _members(space):
             p = det_pencil(M, N)
             assert p.degree == n - 1
             assert p.leading() == field.one
@@ -123,7 +129,7 @@ def test_remark1_every_member_has_monic_degree_n_minus_1_det():
 
 def test_remark1_no_member_satisfies_side_condition():
     space, N = remark1_example(3, F2)
-    for M in space.elements():
+    for M in _members(space):
         assert not maps_ker_into_im(M, N)
 
 
@@ -153,7 +159,7 @@ def test_remark2_f2_shape():
 
 def test_remark2_f2_members_satisfy_the_affine_constraint():
     space, _ = remark2_f2_example()
-    mats = list(space.elements())
+    mats = list(_members(space))
     assert len(mats) == 256
     for M in mats:
         assert (M.rows[0][2] + M.rows[2][1]) % 2 == 1
@@ -182,7 +188,7 @@ def test_remark2_f2_adjugate_identity_on_every_member():
     # det(M + tN) = d*det(A + t I_2) + t*(BC) + B*adj(A)*C, assembled here
     # coefficient by coefficient without calling the pencil determinant.
     space, N = remark2_f2_example()
-    for M in space.elements():
+    for M in _members(space):
         A = Matrix.from_rows(F2, [M.rows[0][:2], M.rows[1][:2]])
         C = Matrix.from_rows(F2, [[M.rows[0][2]], [M.rows[1][2]]])
         B = Matrix.from_rows(F2, [M.rows[2][:2]])
@@ -211,7 +217,7 @@ def test_flanders_extremal_dimension_is_nr():
 
 def test_flanders_extremal_ranks_are_bounded_by_r():
     space = flanders_extremal(3, 3, 2, F2)
-    mats = list(space.elements())
+    mats = list(_members(space))
     assert len(mats) == 64
     assert all(rank(M) <= 2 for M in mats)
     assert max(rank(M) for M in mats) == 2
@@ -222,7 +228,7 @@ def test_flanders_extremal_edge_ranks():
     assert zero.dim == 0
     full = flanders_extremal(2, 2, 2, F2)
     assert full.dim == 4
-    assert any(rank(M) == 2 for M in full.elements())
+    assert any(rank(M) == 2 for M in _members(full))
 
 
 def test_flanders_extremal_rejects_r_above_p():
@@ -232,6 +238,6 @@ def test_flanders_extremal_rejects_r_above_p():
 
 def test_flanders_extremal_supported_on_first_r_columns():
     space = flanders_extremal(4, 3, 2, F5)
-    for M in itertools.islice(space.elements(), 40):
+    for M in itertools.islice(_members(space), 40):
         for row in M.rows:
             assert row[2] == 0

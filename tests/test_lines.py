@@ -273,7 +273,8 @@ def test_side_conditions_agree_at_corank_one():
     N = canonical_N(F2, 3, 3, 2)
     shape = MatrixSpaceShape(F2, 3, 3)
     full = _full_space(F2, 3, 3)
-    for M in full.elements():
+    for rows in full.elements():
+        M = Matrix(F2, 3, 3, rows)
         assert maps_ker_into_im(M, N) == ker_coker_noninjective(M, N)
     assert shape.ambient_dim == 9
 
@@ -385,6 +386,21 @@ def test_witness_search_exhaustive_budget_propagates():
     N = canonical_N(F2, 5, 5, 1)
     with pytest.raises(BudgetExceededError):
         witness_search(space, N, budget=1 << 10)
+
+
+@pytest.mark.parametrize("budget", [0, -1, -5])
+def test_searches_reject_a_budget_below_one(budget):
+    space = _full_space(F3, 2, 2)
+    N = canonical_N(F3, 2, 2, 1)
+    for strategy in (EXHAUSTIVE, RANDOM):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            witness_search(space, N, strategy=strategy, budget=budget)
+    with pytest.raises(ValueError, match="budget must be positive"):
+        constant_det_witness_search(space, N, budget=budget)
+    # None keeps the defaults, and 1 is the smallest budget accepted.
+    assert witness_search(space, N, budget=None).found
+    assert witness_search(space, N, strategy=RANDOM, budget=1, seed=0).cases_examined == 1
+    assert constant_det_witness_search(space, N, budget=None).found
 
 
 def test_witness_search_needs_a_finite_field():

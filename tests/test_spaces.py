@@ -35,6 +35,12 @@ def _shape(field, n, p):
     return MatrixSpaceShape(field, n, p)
 
 
+def _members(space):
+    """The space's members as Matrix objects; elements() yields raw rows."""
+    shape = space.shape
+    return [Matrix(shape.field, shape.n, shape.p, rows) for rows in space.elements()]
+
+
 def test_shape_validation_and_ambient_dim():
     s = _shape(F2, 3, 2)
     assert s.ambient_dim == 6
@@ -211,7 +217,7 @@ def test_affine_enumeration_codim_zero_is_the_full_space():
 def test_elements_of_linear_space():
     shape = _shape(F3, 2, 1)
     s = from_generators(shape, [Matrix.from_rows(F3, [[1], [0]])])
-    mats = list(s.elements())
+    mats = _members(s)
     assert len(mats) == 3
     assert mats[0] == Matrix.zeros(F3, 2, 1)  # zero element first
     assert len(set(mats)) == 3
@@ -222,8 +228,8 @@ def test_elements_cover_whole_space_in_stable_order():
     shape = _shape(F2, 2, 2)
     s = from_generators(shape, [Matrix.unit(F2, 2, 2, i, j)
                                 for i in range(2) for j in range(2)])
-    run1 = list(s.elements())
-    run2 = list(s.elements())
+    run1 = _members(s)
+    run2 = _members(s)
     assert run1 == run2
     assert len(run1) == 16
     assert len(set(run1)) == 16
@@ -233,7 +239,7 @@ def test_elements_of_affine_space_stay_in_the_coset():
     shape = _shape(F3, 2, 2)
     rng = random.Random(11)
     aff = random_affine(shape, 2, rng)
-    mats = list(aff.elements())
+    mats = _members(aff)
     assert len(mats) == 9
     assert mats[0] == aff.base
     assert all(aff.contains(m) for m in mats)
@@ -243,9 +249,9 @@ def test_elements_of_affine_space_stay_in_the_coset():
 def test_elements_zero_dimensional():
     shape = _shape(F2, 2, 2)
     zero = from_generators(shape, [])
-    assert list(zero.elements()) == [Matrix.zeros(F2, 2, 2)]
+    assert _members(zero) == [Matrix.zeros(F2, 2, 2)]
     point = affine_from_point(zero, Matrix.identity(F2, 2))
-    assert list(point.elements()) == [Matrix.identity(F2, 2)]
+    assert _members(point) == [Matrix.identity(F2, 2)]
 
 
 def test_elements_budget_enforcement():
@@ -257,7 +263,7 @@ def test_elements_budget_enforcement():
     with pytest.raises(BudgetExceededError):
         next(gen)
     capped = full.elements(budget=None)
-    assert next(capped) == Matrix.zeros(F2, 5, 5)
+    assert Matrix(F2, 5, 5, next(capped)) == Matrix.zeros(F2, 5, 5)
     assert DEFAULT_ELEMENT_BUDGET == 1 << 24
 
 
@@ -266,6 +272,61 @@ def test_elements_rejects_infinite_fields():
     s = from_generators(shape, [Matrix.unit(RATIONALS, 2, 2, 0, 0)])
     with pytest.raises(ValueError):
         next(s.elements())
+
+
+def _iter_coset_reference(shape, basis, base_rows):
+    """Slow oracle for elements(): an odometer over coefficient digits,
+    last digit fastest, that adds one basis row per digit it moves
+    (a wrapping digit adds its row a q-th time, which cancels mod p)."""
+    n, p = shape.n, shape.p
+    m = n * p
+    pm = shape.field.modulus
+    q = shape.field.order
+    vec = [v for row in base_rows for v in row] if base_rows is not None else [0] * m
+    yield tuple(tuple(vec[i * p:(i + 1) * p]) for i in range(n))
+    d = len(basis)
+    digits = [0] * d
+    for _ in range(q ** d - 1):
+        k = d - 1
+        while True:
+            row = basis[k]
+            for j in range(m):
+                if row[j]:
+                    vec[j] = (vec[j] + row[j]) % pm
+            digits[k] += 1
+            if digits[k] < q:
+                break
+            digits[k] = 0
+            k -= 1
+        yield tuple(tuple(vec[i * p:(i + 1) * p]) for i in range(n))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(7)], ids=str)
+def test_elements_match_the_reference_odometer_member_by_member(field):
+    rng = random.Random(f"coset-oracle:{field}")
+    q = field.order
+    checked = 0
+    for n, p in ((1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (3, 3)):
+        shape = _shape(field, n, p)
+        m = n * p
+        for codim in range(m + 1):
+            dim = m - codim
+            if q ** dim > 20_000:
+                continue
+            for _ in range(2):
+                lin = random_subspace(shape, codim, rng)
+                aff = random_affine(shape, codim, rng)
+                for space, basis, base in ((lin, lin.basis, None),
+                                           (aff, aff.linear.basis, aff.base.rows)):
+                    got = list(space.elements(budget=q ** dim))
+                    assert got == list(_iter_coset_reference(shape, basis, base)), \
+                        (shape, codim, space)
+                    assert len(got) == q ** dim
+                    short = space.elements(budget=q ** dim - 1)
+                    with pytest.raises(BudgetExceededError):
+                        next(short)
+                    checked += 1
+    assert checked >= 100
 
 
 # ------------------------------------------------------------------- transport
@@ -292,7 +353,7 @@ def test_transport_affine():
     aff2 = transport(aff, P, Q)
     assert aff2.dim == aff.dim
     assert aff2.contains(P @ aff.base @ Q)
-    for m in list(aff.elements())[:8]:
+    for m in _members(aff)[:8]:
         assert aff2.contains(P @ m @ Q)
 
 

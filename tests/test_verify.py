@@ -11,7 +11,7 @@ from itertools import islice
 import pytest
 
 from ranklines.fields import GF, RATIONALS
-from ranklines.matrices import rank
+from ranklines.matrices import Matrix, rank
 from ranklines.verify import (
     CampaignSpec,
     CampaignSpecError,
@@ -152,7 +152,7 @@ def test_square_campaign_r0_witness_iff_invertible_member():
     rep = run_campaign(spec, on_case=lambda idx, codim, r, v: verdicts.update({idx: v}))
     assert rep.total == len(verdicts)
     for idx, codim, space, r in _case_stream(spec):
-        ranks = [rank(M) for M in space.elements()]
+        ranks = [rank(Matrix(F2, 2, 2, rows)) for rows in space.elements()]
         if min(ranks) == 2:
             expected = "filtered"  # no singular member: side condition fails
         elif max(ranks) == 2:
