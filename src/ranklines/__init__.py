@@ -25,9 +25,7 @@ from .lines import (
     SearchOutcome,
     WitnessCertificate,
     constant_det_witness_search,
-    ker_coker_noninjective,
     line_full_rank,
-    maps_ker_into_im,
     validate_certificate,
     witness_search,
 )
@@ -35,13 +33,9 @@ from .matrices import (
     Matrix,
     canonical_N,
     det,
-    hstack,
-    is_invertible,
-    kernel_basis,
     random_invertible,
     random_matrix,
     rank,
-    rref,
     to_rank_normal_form,
 )
 from .pencils import (

@@ -13,21 +13,30 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, islice
 
 from .fields import FieldDesc, RawValue, Scalar
 from .matrices import (
     Matrix,
     _det_modp,
+    canonical_N,
     check_pair,
-    hstack,
-    kernel_basis,
     line_rows,
     rank,
     rank_rows,
+    to_rank_normal_form,
 )
-from .pencils import PencilAnalysis, classify_line, det_pencil
+
+# det_pencil is unused here; bench/trace.py wraps lines.det_pencil by name.
+from .pencils import PencilAnalysis, classify_line, det_pencil  # noqa: F401
 from .polynomials import Poly
-from .spaces import DEFAULT_ELEMENT_BUDGET, AffineMatrixSubspace, vectorize
+from .spaces import (
+    DEFAULT_ELEMENT_BUDGET,
+    AffineMatrixSubspace,
+    _iter_coset,
+    transport_rows,
+    vectorize,
+)
 
 WITNESS_FOUND = "witness-found"
 EXHAUSTED_NO_WITNESS = "exhausted-no-witness"
@@ -176,31 +185,6 @@ def validate_certificate(cert: WitnessCertificate) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# side conditions (Ker/im interplay for square lines)
-
-
-def maps_ker_into_im(M: Matrix, N: Matrix) -> bool:
-    """True iff M sends the kernel of N into the column space of N."""
-    _check_square_pair(M, N)
-    kb = kernel_basis(N)
-    return rank(hstack(N, M @ kb)) == rank(N)
-
-
-def ker_coker_noninjective(M: Matrix, N: Matrix) -> bool:
-    """True iff the induced map Ker N -> K^n / im N fails to be injective."""
-    _check_square_pair(M, N)
-    kb = kernel_basis(N)
-    r = rank(N)
-    return rank(hstack(N, M @ kb)) < r + kb.ncols
-
-
-def _check_square_pair(M: Matrix, N: Matrix) -> None:
-    check_pair(M, N)
-    if not M.is_square:
-        raise ValueError("both matrices must be square of the same size")
-
-
-# ---------------------------------------------------------------------------
 # searches
 
 
@@ -287,7 +271,9 @@ def constant_det_witness_search(space, N: Matrix,
     This is strictly stronger than a full-rank line over a finite field:
     the determinant polynomial must be constant as a formal polynomial,
     not merely root-free.  The scan is exhaustive; a budget below 1
-    raises ValueError.
+    raises ValueError.  For a direction other than canonical_N, the basis
+    and base are mapped once by (P, Q) = to_rank_normal_form(N), which keeps
+    the member order and, as det P * det Q != 0, constancy.
     """
     shape = space.shape
     if shape.n != shape.p:
@@ -296,28 +282,46 @@ def constant_det_witness_search(space, N: Matrix,
     if rk != shape.n - 1:
         raise ValueError(f"direction rank must be n-1 = {shape.n - 1}, got {rk}")
     _check_budget(budget)
-    limit = DEFAULT_ELEMENT_BUDGET if budget is None else budget
-    cases = 0
     f, n = shape.field, shape.n
-    if f.is_finite and f.order > shape.n - 1:
-        # deg det(A+tN) <= rank N = n-1 < q, and a polynomial of degree
-        # below q is constant iff it takes a single value at all q points,
-        # so pointwise determinants decide formal constancy here.
-        pm = f.modulus
-        n_rows = N.rows
-        for a_rows in space.elements(budget=limit):
-            cases += 1
-            d0 = _det_modp(a_rows, pm)
-            if d0 == 0:
-                continue
-            if all(_det_modp(line_rows(a_rows, n_rows, t, pm), pm) == d0
-                   for t in range(1, pm)):
-                return SearchOutcome(WITNESS_FOUND,
-                                     _finite_certificate(Matrix(f, n, n, a_rows), N), cases)
-        return SearchOutcome(EXHAUSTED_NO_WITNESS, None, cases)
-    for a_rows in space.elements(budget=limit):
+    limit = DEFAULT_ELEMENT_BUDGET if budget is None else budget
+    pm = f.modulus
+    last = n - 1
+    # The principal minors of sizes 3..n-1 through the last index; see
+    # _constant_det for sizes 1, 2 and n.
+    minors = [[idx + (last,) for idx in combinations(range(last), size - 1)]
+              for size in range(3, n)]
+    moved = N != canonical_N(f, n, n, rk)
+    if moved:
+        members = _iter_coset(shape, *transport_rows(space, *to_rank_normal_form(N)), limit)
+    else:
+        members = space.elements(budget=limit)
+    cases = 0
+    for a_rows in members:
         cases += 1
-        A = Matrix(f, n, n, a_rows)
-        if det_pencil(A, N).degree == 0:
-            return SearchOutcome(WITNESS_FOUND, _finite_certificate(A, N), cases)
+        if _constant_det(a_rows, last, minors, pm):
+            if moved:  # the witness is the space's own member number `cases`
+                a_rows = next(islice(space.elements(budget=limit), cases - 1, None))
+            return SearchOutcome(WITNESS_FOUND,
+                                 _finite_certificate(Matrix(f, n, n, a_rows), N), cases)
     return SearchOutcome(EXHAUSTED_NO_WITNESS, None, cases)
+
+
+def _constant_det(rows, last: int, minors, pm: int) -> bool:
+    """Is det(A + tN) a nonzero constant, for N = canonical_N of rank n-1?
+
+    By multilinearity the coefficient of t^k is the sum of A's principal
+    minors of size n-k through index n-1, so the determinant is a nonzero
+    constant iff the sums of sizes 1..n-1 vanish and det A does not.  Size
+    1 is the corner entry; with it zero, the size-2 sum is
+    -sum_i A[i][n-1] * A[n-1][i].  At n = 2 size 2 is det A itself, and at
+    n = 1 so is size 1.
+    """
+    if last and rows[last][last]:
+        return False
+    if last > 1 and sum(rows[i][last] * rows[last][i] for i in range(last)) % pm:
+        return False
+    for sets in minors:
+        if sum(_det_modp(tuple(tuple(rows[i][j] for j in idx) for i in idx), pm)
+               for idx in sets) % pm:
+            return False
+    return _det_modp(rows, pm) != 0

@@ -12,7 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
+from operator import mul
 
 from .fields import FieldDesc, FieldMismatchError, RawValue, Scalar
 
@@ -95,16 +97,8 @@ class Matrix:
             raise FieldMismatchError(f"cannot mix {self.field} and {other.field}")
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        f = self.field
-        cols = other.transpose().rows
-        if f.kind == "gf":
-            p = f.modulus
-            out = tuple(tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
-                        for row in self.rows)
-        else:
-            out = tuple(tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols)
-                        for row in self.rows)
-        return Matrix(f, self.nrows, other.ncols, out)
+        return Matrix(self.field, self.nrows, other.ncols,
+                      mul_rows(self.field, self.rows, other.rows))
 
     # -- text format -----------------------------------------------------------
     #
@@ -157,6 +151,16 @@ def check_pair(A: Matrix, B: Matrix) -> None:
         raise FieldMismatchError(f"cannot mix {A.field} and {B.field}")
     if (A.nrows, A.ncols) != (B.nrows, B.ncols):
         raise ValueError(f"shape mismatch: {A.nrows}x{A.ncols} vs {B.nrows}x{B.ncols}")
+
+
+def mul_rows(field: FieldDesc, a_rows, b_rows):
+    """Raw rows of the product of two raw-row matrices; the kernel of ``@``."""
+    cols = tuple(zip(*b_rows))
+    if field.kind == "gf":
+        pm = field.modulus
+        return tuple(tuple(sum(map(mul, row, col)) % pm for col in cols) for row in a_rows)
+    return tuple(tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols)
+                 for row in a_rows)
 
 
 def line_rows(a_rows, n_rows, t: int, modulus: int):
@@ -350,10 +354,6 @@ def det(M: Matrix) -> Scalar:
     return Scalar(f, Fraction(_det_bareiss_int(int_rows), scale))
 
 
-def is_invertible(M: Matrix) -> bool:
-    return M.is_square and rank(M) == M.nrows
-
-
 # ---------------------------------------------------------------------------
 # reduced row echelon form
 
@@ -397,18 +397,13 @@ def _rref_raw(field: FieldDesc, rows, ncols: int, pivot_limit: int | None = None
     return m, pivots
 
 
-def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row-echelon form and its pivot columns (unique per row space)."""
-    m, pivots = _rref_raw(M.field, M.rows, M.ncols)
-    return Matrix(M.field, M.nrows, M.ncols, tuple(tuple(r) for r in m)), tuple(pivots)
-
-
 # ---------------------------------------------------------------------------
 # transforms
 
 
+@cache
 def canonical_N(field: FieldDesc, nrows: int, ncols: int, r: int) -> Matrix:
-    """The rank-r block matrix [[I_r, 0], [0, 0]] of size nrows x ncols."""
+    """The rank-r block matrix [[I_r, 0], [0, 0]] of size nrows x ncols (cached: immutable)."""
     if not 0 <= r <= min(nrows, ncols):
         raise ValueError(f"rank {r} outside [0, min({nrows}, {ncols})]")
     z, o = field.zero, field.one
@@ -445,29 +440,6 @@ def to_rank_normal_form(M: Matrix) -> tuple[Matrix, Matrix]:
     Q = Matrix(f, p, p, tuple(tuple(row) for row in q))
     assert Matrix(f, n, p, tuple(tuple(row) for row in work)) == canonical_N(f, n, p, r)
     return P, Q
-
-
-def hstack(left: Matrix, right: Matrix) -> Matrix:
-    if left.field != right.field or left.nrows != right.nrows:
-        raise ValueError("hstack needs matching fields and row counts")
-    return Matrix(left.field, left.nrows, left.ncols + right.ncols,
-                  tuple(a + b for a, b in zip(left.rows, right.rows)))
-
-
-def kernel_basis(M: Matrix) -> Matrix:
-    """Matrix whose columns form a basis of the right null space of M."""
-    f = M.field
-    red, pivots = _rref_raw(f, M.rows, M.ncols)
-    pivot_set = set(pivots)
-    free = [j for j in range(M.ncols) if j not in pivot_set]
-    cols = []
-    for j in free:
-        v = [f.zero] * M.ncols
-        v[j] = f.one
-        for i, pc in enumerate(pivots):
-            v[pc] = f.neg(red[i][j])
-        cols.append(v)
-    return Matrix(f, M.ncols, len(free), tuple(zip(*cols)) if cols else tuple(() for _ in range(M.ncols)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .fields import FieldDesc, RawValue
-from .matrices import Matrix, _rref_raw
+from .matrices import Matrix, _rref_raw, mul_rows
 
 DEFAULT_ELEMENT_BUDGET = 1 << 24
 
@@ -163,8 +163,12 @@ def from_generators(shape: MatrixSpaceShape, mats) -> LinearMatrixSubspace:
     for M in mats:
         _check_shape(shape, M)
         rows.append(vectorize(M))
-    m = shape.ambient_dim
-    red, pivots = _rref_raw(shape.field, rows, m)
+    return _span(shape, rows)
+
+
+def _span(shape: MatrixSpaceShape, vecs) -> LinearMatrixSubspace:
+    """The canonical subspace spanned by vectorized (row-major) members."""
+    red, pivots = _rref_raw(shape.field, vecs, shape.ambient_dim)
     basis = tuple(tuple(red[i]) for i in range(len(pivots)))
     return LinearMatrixSubspace(shape, basis, tuple(pivots))
 
@@ -177,11 +181,33 @@ def affine_from_point(linear: LinearMatrixSubspace, point: Matrix) -> AffineMatr
 
 
 def transport(space, P: Matrix, Q: Matrix):
-    """Image of a subspace under M -> P @ M @ Q (P, Q invertible)."""
-    if isinstance(space, AffineMatrixSubspace):
-        lin = transport(space.linear, P, Q)
-        return affine_from_point(lin, P @ space.base @ Q)
-    return from_generators(space.shape, [P @ B @ Q for B in space.basis_matrices()])
+    """Image of a subspace under M -> P @ M @ Q, for P a x n and Q p x b.
+
+    The image is a subspace (or coset) of a x b matrices, in canonical form.
+    """
+    basis, base = transport_rows(space, P, Q)
+    shape = MatrixSpaceShape(space.shape.field, P.nrows, Q.ncols)
+    lin = _span(shape, basis)
+    return lin if base is None else affine_from_point(lin, Matrix(shape.field, shape.n, shape.p, base))
+
+
+def transport_rows(space, P: Matrix, Q: Matrix):
+    """(basis, base rows) of the image under M -> P @ M @ Q, not canonicalized.
+
+    Each basis row is mapped in place (vectorized, in order), and the base
+    (None for a linear subspace) is not reduced, so ``_iter_coset`` over
+    the result yields P @ M @ Q for each member M, in the space's order.
+    """
+    f, n, p = space.shape.field, space.shape.n, space.shape.p
+    if (P.ncols, Q.nrows, P.field, Q.field) != (n, p, f, f):
+        raise ValueError(f"cannot map {n}x{p} matrices over {f} by P @ M @ Q with these P, Q")
+    # Row-major vec(P @ M @ Q) = vec(M) @ K, where K[k*p + l][i*b + j] = P[i][k] * Q[l][j].
+    K = [[row[k] * v for row in P.rows for v in Q.rows[l]] for k in range(n) for l in range(p)]
+    if not isinstance(space, AffineMatrixSubspace):
+        return mul_rows(f, space.basis, K), None
+    *basis, base = mul_rows(f, space.linear.basis + (vectorize(space.base),), K)
+    b = Q.ncols
+    return tuple(basis), tuple(base[i * b:(i + 1) * b] for i in range(P.nrows))
 
 
 # ---------------------------------------------------------------------------

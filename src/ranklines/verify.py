@@ -23,16 +23,17 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .fields import FieldDesc, parse_field
-from .lines import (
-    constant_det_witness_search,
-    ker_coker_noninjective,
-    maps_ker_into_im,
-    witness_search,
+from .lines import constant_det_witness_search, witness_search
+from .matrices import (
+    Matrix,
+    _det_modp,
+    canonical_N,
+    random_invertible,
+    rank_rows,
+    to_rank_normal_form,
 )
-from .matrices import Matrix, _det_modp, canonical_N, random_invertible, rank_rows
 from .spaces import (
     DEFAULT_ELEMENT_BUDGET,
-    AffineMatrixSubspace,
     MatrixSpaceShape,
     count_subspaces,
     enumerate_affine,
@@ -41,7 +42,6 @@ from .spaces import (
     random_affine,
     random_subspace,
     transport,
-    vectorize,
 )
 
 THEOREMS = ("flanders", "main", "pencil", "square", "remark2-strong", "remark2-conjecture")
@@ -143,6 +143,8 @@ def validate_spec(spec: CampaignSpec) -> None:
         problems.append("workers must be at least 1")
     if spec.element_budget < 1:
         problems.append("element budget must be positive")
+    if spec.random_conjugates < 0:
+        problems.append("random conjugates must be at least 0")
     if not spec.codims:
         problems.append("at least one codimension is required")
     if not spec.rank_range:
@@ -263,44 +265,29 @@ class CaseRecord:
         return Matrix.from_text(self.n_text) if self.n_text is not None else None
 
 
-def _side_condition_exists(spec: CampaignSpec, space, N: Matrix, r: int,
-                           canonical: bool) -> bool:
+def _side_condition_exists(spec: CampaignSpec, space, N: Matrix, r: int) -> bool:
     """Does some member satisfy the claim family's side condition?
 
     pencil/remark2 ask for a member mapping Ker N into im N; square asks
     for a member whose induced kernel-to-cokernel map is non-injective.
-    For the canonical block N both reduce to conditions on the lower-right
-    (n-r) x (n-r) block D: d(M) = 0 when r = n-1, det D(M) = 0 in general.
+    Both are invariant under M -> P @ M @ Q, N -> P @ N @ Q, so the coset
+    is first moved to make N the canonical block.  Then both ask for a
+    singular lower-right (n-r) x (n-r) block (pencil and remark2 only have
+    r = n-1, where that block is the corner entry).  The blocks of a coset
+    form a coset of blocks, which is walked.
     """
-    n = spec.n
-    f = spec.field
-    if canonical and r == n - 1:
-        # The condition is the vanishing of the single affine coordinate
-        # M[n-1][n-1]; on a coset it is attainable iff some basis vector
-        # moves that coordinate, or the base already has it zero.
-        idx = n * n - 1
-        if isinstance(space, AffineMatrixSubspace):
-            lin, base = space.linear, vectorize(space.base)
-        else:
-            lin, base = space, (f.zero,) * (n * n)
-        if any(row[idx] != f.zero for row in lin.basis):
-            return True
-        return base[idx] == f.zero
-    if canonical:
-        pm = f.modulus
-        for rows in space.elements(budget=spec.element_budget):
-            if _det_modp(tuple(row[r:] for row in rows[r:]), pm) == 0:
-                return True
-        return False
-    pred = ker_coker_noninjective if spec.theorem == "square" else maps_ker_into_im
-    for rows in space.elements(budget=spec.element_budget):
-        if pred(Matrix(f, n, spec.p, rows), N):
-            return True
-    return False
+    n, f = spec.n, spec.field
+    P = Q = canonical_N(f, n, n, n)  # I_n
+    if N != canonical_N(f, n, n, r):
+        P, Q = to_rank_normal_form(N)
+    # The lower-right block of P @ M @ Q is P[r:, :] @ M @ Q[:, r:].
+    blocks = transport(space, Matrix(f, n - r, n, P.rows[r:]),
+                       Matrix(f, n, n - r, tuple(row[r:] for row in Q.rows)))
+    pm = f.modulus
+    return any(_det_modp(rows, pm) == 0 for rows in blocks.elements(budget=spec.element_budget))
 
 
-def _judge_core(spec: CampaignSpec, space, N: Matrix | None, r: int,
-                canonical: bool) -> tuple[str, str | None]:
+def _judge_core(spec: CampaignSpec, space, N: Matrix | None, r: int) -> tuple[str, str | None]:
     """(PASSED, FILTERED or FAILED, detail); the detail is None unless FAILED."""
     if spec.theorem == "flanders":
         if space.dim <= spec.n * r:
@@ -312,7 +299,7 @@ def _judge_core(spec: CampaignSpec, space, N: Matrix | None, r: int,
                 return PASSED, None
         return FAILED, f"all {count} members have rank <= {r}"
     # The affine claim families (all but main) check a side condition first.
-    if spec.theorem != "main" and not _side_condition_exists(spec, space, N, r, canonical):
+    if spec.theorem != "main" and not _side_condition_exists(spec, space, N, r):
         return FILTERED, None
     if spec.theorem in ("remark2-strong", "remark2-conjecture"):
         outcome = constant_det_witness_search(space, N, budget=spec.element_budget)
@@ -334,7 +321,7 @@ def _conjugates_agree(spec: CampaignSpec, index: int, space, N: Matrix | None,
         Q = random_invertible(spec.field, spec.p, rng)
         space2 = transport(space, P, Q)
         N2 = P @ N @ Q if N is not None else None
-        verdict2, _detail = _judge_core(spec, space2, N2, r, canonical=False)
+        verdict2, _detail = _judge_core(spec, space2, N2, r)
         if verdict2 != verdict:
             return (f"conjugate check #{k + 1} disagreed: canonical "
                     f"{verdict} vs transported {verdict2}")
@@ -347,7 +334,7 @@ def _process_case(spec: CampaignSpec, index: int, codim: int, space, r: int):
     key = f"{codim}|{r}|{space_text}"
     digest = hashlib.sha256(key.encode()).digest()
     N = None if spec.theorem == "flanders" else canonical_N(spec.field, spec.n, spec.p, r)
-    verdict, detail = _judge_core(spec, space, N, r, canonical=True)
+    verdict, detail = _judge_core(spec, space, N, r)
     mismatch = None
     if spec.random_conjugates:
         mismatch = _conjugates_agree(spec, index, space, N, r, verdict)
@@ -517,8 +504,15 @@ def run_campaign(spec: CampaignSpec, on_case=None) -> VerificationReport:
 
 
 def replay_failure(record: CaseRecord, spec: CampaignSpec) -> bool:
-    """True iff re-judging the recorded case reproduces the failure."""
+    """True iff re-judging the recorded case reproduces the failure.
+
+    That is a failed verdict, or, with conjugate checks on, a conjugate
+    that disagrees with the verdict (the same conjugates, drawn by index).
+    """
     space = record.space()
     N = record.direction()
-    verdict, _detail = _judge_core(spec, space, N, record.r, canonical=True)
-    return verdict == FAILED
+    verdict, _detail = _judge_core(spec, space, N, record.r)
+    if verdict == FAILED:
+        return True
+    return bool(spec.random_conjugates) and _conjugates_agree(
+        spec, record.index, space, N, record.r, verdict) is not None

@@ -1,0 +1,56 @@
+"""Slow reference predicates that the fast paths under ``src/`` are tested against.
+
+``maps_ker_into_im`` and ``ker_coker_noninjective`` decide the corank side
+conditions of the pencil, square and Remark 2 claims member by member with
+``Matrix`` arithmetic, for any direction N; the campaigns decide them on raw
+rows of a coset of lower-right blocks.  ``kernel_basis`` and ``hstack``
+serve them and nothing under ``src/``.
+"""
+
+from __future__ import annotations
+
+from ranklines.matrices import Matrix, _rref_raw, check_pair, rank
+
+
+def kernel_basis(M: Matrix) -> Matrix:
+    """Matrix whose columns form a basis of the right null space of M."""
+    f = M.field
+    red, pivots = _rref_raw(f, M.rows, M.ncols)
+    pivot_set = set(pivots)
+    free = [j for j in range(M.ncols) if j not in pivot_set]
+    cols = []
+    for j in free:
+        v = [f.zero] * M.ncols
+        v[j] = f.one
+        for i, pc in enumerate(pivots):
+            v[pc] = f.neg(red[i][j])
+        cols.append(v)
+    return Matrix(f, M.ncols, len(free), tuple(zip(*cols)) if cols else tuple(() for _ in range(M.ncols)))
+
+
+def hstack(left: Matrix, right: Matrix) -> Matrix:
+    if left.field != right.field or left.nrows != right.nrows:
+        raise ValueError("hstack needs matching fields and row counts")
+    return Matrix(left.field, left.nrows, left.ncols + right.ncols,
+                  tuple(a + b for a, b in zip(left.rows, right.rows)))
+
+
+def maps_ker_into_im(M: Matrix, N: Matrix) -> bool:
+    """True iff M sends the kernel of N into the column space of N."""
+    _check_square_pair(M, N)
+    kb = kernel_basis(N)
+    return rank(hstack(N, M @ kb)) == rank(N)
+
+
+def ker_coker_noninjective(M: Matrix, N: Matrix) -> bool:
+    """True iff the induced map Ker N -> K^n / im N fails to be injective."""
+    _check_square_pair(M, N)
+    kb = kernel_basis(N)
+    r = rank(N)
+    return rank(hstack(N, M @ kb)) < r + kb.ncols
+
+
+def _check_square_pair(M: Matrix, N: Matrix) -> None:
+    check_pair(M, N)
+    if not M.is_square:
+        raise ValueError("both matrices must be square of the same size")

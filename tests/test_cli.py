@@ -227,6 +227,13 @@ def test_verify_rejects_remark2_strong_over_gf2(capsys):
     assert code == 2
 
 
+def test_verify_rejects_negative_random_conjugates(capsys):
+    code = main(["verify", "--theorem", "main", "--q", "2", "--n", "3", "--p", "2",
+                 "--codim", "1", "--random-conjugates", "-3"])
+    assert code == 2
+    assert "random conjugates must be at least 0" in capsys.readouterr().err
+
+
 def test_verify_workers_flag_keeps_identical_report(workdir):
     a_path = workdir / "a.json"
     b_path = workdir / "b.json"

@@ -19,12 +19,13 @@ from ranklines.lines import (
     EXHAUSTED_NO_WITNESS,
     constant_det_witness_search,
     line_full_rank,
-    maps_ker_into_im,
     witness_search,
 )
 from ranklines.matrices import Matrix, canonical_N, rank
 from ranklines.pencils import det_pencil
 from ranklines.polynomials import Poly
+
+from oracles import maps_ker_into_im
 
 F2 = GF(2)
 F3 = GF(3)

@@ -20,9 +20,7 @@ from ranklines.lines import (
     SearchOutcome,
     WitnessCertificate,
     constant_det_witness_search,
-    ker_coker_noninjective,
     line_full_rank,
-    maps_ker_into_im,
     validate_certificate,
     witness_search,
 )
@@ -45,6 +43,8 @@ from ranklines.spaces import (
     random_affine,
     random_subspace,
 )
+
+from oracles import ker_coker_noninjective, maps_ker_into_im
 
 F2 = GF(2)
 F3 = GF(3)
@@ -457,8 +457,7 @@ def test_constant_det_witness_is_also_plain_witness():
 
 
 def test_constant_det_fast_path_matches_formal_classification():
-    # over GF(5) with n = 3 the search uses pointwise determinants; the formal
-    # pencil determinant must agree on both accepted and rejected members
+    # the formal pencil determinant must agree with the search's witness
     shape = MatrixSpaceShape(F5, 2, 2)
     N = canonical_N(F5, 2, 2, 1)
     space = _full_space(F5, 2, 2)
@@ -467,3 +466,83 @@ def test_constant_det_fast_path_matches_formal_classification():
     A = out.certificate.A
     assert det_pencil(A, N).is_constant
     assert det(A).value != 0
+
+
+def _cycle(field, n):
+    """Ones on the superdiagonal and at (n-1, 0): det(A + tN) = +-1 for N of rank n-1."""
+    return Matrix.from_rows(field, [[1 if j == (i + 1) % n else 0 for j in range(n)]
+                                    for i in range(n)])
+
+
+def _inverse(M):
+    # M^-1 falls out of the rank normal form: P @ M @ Q = I
+    P, Q = to_rank_normal_form(M)
+    return Q @ P
+
+
+def _bordered(X):
+    """diag(X, 1)."""
+    k = X.nrows
+    return Matrix.from_rows(X.field, [list(row) + [0] for row in X.rows] + [[0] * k + [1]])
+
+
+def _point(A):
+    """The 0-dimensional coset {A}."""
+    shape = MatrixSpaceShape(A.field, A.nrows, A.ncols)
+    return affine_from_point(from_generators(shape, []), A)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=str)
+def test_constant_det_test_matches_det_pencil_on_seeded_members(field):
+    # Members come in three kinds: uniform, constant-determinant ones
+    # L @ cycle @ R with L @ N @ R = N, and those with one entry changed.
+    # Each is checked against the canonical N and against G @ N @ H.
+    rng = random.Random(f"constant-det-oracle:{field}")
+    q = field.order
+    outcomes = {False: 0, True: 0}
+    for n in range(1, 6):
+        N = canonical_N(field, n, n, n - 1)
+        for _ in range(32):
+            U = random_invertible(field, n - 1, rng)
+            L, R = _bordered(U), _bordered(_inverse(U))
+            assert L @ N @ R == N
+            good = L @ _cycle(field, n) @ R
+            rows = [list(row) for row in good.rows]
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] = (rows[i][j] + rng.randrange(1, q)) % q
+            for A in (random_matrix(field, n, n, rng), good, Matrix.from_rows(field, rows)):
+                G = random_invertible(field, n, rng)
+                H = random_invertible(field, n, rng)
+                for A2, N2 in ((A, N), (G @ A @ H, G @ N @ H)):
+                    want = det_pencil(A2, N2).degree == 0
+                    out = constant_det_witness_search(_point(A2), N2)
+                    assert out.found == want, (A2, N2)
+                    assert out.cases_examined == 1
+                    outcomes[want] += 1
+    assert min(outcomes.values()) >= 300, outcomes
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=str)
+def test_constant_det_search_keeps_member_order_for_any_direction(field):
+    # With N moved off canonical form the search walks the transported
+    # coset; its witness and count must be those of the space's own order.
+    rng = random.Random(f"constant-det-order:{field}")
+    found = {False: 0, True: 0}
+    for n in (2, 3, 4):
+        shape = MatrixSpaceShape(field, n, n)
+        N0 = canonical_N(field, n, n, n - 1)
+        for _ in range(6):
+            codim = n * n - min(n * n, 4 if field.order == 2 else 3)
+            space = random_affine(shape, codim, rng)
+            moved = random_invertible(field, n, rng) @ N0 @ random_invertible(field, n, rng)
+            for N in (N0, moved):
+                members = [Matrix(field, n, n, rows) for rows in space.elements()]
+                hits = [k for k, M in enumerate(members) if det_pencil(M, N).degree == 0]
+                out = constant_det_witness_search(space, N)
+                if hits:
+                    found[N is moved] += 1
+                    assert out.found and out.cases_examined == hits[0] + 1
+                    assert out.certificate.A == members[hits[0]]
+                else:
+                    assert not out.found and out.cases_examined == len(members)
+    assert min(found.values()) > 3, found

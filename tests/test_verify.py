@@ -5,25 +5,31 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import random
 import resource
 from itertools import islice
 
 import pytest
 
+from ranklines import verify
 from ranklines.fields import GF, RATIONALS
-from ranklines.matrices import Matrix, rank
+from ranklines.matrices import Matrix, canonical_N, random_invertible, rank
+from ranklines.spaces import MatrixSpaceShape, from_generators, random_affine, random_subspace
 from ranklines.verify import (
     CampaignSpec,
     CampaignSpecError,
     CaseRecord,
     VerificationReport,
     _case_stream,
+    _side_condition_exists,
     default_rank_range,
     expected_total,
     replay_failure,
     run_campaign,
     validate_spec,
 )
+
+from oracles import ker_coker_noninjective, maps_ker_into_im
 
 F2 = GF(2)
 F3 = GF(3)
@@ -104,6 +110,44 @@ def test_validate_main_needs_p_at_least_two():
         validate_spec(_spec(n=3, p=1, codims=(1,), rank_range=(0,)))
 
 
+def test_validate_rejects_negative_random_conjugates():
+    with pytest.raises(CampaignSpecError, match="random conjugates must be at least 0"):
+        validate_spec(_spec(random_conjugates=-3))
+    validate_spec(_spec(random_conjugates=0))
+
+
+# -------------------------------------------------------------- side condition
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=str)
+def test_side_condition_matches_the_member_walk_predicates(field):
+    # The predicates walk every member as a Matrix against any direction N;
+    # _side_condition_exists walks a coset of lower-right blocks instead,
+    # after moving a non-canonical N to canonical form.
+    rng = random.Random(f"side-condition:{field}")
+    outcomes = {False: 0, True: 0}
+    for n in (2, 3):
+        shape = MatrixSpaceShape(field, n, n)
+        m = n * n
+        for r in range(n):
+            spec = CampaignSpec(theorem="square", field=field, n=n, p=n,
+                                codims=(0,), rank_range=(r,))
+            N0 = canonical_N(field, n, n, r)
+            for _ in range(100):
+                codim = rng.randint(max(0, m - 3), m)
+                space = (random_affine(shape, codim, rng) if rng.random() < 0.9
+                         else random_subspace(shape, codim, rng))
+                members = [Matrix(field, n, n, rows) for rows in space.elements()]
+                moved = random_invertible(field, n, rng) @ N0 @ random_invertible(field, n, rng)
+                for N in (N0, moved):
+                    want = any(ker_coker_noninjective(M, N) for M in members)
+                    if r == n - 1:
+                        assert want == any(maps_ker_into_im(M, N) for M in members)
+                    assert _side_condition_exists(spec, space, N, r) == want, (space, N)
+                    outcomes[want] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
 # ------------------------------------------------------------------- execution
 
 
@@ -160,6 +204,44 @@ def test_square_campaign_r0_witness_iff_invertible_member():
         else:
             expected = "finding"  # out-of-hypothesis codim, so not a failure
         assert verdicts[idx] == expected
+
+
+# Conjugate checks re-judge each case on a copy moved by random (P, Q), whose
+# direction is no longer canonical; they must agree with the plain run.
+CONJUGATED_FAMILIES = [
+    dict(theorem="pencil", n=3, p=3, codims=(0, 1), rank_range=(2,)),
+    dict(theorem="square", n=3, p=3, codims=(0, 1), rank_range=(0, 1, 2),
+         mode="sample", samples=12, seed=1),
+    dict(theorem="remark2-strong", field=F3, n=3, p=3, codims=(1,), rank_range=(2,),
+         mode="sample", samples=10, seed=2),
+    dict(theorem="remark2-conjecture", n=4, p=4, codims=(1,), rank_range=(3,),
+         mode="sample", samples=3, seed=4),
+]
+
+
+@pytest.mark.parametrize("family", CONJUGATED_FAMILIES, ids=lambda kw: kw["theorem"])
+def test_conjugate_checks_agree_on_the_affine_families(family):
+    spec = _spec(**family)
+    plain = run_campaign(spec)
+    conjugated = run_campaign(dataclasses.replace(spec, random_conjugates=1))
+    assert conjugated.failures == ()
+    assert (conjugated.passed, conjugated.filtered, conjugated.case_order_hash) == \
+        (plain.passed, plain.filtered, plain.case_order_hash)
+
+
+def test_conjugate_mismatch_records_replay(monkeypatch):
+    # A transport that loses the space makes every conjugate check of the
+    # main claim disagree with the canonical verdict.
+    monkeypatch.setattr(verify, "transport",
+                        lambda space, P, Q: from_generators(space.shape, []))
+    spec = _spec(codims=(1,), rank_range=(1,), random_conjugates=1)
+    rep = run_campaign(spec)
+    assert rep.failures
+    record = rep.failures[0]
+    assert record.detail == "conjugate check #1 disagreed: canonical passed vs transported failed"
+    assert replay_failure(record, spec)
+    monkeypatch.undo()
+    assert not replay_failure(record, spec)
 
 
 def test_remark2_conjecture_sample_smoke():
