@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Union
 
 RawValue = Union[int, Fraction]
@@ -162,6 +163,12 @@ def GF(p: int) -> FieldDesc:
 
 #: The field of rational numbers.
 RATIONALS = FieldDesc("rat")
+
+
+def clear_denominators(values) -> tuple[list[int], int]:
+    """(m * v for v in values, m) where m is the lcm of the rationals' denominators."""
+    m = lcm(*(v.denominator for v in values))
+    return [v.numerator * (m // v.denominator) for v in values], m
 
 
 def parse_field(text: str) -> FieldDesc:

@@ -13,10 +13,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
 from operator import mul
 
-from .fields import FieldDesc, FieldMismatchError, RawValue, Scalar
+from .fields import FieldDesc, FieldMismatchError, RawValue, Scalar, clear_denominators
 
 
 @dataclass(frozen=True)
@@ -308,7 +307,10 @@ def _det_modp(rows, p: int) -> int:
 
 
 def _det_bareiss_int(m: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix; mutates m."""
+    """Fraction-free (Bareiss) determinant of an integer matrix; mutates m.
+
+    The empty matrix has determinant 1, the empty product.
+    """
     n = len(m)
     sign = 1
     prev = 1
@@ -332,7 +334,7 @@ def _det_bareiss_int(m: list[list[int]]) -> int:
                 row_i[j] = (row_i[j] * pkk - fik * row_k[j]) // prev
             row_i[k] = 0
         prev = pkk
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def det(M: Matrix) -> Scalar:
@@ -340,17 +342,15 @@ def det(M: Matrix) -> Scalar:
     if not M.is_square:
         raise ValueError(f"determinant requires a square matrix, got {M.nrows}x{M.ncols}")
     f = M.field
-    if M.nrows == 0:
-        return Scalar(f, f.one)
     if f.kind == "gf":
         return Scalar(f, _det_modp(M.rows, f.modulus))
     # Clear denominators row by row, then run integer Bareiss.
     scale = 1
     int_rows: list[list[int]] = []
     for row in M.rows:
-        mult = lcm(*(v.denominator for v in row)) if row else 1
+        ints, mult = clear_denominators(row)
         scale *= mult
-        int_rows.append([int(v * mult) for v in row])
+        int_rows.append(ints)
     return Scalar(f, Fraction(_det_bareiss_int(int_rows), scale))
 
 

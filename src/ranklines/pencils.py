@@ -5,16 +5,24 @@ rectangular n x p inputs (n >= p) it is the monic gcd of all maximal
 p x p minors of A + tN.  Either way, the rank of A + t0*N drops below p
 exactly at the roots of that polynomial, which turns the full-rank-line
 question into root analysis.
+
+Over the rationals both are computed in integers: det(a + tb) at
+t = 0..n by integer Bareiss, exact interpolation, and a primitive
+remainder sequence for the gcd (von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 5-6).  A finite field may have too few points, so
+there the determinant is expanded over K[t].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import prod
 
-from .fields import FieldDesc, Scalar
-from .matrices import Matrix, check_pair, line_rows, rank_rows
-from .polynomials import Poly, poly_gcd, rational_roots
+from .fields import FieldDesc, Scalar, clear_denominators
+from .matrices import Matrix, _det_bareiss_int, check_pair, line_rows, rank_rows
+from .polynomials import Poly, _int_gcd_poly, _primitive, _strip, poly_gcd, rational_roots
 
 IDENTICALLY_ZERO = "identically-zero"
 CONSTANT_NONZERO = "constant-nonzero"
@@ -100,11 +108,38 @@ def _det_bareiss_poly(entries: list[list[Poly]], field: FieldDesc) -> Poly:
     return result if sign == 1 else -result
 
 
+def _int_det_pencil(rows: list[list[int]]) -> list[int]:
+    """Ascending coefficients of det(a + tb), without trailing zeros, for rows [a_i | b_i].
+
+    The degree is at most n, so the values at t = 0..n determine it.  For
+    f in Z[t], Delta^k f(j) is divisible by k!, so every division in the
+    Newton table of divided differences is exact; its diagonal c gives
+    f = c_0 + t*(c_1 + (t-1)*(c_2 + ...)), expanded from the inside out.
+    """
+    n = len(rows)
+    c = [_det_bareiss_int([[x + t * y for x, y in zip(r, r[n:])] for r in rows])
+         for t in range(n + 1)]
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            c[i], rem = divmod(c[i] - c[i - 1], k)
+            assert rem == 0, "Newton division must be exact"
+    poly = [c[n]]
+    for k in range(n - 1, -1, -1):  # poly <- poly * (t - k) + c_k
+        poly = [c[k] - k * poly[0]] + [lo - k * hi for lo, hi in zip(poly, poly[1:])] + poly[-1:]
+    return _strip(poly)
+
+
 def det_pencil(A: Matrix, N: Matrix) -> Poly:
     """The exact polynomial det(A + t*N); degree at most rank(N)."""
     check_pair(A, N)
     if not A.is_square:
         raise ValueError(f"pencil determinant requires square matrices, got {A.nrows}x{A.ncols}")
+    if not A.field.is_finite:
+        # Row i of A and of N share one multiplier m_i; det(A + tN) = det(a + tb) / prod m_i.
+        rows = [clear_denominators(ra + rb) for ra, rb in zip(A.rows, N.rows)]
+        scale = prod(m for _, m in rows)
+        coeffs = _int_det_pencil([r for r, _ in rows])
+        return Poly(A.field, tuple(Fraction(c, scale) for c in coeffs))
     entries = _pencil_entries(A, N)
     # Interpolation is unusable over fields with <= n points, so expand
     # directly: Laplace for small n, fraction-free elimination beyond.
@@ -120,6 +155,17 @@ def minor_gcd(A: Matrix, N: Matrix) -> Poly:
     if n < p:
         raise ValueError(f"expected at least as many rows as columns, got {n}x{p}")
     f = A.field
+    if not f.is_finite:
+        # Row multipliers scale each minor by a unit of Q, so they drop out.
+        ints = [clear_denominators(ra + rb)[0] for ra, rb in zip(A.rows, N.rows)]
+        h: list[int] = []
+        for rows in combinations(ints, p):
+            minor = _int_det_pencil(list(rows))
+            if minor:
+                h = _int_gcd_poly(h, minor) if h else _primitive(minor)
+                if len(h) == 1:
+                    break  # gcd is already the unit polynomial
+        return Poly(f, tuple(Fraction(c, h[-1]) for c in h))
     g = Poly.zero(f)
     for rows in combinations(range(n), p):
         subA = Matrix(f, p, p, tuple(A.rows[i] for i in rows))

@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from math import lcm
 
-from .fields import FieldDesc, FieldMismatchError, RawValue
+from .fields import FieldDesc, FieldMismatchError, RawValue, clear_denominators
 
 NEG_INF = float("-inf")
 
@@ -323,8 +322,7 @@ def rational_roots(poly: Poly) -> list[Fraction]:
     while coeffs[0] == 0:
         coeffs.pop(0)
     if len(coeffs) > 1:
-        mult = lcm(*(c.denominator for c in coeffs))
-        f = _primitive([int(c * mult) for c in coeffs])
+        f = _primitive(clear_denominators(coeffs)[0])
         g = _int_gcd_poly(f, _derivative(f))
         if len(g) > 1:
             f = _int_exact_div(f, g)

@@ -5,11 +5,19 @@ conditions of the pencil, square and Remark 2 claims member by member with
 ``Matrix`` arithmetic, for any direction N; the campaigns decide them on raw
 rows of a coset of lower-right blocks.  ``kernel_basis`` and ``hstack``
 serve them and nothing under ``src/``.
+
+``minor_gcd_laplace`` folds ``poly_gcd`` over Laplace expansions of the
+maximal minors over K[t]; over the rationals, ``minor_gcd`` works in
+integers instead.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from ranklines.matrices import Matrix, _rref_raw, check_pair, rank
+from ranklines.pencils import _det_cofactor, _pencil_entries
+from ranklines.polynomials import Poly, poly_gcd
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -54,3 +62,12 @@ def _check_square_pair(M: Matrix, N: Matrix) -> None:
     check_pair(M, N)
     if not M.is_square:
         raise ValueError("both matrices must be square of the same size")
+
+
+def minor_gcd_laplace(A: Matrix, N: Matrix) -> Poly:
+    """Monic gcd of the maximal minors of A + tN, each expanded by cofactors over K[t]."""
+    entries = _pencil_entries(A, N)
+    g = Poly.zero(A.field)
+    for rows in combinations(entries, A.ncols):
+        g = poly_gcd(g, _det_cofactor(list(rows), A.field))
+    return g

@@ -329,6 +329,19 @@ def test_pencil_det_text_output(workdir, capsys):
     assert out == "-1"
 
 
+def test_pencil_det_fractional_rational_output(workdir, capsys):
+    # Rows with different denominators; expected strings pinned before the
+    # integer interpolation route replaced the Laplace expansion over Q[t].
+    A = _write(workdir / "A.txt", "field rat\nsize 3 3\n1/2 -2/3 1\n0 3/4 -1/5\n2 1 1/3\n")
+    N = _write(workdir / "N.txt", "field rat\nsize 3 3\n1/3 0 -1/2\n1 1/7 0\n0 -2 5/6\n")
+    poly = "-121/120 + 9943/5040*t - 1387/840*t^2 + 131/126*t^3"
+    assert main(["pencil-det", A, N]) == 0
+    assert capsys.readouterr().out == poly + "\n"
+    assert main(["pencil-det", A, N, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "poly": poly, "coeffs": ["-121/120", "9943/5040", "-1387/840", "131/126"], "degree": 3}
+
+
 def test_pencil_det_json_output(workdir, capsys):
     A = _matrix_file(workdir / "A.txt", Matrix.identity(F2, 2))
     N = _matrix_file(workdir / "N.txt", Matrix.identity(F2, 2))

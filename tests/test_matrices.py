@@ -133,6 +133,7 @@ def test_rank_is_equivalence_invariant(field, nrows, ncols, seed):
 
 def test_det_edge_cases():
     assert det(Matrix.zeros(F2, 0, 0)).value == 1  # empty product convention
+    assert det(Matrix.zeros(RATIONALS, 0, 0)).value == 1
     assert det(Matrix.identity(F2, 1)).value == 1
     assert det(Matrix.zeros(F3, 2, 2)).value == 0
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from ranklines import pencils
 from ranklines.fields import GF, RATIONALS, Scalar
 from ranklines.matrices import Matrix, canonical_N, det, random_matrix, rank
 from ranklines.pencils import (
@@ -24,6 +25,8 @@ from ranklines.pencils import (
     minor_gcd,
 )
 from ranklines.polynomials import Poly
+
+from oracles import minor_gcd_laplace
 
 F2 = GF(2)
 F3 = GF(3)
@@ -114,6 +117,58 @@ def test_det_pencil_monic_on_remark1_hyperplane():
                 p = det_pencil(A, N)
                 assert p.degree == n - 1
                 assert p.leading() == field.one
+
+
+def _rational_lines(rng: random.Random):
+    """Seeded rational (A, N) pairs, n = 0..6, for every tall-or-square shape kind.
+
+    Each row draws its own denominators, so rows clear with different
+    multipliers; the kinds add zero rows, N = 0, A = 0, a degree-n
+    direction 7*I, and 30-bit numerators.
+    """
+    def rows(n, p, bits):
+        out = []
+        for _ in range(n):
+            dens = rng.sample((1, 2, 3, 5, 7, 12, 35), 2)
+            lim = (1 << bits) - 1
+            out.append([Fraction(rng.randint(-lim, lim), rng.choice(dens)) for _ in range(p)])
+        return out
+
+    for n in range(7):
+        for p in sorted({n, max(n - 1, 0), max(n - 2, 0)}):
+            for kind in ("mixed", "zero-row", "N=0", "A=0", "N=7I", "30-bit"):
+                bits = 30 if kind == "30-bit" else 4
+                a, b = rows(n, p, bits), rows(n, p, bits)
+                if kind == "zero-row" and n:
+                    a[rng.randrange(n)] = [0] * p
+                    b[rng.randrange(n)] = [0] * p
+                if kind == "N=0":
+                    b = [[0] * p for _ in range(n)]
+                if kind == "A=0":
+                    a = [[0] * p for _ in range(n)]
+                if kind == "N=7I":
+                    b = [[7 if i == j else 0 for j in range(p)] for i in range(n)]
+                yield Matrix.from_rows(RATIONALS, a), Matrix.from_rows(RATIONALS, b)
+
+
+def test_rational_pencils_match_the_laplace_oracles(monkeypatch):
+    # det_pencil and minor_gcd interpolate integer determinants over Q;
+    # Laplace and Bareiss over Q[t], and the poly_gcd fold, are the oracles.
+    lines = list(_rational_lines(random.Random(73)))
+    fast = [classify_line(A, N) for A, N in lines]
+    for A, N in lines:
+        entries = _pencil_entries(A, N)
+        if A.is_square:
+            d = det_pencil(A, N)
+            assert d == _det_cofactor(entries, RATIONALS)
+            if A.nrows:
+                assert d == _det_bareiss_poly(entries, RATIONALS)
+        assert minor_gcd(A, N) == minor_gcd_laplace(A, N)
+    assert any(A.is_square and A.nrows == 6 and det_pencil(A, N).degree == 6 for A, N in lines)
+    monkeypatch.setattr(pencils, "det_pencil",
+                        lambda A, N: _det_cofactor(_pencil_entries(A, N), A.field))
+    monkeypatch.setattr(pencils, "minor_gcd", minor_gcd_laplace)
+    assert [classify_line(A, N) for A, N in lines] == fast
 
 
 # ------------------------------------------------------------------- minor_gcd
@@ -291,6 +346,19 @@ def test_classify_rational_spot_checks_rank():
         else:
             for t in spots:
                 assert rank(_shift(A, N, t)) < p_cols
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F3], ids=str)
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0)])
+def test_empty_pencils_are_constant_one(field, shape):
+    Z = Matrix.zeros(field, *shape)
+    one = Poly.constant(field, 1)
+    if Z.is_square:
+        assert det_pencil(Z, Z) == one
+    assert minor_gcd(Z, Z) == one
+    res = classify_line(Z, Z)
+    assert (res.poly, res.classification, res.witness) == (one, CONSTANT_NONZERO, None)
+    assert res.poly_kind == ("det" if Z.is_square else "minor-gcd")
 
 
 def test_analysis_is_immutable_record():
