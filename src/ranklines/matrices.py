@@ -63,9 +63,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.ncols, self.nrows, tuple(zip(*self.rows)) if self.rows else ())
-
     def __add__(self, other: "Matrix") -> "Matrix":
         check_pair(self, other)
         f = self.field

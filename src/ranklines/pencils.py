@@ -6,11 +6,12 @@ p x p minors of A + tN.  Either way, the rank of A + t0*N drops below p
 exactly at the roots of that polynomial, which turns the full-rank-line
 question into root analysis.
 
-Over the rationals both are computed in integers: det(a + tb) at
-t = 0..n by integer Bareiss, exact interpolation, and a primitive
-remainder sequence for the gcd (von zur Gathen & Gerhard, *Modern
-Computer Algebra*, ch. 5-6).  A finite field may have too few points, so
-there the determinant is expanded over K[t].
+Over GF(p) and Q alike both are computed in integers: det(a + tb) at
+t = 0..n by integer Bareiss and exact interpolation, reduced mod p over
+GF(p), where reduction is a ring map and so needs no n + 1 field points.
+Minors are folded by a primitive remainder sequence over Q and, once
+reduced, by the Euclidean gcd over GF(p) (von zur Gathen & Gerhard,
+*Modern Computer Algebra*, ch. 5-6).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from .fields import FieldDesc, Scalar, clear_denominators
+from .fields import Scalar, clear_denominators
 from .matrices import Matrix, _det_bareiss_int, check_pair, line_rows, rank_rows
 from .polynomials import Poly, _int_gcd_poly, _primitive, _strip, poly_gcd, rational_roots
 
@@ -52,62 +53,6 @@ class PencilAnalysis:
         return self.classification in (CONSTANT_NONZERO, NONCONSTANT_NO_ROOT)
 
 
-def _pencil_entries(A: Matrix, N: Matrix) -> list[list[Poly]]:
-    f = A.field
-    return [[Poly.from_coeffs(f, (a, b)) for a, b in zip(ra, rb)]
-            for ra, rb in zip(A.rows, N.rows)]
-
-
-def _det_cofactor(entries: list[list[Poly]], field: FieldDesc) -> Poly:
-    n = len(entries)
-    if n == 0:
-        return Poly.constant(field, field.one)
-    if n == 1:
-        return entries[0][0]
-    if n == 2:
-        (a, b), (c, d) = entries
-        return a * d - b * c
-    total = Poly.zero(field)
-    for i in range(n):
-        pivot = entries[i][0]
-        if pivot.is_zero:
-            continue
-        sub = [row[1:] for k, row in enumerate(entries) if k != i]
-        term = pivot * _det_cofactor(sub, field)
-        total = total + term if i % 2 == 0 else total - term
-    return total
-
-
-def _det_bareiss_poly(entries: list[list[Poly]], field: FieldDesc) -> Poly:
-    """Fraction-free determinant over K[t]; every division is exact."""
-    m = [row[:] for row in entries]
-    n = len(m)
-    sign = 1
-    prev = Poly.constant(field, field.one)
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            piv = None
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    piv = i
-                    break
-            if piv is None:
-                return Poly.zero(field)
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * pkk - m[i][k] * m[k][j]
-                quot, rem = num.divmod(prev)
-                assert rem.is_zero, "Bareiss division must be exact"
-                m[i][j] = quot
-            m[i][k] = Poly.zero(field)
-        prev = pkk
-    result = m[n - 1][n - 1]
-    return result if sign == 1 else -result
-
-
 def _int_det_pencil(rows: list[list[int]]) -> list[int]:
     """Ascending coefficients of det(a + tb), without trailing zeros, for rows [a_i | b_i].
 
@@ -129,23 +74,28 @@ def _int_det_pencil(rows: list[list[int]]) -> list[int]:
     return _strip(poly)
 
 
+def _int_rows(A: Matrix, N: Matrix) -> tuple[list[list[int]], int]:
+    """Integer rows [a_i | b_i] of the pair and the product of their row multipliers.
+
+    GF(p) values are integers already (multiplier 1).  Over Q, row i of A and
+    of N share one multiplier m_i, so det(A + tN) = det(a + tb) / prod m_i.
+    """
+    if A.field.is_finite:
+        return [ra + rb for ra, rb in zip(A.rows, N.rows)], 1
+    rows = [clear_denominators(ra + rb) for ra, rb in zip(A.rows, N.rows)]
+    return [r for r, _ in rows], prod(m for _, m in rows)
+
+
 def det_pencil(A: Matrix, N: Matrix) -> Poly:
     """The exact polynomial det(A + t*N); degree at most rank(N)."""
     check_pair(A, N)
     if not A.is_square:
         raise ValueError(f"pencil determinant requires square matrices, got {A.nrows}x{A.ncols}")
-    if not A.field.is_finite:
-        # Row i of A and of N share one multiplier m_i; det(A + tN) = det(a + tb) / prod m_i.
-        rows = [clear_denominators(ra + rb) for ra, rb in zip(A.rows, N.rows)]
-        scale = prod(m for _, m in rows)
-        coeffs = _int_det_pencil([r for r, _ in rows])
-        return Poly(A.field, tuple(Fraction(c, scale) for c in coeffs))
-    entries = _pencil_entries(A, N)
-    # Interpolation is unusable over fields with <= n points, so expand
-    # directly: Laplace for small n, fraction-free elimination beyond.
-    if A.nrows <= 4:
-        return _det_cofactor(entries, A.field)
-    return _det_bareiss_poly(entries, A.field)
+    rows, scale = _int_rows(A, N)
+    coeffs = _int_det_pencil(rows)
+    if A.field.is_finite:
+        return Poly.from_coeffs(A.field, coeffs)  # reduces mod p, which is a ring map
+    return Poly(A.field, tuple(Fraction(c, scale) for c in coeffs))
 
 
 def minor_gcd(A: Matrix, N: Matrix) -> Poly:
@@ -155,25 +105,20 @@ def minor_gcd(A: Matrix, N: Matrix) -> Poly:
     if n < p:
         raise ValueError(f"expected at least as many rows as columns, got {n}x{p}")
     f = A.field
-    if not f.is_finite:
-        # Row multipliers scale each minor by a unit of Q, so they drop out.
-        ints = [clear_denominators(ra + rb)[0] for ra, rb in zip(A.rows, N.rows)]
-        h: list[int] = []
-        for rows in combinations(ints, p):
-            minor = _int_det_pencil(list(rows))
-            if minor:
-                h = _int_gcd_poly(h, minor) if h else _primitive(minor)
-                if len(h) == 1:
-                    break  # gcd is already the unit polynomial
-        return Poly(f, tuple(Fraction(c, h[-1]) for c in h))
-    g = Poly.zero(f)
-    for rows in combinations(range(n), p):
-        subA = Matrix(f, p, p, tuple(A.rows[i] for i in rows))
-        subN = Matrix(f, p, p, tuple(N.rows[i] for i in rows))
-        g = poly_gcd(g, det_pencil(subA, subN))
-        if g.degree == 0:
+    rows, _ = _int_rows(A, N)  # a row multiplier scales every minor by a unit, so it drops out
+    g: list = []  # ascending coefficients of the gcd so far; [] is the zero polynomial
+    for sub in combinations(rows, p):
+        minor = _int_det_pencil(list(sub))
+        if f.is_finite:
+            # Reduce each minor before the gcd: a gcd over Z, reduced afterwards, is wrong.
+            g = list(poly_gcd(Poly(f, tuple(g)), Poly.from_coeffs(f, minor)).coeffs)
+        elif minor:
+            g = _int_gcd_poly(g, minor) if g else _primitive(minor)
+        if len(g) == 1:
             break  # gcd is already the unit polynomial
-    return g
+    if f.is_finite:
+        return Poly(f, tuple(g))
+    return Poly(f, tuple(Fraction(c, g[-1]) for c in g))
 
 
 def _classify_formal(poly: Poly) -> str:

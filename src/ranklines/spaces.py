@@ -78,9 +78,6 @@ class LinearMatrixSubspace:
     def codim(self) -> int:
         return self.shape.ambient_dim - len(self.basis)
 
-    def basis_matrices(self) -> list[Matrix]:
-        return [unvectorize(self.shape, row) for row in self.basis]
-
     def reduce(self, vec) -> tuple[RawValue, ...]:
         """Residue of vec after clearing its pivot coordinates.
 

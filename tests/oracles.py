@@ -6,17 +6,20 @@ conditions of the pencil, square and Remark 2 claims member by member with
 rows of a coset of lower-right blocks.  ``kernel_basis`` and ``hstack``
 serve them and nothing under ``src/``.
 
-``minor_gcd_laplace`` folds ``poly_gcd`` over Laplace expansions of the
-maximal minors over K[t]; over the rationals, ``minor_gcd`` works in
-integers instead.
+``_pencil_entries`` writes A + tN as a matrix of polynomials over K[t],
+``_det_cofactor`` expands its determinant by Laplace over K[t], and
+``minor_gcd_laplace`` folds ``poly_gcd`` over those expansions of the
+maximal minors.  They are the slow oracles for ``det_pencil`` and
+``minor_gcd``, which interpolate integer determinants over both GF(p)
+and Q instead.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from ranklines.fields import FieldDesc
 from ranklines.matrices import Matrix, _rref_raw, check_pair, rank
-from ranklines.pencils import _det_cofactor, _pencil_entries
 from ranklines.polynomials import Poly, poly_gcd
 
 
@@ -62,6 +65,34 @@ def _check_square_pair(M: Matrix, N: Matrix) -> None:
     check_pair(M, N)
     if not M.is_square:
         raise ValueError("both matrices must be square of the same size")
+
+
+def _pencil_entries(A: Matrix, N: Matrix) -> list[list[Poly]]:
+    """The entries a + t*b of A + tN as polynomials over K[t]."""
+    f = A.field
+    return [[Poly.from_coeffs(f, (a, b)) for a, b in zip(ra, rb)]
+            for ra, rb in zip(A.rows, N.rows)]
+
+
+def _det_cofactor(entries: list[list[Poly]], field: FieldDesc) -> Poly:
+    """Determinant over K[t] by Laplace expansion along the first column."""
+    n = len(entries)
+    if n == 0:
+        return Poly.constant(field, field.one)
+    if n == 1:
+        return entries[0][0]
+    if n == 2:
+        (a, b), (c, d) = entries
+        return a * d - b * c
+    total = Poly.zero(field)
+    for i in range(n):
+        pivot = entries[i][0]
+        if pivot.is_zero:
+            continue
+        sub = [row[1:] for k, row in enumerate(entries) if k != i]
+        term = pivot * _det_cofactor(sub, field)
+        total = total + term if i % 2 == 0 else total - term
+    return total
 
 
 def minor_gcd_laplace(A: Matrix, N: Matrix) -> Poly:

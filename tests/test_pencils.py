@@ -17,16 +17,13 @@ from ranklines.pencils import (
     IDENTICALLY_ZERO,
     NONCONSTANT_NO_ROOT,
     PencilAnalysis,
-    _det_bareiss_poly,
-    _det_cofactor,
-    _pencil_entries,
     classify_line,
     det_pencil,
     minor_gcd,
 )
 from ranklines.polynomials import Poly
 
-from oracles import minor_gcd_laplace
+from oracles import _det_cofactor, _pencil_entries, minor_gcd_laplace
 
 F2 = GF(2)
 F3 = GF(3)
@@ -71,7 +68,7 @@ def test_det_pencil_agrees_with_pointwise_determinants():
     for field in (F2, F3, F5):
         rng = random.Random(field.modulus)
         for _ in range(40):
-            n = rng.randint(1, 4)
+            n = rng.randint(0, 6)
             A = random_matrix(field, n, n, rng)
             N = random_matrix(field, n, n, rng)
             p = det_pencil(A, N)
@@ -90,16 +87,14 @@ def test_det_pencil_degree_bounded_by_rank_of_direction():
 
 
 def test_bareiss_poly_path_matches_cofactor_expansion():
-    # n = 5 routes through fraction-free elimination; Laplace expansion is the
-    # independent slow oracle here.
+    # Laplace expansion over K[t] is the independent slow oracle for the
+    # integer interpolation at n = 5, over GF(p) and over Q.
     for field in (F3, RATIONALS):
         rng = random.Random(43)
         for _ in range(6):
             A = random_matrix(field, 5, 5, rng)
             N = random_matrix(field, 5, 5, rng)
-            entries = _pencil_entries(A, N)
-            assert _det_bareiss_poly(entries, field) == _det_cofactor(entries, field)
-            assert det_pencil(A, N) == _det_cofactor(entries, field)
+            assert det_pencil(A, N) == _det_cofactor(_pencil_entries(A, N), field)
 
 
 def test_det_pencil_monic_on_remark1_hyperplane():
@@ -153,22 +148,77 @@ def _rational_lines(rng: random.Random):
 
 def test_rational_pencils_match_the_laplace_oracles(monkeypatch):
     # det_pencil and minor_gcd interpolate integer determinants over Q;
-    # Laplace and Bareiss over Q[t], and the poly_gcd fold, are the oracles.
+    # Laplace over Q[t], and the poly_gcd fold, are the oracles.
     lines = list(_rational_lines(random.Random(73)))
-    fast = [classify_line(A, N) for A, N in lines]
-    for A, N in lines:
-        entries = _pencil_entries(A, N)
-        if A.is_square:
-            d = det_pencil(A, N)
-            assert d == _det_cofactor(entries, RATIONALS)
-            if A.nrows:
-                assert d == _det_bareiss_poly(entries, RATIONALS)
-        assert minor_gcd(A, N) == minor_gcd_laplace(A, N)
     assert any(A.is_square and A.nrows == 6 and det_pencil(A, N).degree == 6 for A, N in lines)
+    _assert_pencils_match_the_laplace_oracles(lines, lines, monkeypatch)
+
+
+def _assert_pencils_match_the_laplace_oracles(lines, classified, monkeypatch):
+    """Both pencil polynomials of every line equal their oracles, and so do
+    the classifications of the ``classified`` lines with the oracles patched in."""
+    fast = [classify_line(A, N) for A, N in classified]
+    for A, N in lines:
+        if A.is_square:
+            assert det_pencil(A, N) == _det_cofactor(_pencil_entries(A, N), A.field)
+        assert minor_gcd(A, N) == minor_gcd_laplace(A, N)
     monkeypatch.setattr(pencils, "det_pencil",
                         lambda A, N: _det_cofactor(_pencil_entries(A, N), A.field))
     monkeypatch.setattr(pencils, "minor_gcd", minor_gcd_laplace)
-    assert [classify_line(A, N) for A, N in lines] == fast
+    assert [classify_line(A, N) for A, N in classified] == fast
+
+
+def _finite_lines(rng: random.Random):
+    """Seeded GF(q) (A, N) pairs, n = 0..6, for every tall-or-square shape kind.
+
+    n runs past q for the small fields; the kinds add zero rows, N = 0,
+    A = 0, N = I, and every entry q - 1, the largest integer lift.
+    """
+    for field in (F2, F3, F5, GF(65521)):
+        top = field.modulus - 1
+        for n in range(7):
+            for p in sorted({n, max(n - 1, 0), max(n - 2, 0)}):
+                for kind in ("mixed", "zero-row", "N=0", "A=0", "N=I", "q-1"):
+                    a, b = (list(random_matrix(field, n, p, rng).rows) for _ in range(2))
+                    if kind == "zero-row" and n:
+                        a[rng.randrange(n)] = [0] * p
+                        b[rng.randrange(n)] = [0] * p
+                    if kind == "N=0":
+                        b = [[0] * p for _ in range(n)]
+                    if kind == "A=0":
+                        a = [[0] * p for _ in range(n)]
+                    if kind == "N=I":
+                        b = [[1 if i == j else 0 for j in range(p)] for i in range(n)]
+                    if kind == "q-1":
+                        a = b = [[top] * p for _ in range(n)]
+                    yield Matrix.from_rows(field, a), Matrix.from_rows(field, b)
+
+
+def test_finite_pencils_match_the_laplace_oracles(monkeypatch):
+    # Over GF(q), det_pencil and minor_gcd interpolate the integer lift and
+    # reduce mod q, also where q <= n leaves too few points to interpolate
+    # in the field itself; Laplace over GF(q)[t] is the oracle.  classify_line
+    # tries every t, so it is compared over the small fields only.
+    lines = list(_finite_lines(random.Random(83)))
+    assert any(A.is_square and A.field.order <= A.nrows and det_pencil(A, N).degree == A.nrows
+               for A, N in lines)
+    small = [(A, N) for A, N in lines if A.field.order <= 5]
+    _assert_pencils_match_the_laplace_oracles(lines, small, monkeypatch)
+
+
+def test_finite_pencils_use_no_polynomial_arithmetic(monkeypatch):
+    # The GF(p) pencils stay in integers; no sum or product over K[t].
+    rng = random.Random(89)
+    square = random_matrix(F3, 5, 5, rng), random_matrix(F3, 5, 5, rng)
+    tall = random_matrix(F3, 5, 3, rng), random_matrix(F3, 5, 3, rng)
+    expected = _det_cofactor(_pencil_entries(*square), F3), minor_gcd_laplace(*tall)
+
+    def refuse(self, other):
+        raise AssertionError("polynomial arithmetic in a GF(p) pencil")
+
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    monkeypatch.setattr(Poly, "__add__", refuse)
+    assert (det_pencil(*square), minor_gcd(*tall)) == expected
 
 
 # ------------------------------------------------------------------- minor_gcd
