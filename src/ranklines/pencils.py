@@ -22,8 +22,11 @@ from itertools import combinations
 from math import prod
 
 from .fields import Scalar, clear_denominators
-from .matrices import Matrix, _det_bareiss_int, check_pair, line_rows, rank_rows
-from .polynomials import Poly, _int_gcd_poly, _primitive, _strip, poly_gcd, rational_roots
+from .matrices import Matrix, _det_bareiss_int, check_pair
+
+# rank_rows is unused here; bench/trace.py wraps pencils.rank_rows by name.
+from .matrices import rank_rows  # noqa: F401
+from .polynomials import Poly, _horner, _int_gcd_poly, _primitive, _strip, poly_gcd, rational_roots
 
 IDENTICALLY_ZERO = "identically-zero"
 CONSTANT_NONZERO = "constant-nonzero"
@@ -130,30 +133,26 @@ def _classify_formal(poly: Poly) -> str:
 def classify_line(A: Matrix, N: Matrix) -> PencilAnalysis:
     """Classify the line A + K*N by where (if anywhere) its rank drops.
 
-    Over GF(p) every t is tried directly and the smallest rank-dropping
-    t0 is reported; over the rationals the classification is read off the
-    minor gcd and its rational roots.  Full column rank everywhere is
-    equivalent to classification constant-nonzero or nonconstant-no-root-in-K.
+    The rank of A + t0*N drops exactly where the polynomial vanishes, so
+    the classification is read off the polynomial: over GF(p) the witness
+    is its smallest root in 0..p-1, over the rationals its smallest
+    rational root.  Full column rank everywhere is equivalent to
+    classification constant-nonzero or nonconstant-no-root-in-K.
     """
     n, p = A.nrows, A.ncols
     f = A.field
     # det_pencil and minor_gcd reject mismatched pairs and n < p.
     poly = det_pencil(A, N) if n == p else minor_gcd(A, N)
     kind = "det" if n == p else "minor-gcd"
-    if f.is_finite:
-        witness = None
-        failures = 0
-        for t in f.elements():
-            if rank_rows(f, line_rows(A.rows, N.rows, t, f.modulus), p) < p:
-                failures += 1
-                if witness is None:
-                    witness = Scalar(f, t)
-        if witness is not None and not (failures == f.order and poly.is_zero):
-            return PencilAnalysis(poly, kind, HAS_ROOT, witness)
-        return PencilAnalysis(poly, kind, _classify_formal(poly))
     if poly.is_zero:
         return PencilAnalysis(poly, kind, IDENTICALLY_ZERO)
-    roots = rational_roots(poly)
+    if not f.is_finite:
+        roots = rational_roots(poly)
+    elif poly.degree == 0:
+        roots = []
+    else:  # only the smallest root is needed
+        q = f.modulus
+        roots = next(([t] for t in range(q) if _horner(poly.coeffs, t, q) == 0), [])
     if roots:
         return PencilAnalysis(poly, kind, HAS_ROOT, Scalar(f, roots[0]))
     return PencilAnalysis(poly, kind, _classify_formal(poly))

@@ -6,10 +6,10 @@ subspaces compare equal, and an affine coset stores the unique
 representative whose coordinates vanish at the basis pivot positions.
 
 Enumeration over GF(p) walks pivot-column profiles (Schubert cells) in
-lexicographic order and fills the free RREF entries; this is duplicate-free
-by construction and its counts are cross-checked against Gaussian
-binomials.  The inner loops deliberately work on raw row tuples: exhaustive
-campaigns stream through millions of subspaces.
+lexicographic order.  ``_free_columns`` is the one cell rule: a cell's
+bases are the product of per-row options (filled row tuples), and the
+samplers draw one value per free column.  This is duplicate-free by
+construction and its counts are cross-checked against Gaussian binomials.
 
 ``elements()`` yields a coset's members as raw row tuples, the ``rows`` a
 ``Matrix`` would hold; ``Matrix(space.shape.field, n, p, rows)`` wraps
@@ -22,8 +22,9 @@ time digit k moves, and only the matrix rows it touches are rebuilt.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from .fields import FieldDesc, RawValue
 from .matrices import Matrix, _rref_raw, mul_rows
@@ -271,110 +272,97 @@ def count_subspaces(ambient_dim: int, codim: int, q: int) -> int:
     return num // den
 
 
-def _iter_rref_bases(m: int, d: int, q: int):
-    """Raw (rows, pivots) pairs for every d-dim RREF basis in F_q^m."""
-    if d == 0:
-        yield (), ()
-        return
-    for prof in combinations(range(m), d):
-        pivset = set(prof)
-        template = []
-        free_slots: list[tuple[int, int]] = []
-        for i, pc in enumerate(prof):
-            row = [0] * m
-            row[pc] = 1
-            template.append(row)
-            free_slots.extend((i, j) for j in range(pc + 1, m) if j not in pivset)
-        if not free_slots:
-            yield tuple(tuple(r) for r in template), prof
-            continue
-        for assignment in product(range(q), repeat=len(free_slots)):
-            for (i, j), v in zip(free_slots, assignment):
-                template[i][j] = v
-            yield tuple(tuple(r) for r in template), prof
+def _ambient(shape: MatrixSpaceShape, codim: int) -> int:
+    """The ambient dimension m, once the field is finite and 0 <= codim <= m."""
+    if not shape.field.is_finite:
+        raise ValueError("subspace enumeration and sampling require a finite field")
+    m = shape.ambient_dim
+    if not 0 <= codim <= m:
+        raise ValueError(f"codimension {codim} outside [0, {m}]")
+    return m
+
+
+def _free_columns(prof: tuple[int, ...], m: int) -> list[list[int]]:
+    """Free columns of each RREF row with pivots prof: right of its pivot, off
+    every pivot; last, those of the canonical coset base (no pivot: -1)."""
+    pivset = set(prof)
+    return [[j for j in range(pc + 1, m) if j not in pivset] for pc in prof + (-1,)]
+
+
+def _fill(m: int, pc: int, cols, values) -> tuple[int, ...]:
+    """Row of length m: 1 at pc (none if pc < 0), values at cols, 0 elsewhere."""
+    row = [0] * m
+    if pc >= 0:
+        row[pc] = 1
+    for j, v in zip(cols, values):
+        row[j] = v
+    return tuple(row)
+
+
+def _every_fill(m: int, pc: int, cols, q: int) -> list[tuple[int, ...]]:
+    """Every fill of one row over F_q, last column fastest."""
+    return [_fill(m, pc, cols, vals) for vals in product(range(q), repeat=len(cols))]
 
 
 def enumerate_subspaces(shape: MatrixSpaceShape, codim: int):
     """Single-pass generator of all codim-c subspaces of a finite shape.
 
+    A cell's bases are product(*options), options[i] every fill of row i.
     The arguments are checked when it is called, not when iteration starts.
     """
-    if not shape.field.is_finite:
-        raise ValueError("subspace enumeration requires a finite field")
-    m = shape.ambient_dim
-    if not 0 <= codim <= m:
-        raise ValueError(f"codimension {codim} outside [0, {m}]")
-    return (LinearMatrixSubspace(shape, rows, prof)
-            for rows, prof in _iter_rref_bases(m, m - codim, shape.field.order))
-
-
-def _canonical_cosets(lin: LinearMatrixSubspace):
-    """The q^codim cosets of lin, each based at a point that is zero at lin's pivots."""
-    shape = lin.shape
-    m = shape.ambient_dim
-    pivset = set(lin.pivots)
-    nonpiv = [j for j in range(m) if j not in pivset]
-    for assignment in product(range(shape.field.order), repeat=len(nonpiv)):
-        vec = [0] * m
-        for j, v in zip(nonpiv, assignment):
-            vec[j] = v
-        yield AffineMatrixSubspace(lin, unvectorize(shape, vec))
+    m, q = _ambient(shape, codim), shape.field.order
+    return (LinearMatrixSubspace(shape, basis, prof)
+            for prof in combinations(range(m), m - codim)
+            for basis in product(*(_every_fill(m, pc, c, q)
+                                   for pc, c in zip(prof, _free_columns(prof, m)))))
 
 
 def enumerate_affine(shape: MatrixSpaceShape, codim: int):
     """All affine codim-c subspaces: q^codim canonical cosets per linear one.
 
-    The arguments are checked when it is called, as in enumerate_subspaces.
+    Each linear subspace's cosets come together, base zero first; the bases
+    are built once per cell.  The arguments are checked when it is called,
+    as in enumerate_subspaces.
     """
-    return (coset for lin in enumerate_subspaces(shape, codim)
-            for coset in _canonical_cosets(lin))
+    lins = enumerate_subspaces(shape, codim)
+    m, q = shape.ambient_dim, shape.field.order
+
+    def cosets():
+        prof = bases = None
+        for lin in lins:
+            if lin.pivots != prof:
+                prof = lin.pivots
+                free = _free_columns(prof, m)[-1]
+                bases = [unvectorize(shape, v) for v in _every_fill(m, -1, free, q)]
+            for base in bases:
+                yield AffineMatrixSubspace(lin, base)
+    return cosets()
 
 
 # ---------------------------------------------------------------------------
 # seeded random sampling (uniform over subspaces of the given codimension)
 
 
-def _profile_weight(prof, m: int, q: int) -> int:
-    c = m - len(prof)
-    free = sum(c + i - pc for i, pc in enumerate(prof))
-    return q ** free
-
-
 def random_subspace(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> LinearMatrixSubspace:
-    """Uniformly random codim-c subspace: profiles weighted by cell size."""
-    if not shape.field.is_finite:
-        raise ValueError("random subspaces require a finite field")
-    m = shape.ambient_dim
-    d = m - codim
-    if d < 0:
-        raise ValueError(f"codimension {codim} exceeds ambient dimension {m}")
-    q = shape.field.order
-    profiles = list(combinations(range(m), d))
-    weights = [_profile_weight(prof, m, q) for prof in profiles]
-    pick = rng.randrange(sum(weights))
-    acc = 0
-    for prof, w in zip(profiles, weights):
-        acc += w
-        if pick < acc:
-            break
-    pivset = set(prof)
-    rows = []
-    for i, pc in enumerate(prof):
-        row = [0] * m
-        row[pc] = 1
-        for j in range(pc + 1, m):
-            if j not in pivset:
-                row[j] = rng.randrange(q)
-        rows.append(tuple(row))
-    return LinearMatrixSubspace(shape, tuple(rows), prof)
+    """Uniformly random codim-c subspace: a profile weighted by its cell's
+    size, then one draw per free column, row by row."""
+    m, q = _ambient(shape, codim), shape.field.order
+    profiles = list(combinations(range(m), m - codim))
+    # Row i of a cell has codim + i - prof[i] free columns (_free_columns).
+    ends = list(accumulate(q ** sum(codim + i - pc for i, pc in enumerate(prof))
+                           for prof in profiles))
+    prof = profiles[bisect_right(ends, rng.randrange(ends[-1]))]
+    rows = tuple(_fill(m, pc, c, [rng.randrange(q) for _ in c])
+                 for pc, c in zip(prof, _free_columns(prof, m)))
+    return LinearMatrixSubspace(shape, rows, prof)
 
 
 def random_affine(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> AffineMatrixSubspace:
+    """A random_subspace draw, then one draw per free column of the canonical base."""
     lin = random_subspace(shape, codim, rng)
-    q = shape.field.order
-    m = shape.ambient_dim
-    pivset = set(lin.pivots)
-    vec = [rng.randrange(q) if j not in pivset else 0 for j in range(m)]
+    m, q = shape.ambient_dim, shape.field.order
+    free = _free_columns(lin.pivots, m)[-1]
+    vec = _fill(m, -1, free, [rng.randrange(q) for _ in free])
     return AffineMatrixSubspace(lin, unvectorize(shape, vec))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -362,11 +363,20 @@ def _judge_chunk(spec: CampaignSpec, lo: int, hi: int) -> list:
     return list(_judge(spec, lo, hi))
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _judge_in_pool(spec: CampaignSpec):
     """Yield every case's _judge tuple in index order from a process pool,
     one contiguous index chunk per worker."""
     total = expected_total(spec)
-    w = max(1, min(spec.workers, total))
+    # Under fork the pool starts every worker at the first submit; workers
+    # beyond the CPUs only cost processes, and the report ignores the count.
+    w = max(1, min(spec.workers, total, _available_cpus()))
     bounds = [round(i * total / w) for i in range(w + 1)]
     with ProcessPoolExecutor(max_workers=w) as pool:
         # map cancels the chunks not yet started if iteration stops early.

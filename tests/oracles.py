@@ -11,15 +11,30 @@ serve them and nothing under ``src/``.
 ``minor_gcd_laplace`` folds ``poly_gcd`` over those expansions of the
 maximal minors.  They are the slow oracles for ``det_pencil`` and
 ``minor_gcd``, which interpolate integer determinants over both GF(p)
-and Q instead.
+and Q instead.  ``classify_line_by_ranks`` classifies a GF(p) line by
+the rank at every t, where ``classify_line`` reads the roots of that
+polynomial.
+
+``iter_rref_bases``, ``canonical_coset_bases`` and ``sample_rref`` write
+out the Schubert cell rule slot by slot: the order and sample-stream
+oracles for ``enumerate_subspaces``, ``enumerate_affine``,
+``random_subspace`` and ``random_affine``, which take the cell's free
+columns from one rule and fill whole rows.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
-from ranklines.fields import FieldDesc
-from ranklines.matrices import Matrix, _rref_raw, check_pair, rank
+from ranklines.fields import FieldDesc, Scalar
+from ranklines.matrices import Matrix, _rref_raw, check_pair, line_rows, rank, rank_rows
+from ranklines.pencils import (
+    HAS_ROOT,
+    PencilAnalysis,
+    _classify_formal,
+    det_pencil,
+    minor_gcd,
+)
 from ranklines.polynomials import Poly, poly_gcd
 
 
@@ -102,3 +117,79 @@ def minor_gcd_laplace(A: Matrix, N: Matrix) -> Poly:
     for rows in combinations(entries, A.ncols):
         g = poly_gcd(g, _det_cofactor(list(rows), A.field))
     return g
+
+
+def classify_line_by_ranks(A: Matrix, N: Matrix) -> PencilAnalysis:
+    """classify_line over GF(p) by the rank of A + tN at every t in the field."""
+    f, p = A.field, A.ncols
+    poly = det_pencil(A, N) if A.is_square else minor_gcd(A, N)
+    kind = "det" if A.is_square else "minor-gcd"
+    witness = None
+    failures = 0
+    for t in f.elements():
+        if rank_rows(f, line_rows(A.rows, N.rows, t, f.modulus), p) < p:
+            failures += 1
+            if witness is None:
+                witness = Scalar(f, t)
+    if witness is not None and not (failures == f.order and poly.is_zero):
+        return PencilAnalysis(poly, kind, HAS_ROOT, witness)
+    return PencilAnalysis(poly, kind, _classify_formal(poly))
+
+
+def iter_rref_bases(m: int, d: int, q: int):
+    """Raw (rows, pivots) for every d-dim RREF basis of F_q^m, one free slot at a time.
+
+    Pivot profiles run in lexicographic order; within a cell the free slots
+    are row-major and the last one moves fastest.
+    """
+    for prof in combinations(range(m), d):
+        pivset = set(prof)
+        template = []
+        free_slots = []
+        for i, pc in enumerate(prof):
+            row = [0] * m
+            row[pc] = 1
+            template.append(row)
+            free_slots.extend((i, j) for j in range(pc + 1, m) if j not in pivset)
+        for assignment in product(range(q), repeat=len(free_slots)):
+            for (i, j), v in zip(free_slots, assignment):
+                template[i][j] = v
+            yield tuple(tuple(r) for r in template), prof
+
+
+def canonical_coset_bases(pivots, m: int, q: int):
+    """Every vector of F_q^m that is zero at the pivots, the last free slot fastest."""
+    nonpiv = [j for j in range(m) if j not in set(pivots)]
+    for assignment in product(range(q), repeat=len(nonpiv)):
+        vec = [0] * m
+        for j, v in zip(nonpiv, assignment):
+            vec[j] = v
+        yield tuple(vec)
+
+
+def sample_rref(m: int, codim: int, q: int, rng, affine: bool):
+    """(rows, pivots, base vector or None) drawn as the samplers draw them.
+
+    The profile is drawn with weight q^(its free slots), counted slot by
+    slot; then one value per free slot, row-major, then (affine) one per
+    non-pivot coordinate of the base, in ascending order.
+    """
+    d = m - codim
+    profiles = list(combinations(range(m), d))
+    weights = [q ** sum(1 for pc in prof for j in range(pc + 1, m) if j not in prof)
+               for prof in profiles]
+    pick = rng.randrange(sum(weights))
+    for prof, w in zip(profiles, weights):
+        if pick < w:
+            break
+        pick -= w
+    rows = []
+    for pc in prof:
+        row = [0] * m
+        row[pc] = 1
+        for j in range(pc + 1, m):
+            if j not in prof:
+                row[j] = rng.randrange(q)
+        rows.append(tuple(row))
+    base = tuple(0 if j in prof else rng.randrange(q) for j in range(m)) if affine else None
+    return tuple(rows), prof, base

@@ -23,7 +23,7 @@ from ranklines.pencils import (
 )
 from ranklines.polynomials import Poly
 
-from oracles import _det_cofactor, _pencil_entries, minor_gcd_laplace
+from oracles import _det_cofactor, _pencil_entries, classify_line_by_ranks, minor_gcd_laplace
 
 F2 = GF(2)
 F3 = GF(3)
@@ -198,12 +198,22 @@ def test_finite_pencils_match_the_laplace_oracles(monkeypatch):
     # Over GF(q), det_pencil and minor_gcd interpolate the integer lift and
     # reduce mod q, also where q <= n leaves too few points to interpolate
     # in the field itself; Laplace over GF(q)[t] is the oracle.  classify_line
-    # tries every t, so it is compared over the small fields only.
+    # is compared over the small fields, where the lines are cheap to expand.
     lines = list(_finite_lines(random.Random(83)))
     assert any(A.is_square and A.field.order <= A.nrows and det_pencil(A, N).degree == A.nrows
                for A, N in lines)
     small = [(A, N) for A, N in lines if A.field.order <= 5]
     _assert_pencils_match_the_laplace_oracles(lines, small, monkeypatch)
+
+
+def test_finite_classification_matches_the_rank_at_every_t():
+    # classify_line reads rank drops off the roots of its polynomial; the
+    # oracle computes the rank of A + tN at every t of the field.
+    lines = [(A, N) for A, N in _finite_lines(random.Random(83)) if A.field.order <= 5]
+    fast = [classify_line(A, N) for A, N in lines]
+    assert fast == [classify_line_by_ranks(A, N) for A, N in lines]
+    assert {a.classification for a in fast} == {IDENTICALLY_ZERO, CONSTANT_NONZERO,
+                                                NONCONSTANT_NO_ROOT, HAS_ROOT}
 
 
 def test_finite_pencils_use_no_polynomial_arithmetic(monkeypatch):

@@ -27,6 +27,8 @@ from ranklines.spaces import (
     vectorize,
 )
 
+from oracles import canonical_coset_bases, iter_rref_bases, sample_rref
+
 F2 = GF(2)
 F3 = GF(3)
 
@@ -195,6 +197,68 @@ def test_enumeration_is_deterministic():
     second = [s.basis for s in enumerate_subspaces(shape, 2)]
     assert first == second
     assert len(first) == 35
+
+
+ORDER_SHAPES = [(6, 1), (3, 2), (2, 3), (4, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=str)
+def test_enumeration_matches_the_slot_by_slot_oracle_basis_by_basis(field):
+    # Per-row products keep the order of the slot-by-slot odometer, on which
+    # every case_order_hash pin depends.
+    q = field.order
+    cases = [(n, p, codim) for n, p in ORDER_SHAPES for codim in ((0, 1, 2) if q == 2 else (0, 1))]
+    if q == 3:
+        cases.append((3, 2, 2))  # GF(3)^6 at codim 2
+    for n, p, codim in cases:
+        m = n * p
+        got = ((s.basis, s.pivots) for s in enumerate_subspaces(_shape(field, n, p), codim))
+        assert list(got) == list(iter_rref_bases(m, m - codim, q)), (n, p, codim)
+
+
+@pytest.mark.parametrize("field, n, p, codims", [(F3, 3, 3, (1,)), (F2, 4, 2, (0, 1, 2))],
+                         ids=["gf3-3x3", "gf2-4x2"])
+def test_affine_enumeration_matches_the_oracle_coset_by_coset(field, n, p, codims):
+    m, q = n * p, field.order
+    for codim in codims:
+        got = [(a.linear.basis, a.linear.pivots, vectorize(a.base))
+               for a in enumerate_affine(_shape(field, n, p), codim)]
+        want = [(rows, prof, base) for rows, prof in iter_rref_bases(m, m - codim, q)
+                for base in canonical_coset_bases(prof, m, q)]
+        assert got == want, codim
+    assert len(got) == (29_523 if q == 3 else 43_180)
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5)], ids=str)
+def test_samplers_keep_the_oracle_stream_draw_by_draw(field):
+    shape = _shape(field, 3, 3)
+    for codim in range(5):
+        rng, ref = random.Random(f"{field}:{codim}"), random.Random(f"{field}:{codim}")
+        for i in range(80):
+            affine = i % 2 == 1
+            draw = random_affine if affine else random_subspace
+            space = draw(shape, codim, rng)
+            lin = space.linear if affine else space
+            base = vectorize(space.base) if affine else None
+            assert (lin.basis, lin.pivots, base) == sample_rref(9, codim, field.order, ref, affine)
+        assert rng.random() == ref.random()  # same number of draws
+
+
+def test_samplers_reject_negative_codim_as_enumeration_does():
+    shape = _shape(F3, 3, 3)
+    for draw in (random_subspace, random_affine):
+        with pytest.raises(ValueError, match=r"outside \[0, 9\]"):
+            draw(shape, -1, random.Random(0))
+    with pytest.raises(ValueError, match=r"outside \[0, 9\]"):
+        enumerate_subspaces(shape, -1)
+
+
+def test_enumeration_is_lazy():
+    # 2^124-odd subspaces: only a lazy enumeration returns the first one.
+    shape = _shape(F2, 8, 8)
+    first = next(enumerate_subspaces(shape, 2))
+    assert first.pivots == tuple(range(62)) and first.basis[0] == (1,) + (0,) * 63
+    assert next(enumerate_affine(shape, 2)).linear == first
 
 
 def test_affine_enumeration_counts_cosets():

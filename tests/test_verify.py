@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import resource
 from itertools import islice
@@ -337,6 +338,33 @@ def test_parallel_sample_mode_matches_serial():
     serial = run_campaign(spec)
     parallel = run_campaign(_spec(mode="sample", samples=12, seed=3, workers=3))
     assert serial.signature() == parallel.signature()
+
+
+def test_pool_is_capped_at_the_available_cpus(monkeypatch):
+    # The fake pool records its size and judges the chunks in-process, so
+    # no worker process starts, whatever the requested count.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    spec = _spec(codims=(1,))
+    serial = run_campaign(spec).signature()
+    assert run_campaign(dataclasses.replace(spec, workers=30_000)).signature() == serial
+    monkeypatch.setattr(verify, "_available_cpus", lambda: 3)
+    assert run_campaign(dataclasses.replace(spec, workers=30_000)).signature() == serial
+    assert sizes[0] <= (os.cpu_count() or 1) and sizes[1:] == [3]
 
 
 # (spec, case_order_hash, sha256 of signature()) for small campaigns of every
