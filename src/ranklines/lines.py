@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 
 from .fields import FieldDesc, RawValue, Scalar
 from .matrices import (
@@ -32,10 +32,13 @@ from .pencils import PencilAnalysis, classify_line, det_pencil  # noqa: F401
 from .polynomials import Poly
 from .spaces import (
     DEFAULT_ELEMENT_BUDGET,
-    AffineMatrixSubspace,
+    _coset_size,
+    _coset_vectors,
     _iter_coset,
+    _member,
+    _odometer_digits,
+    _zero_slice,
     transport_rows,
-    vectorize,
 )
 
 WITNESS_FOUND = "witness-found"
@@ -204,23 +207,9 @@ def _check_search_inputs(space, N: Matrix) -> int:
 
 def _random_member(space, rng: random.Random):
     """Raw rows of a uniform member: base plus uniformly weighted basis combination."""
-    shape = space.shape
-    f = shape.field
-    q = f.order
-    if isinstance(space, AffineMatrixSubspace):
-        vec = list(vectorize(space.base))
-        basis = space.linear.basis
-    else:
-        vec = [0] * shape.ambient_dim
-        basis = space.basis
-    for row in basis:
-        c = rng.randrange(q)
-        if c:
-            for j, v in enumerate(row):
-                if v:
-                    vec[j] = (vec[j] + c * v) % f.modulus
-    p = shape.p
-    return tuple(tuple(vec[i * p:(i + 1) * p]) for i in range(shape.n))
+    basis, base = _coset_vectors(space)
+    q = space.shape.field.order
+    return _member(space.shape, basis, base, [rng.randrange(q) for _ in basis])
 
 
 def _check_budget(budget: int | None) -> None:
@@ -270,10 +259,17 @@ def constant_det_witness_search(space, N: Matrix,
 
     This is strictly stronger than a full-rank line over a finite field:
     the determinant polynomial must be constant as a formal polynomial,
-    not merely root-free.  The scan is exhaustive; a budget below 1
-    raises ValueError.  For a direction other than canonical_N, the basis
-    and base are mapped once by (P, Q) = to_rank_normal_form(N), which keeps
-    the member order and, as det P * det Q != 0, constancy.
+    not merely root-free.  The scan is exhaustive over the space's member
+    order; a budget below 1 raises ValueError, and more than ``budget``
+    members raise BudgetExceededError before any is examined.
+
+    For a direction other than canonical_N, the basis and base are mapped
+    once by (P, Q) = to_rank_normal_form(N), which keeps the member order
+    and, as det P * det Q != 0, constancy.  For n > 1 a constant
+    determinant needs a zero corner A[n-1][n-1] (see _constant_det), so
+    only that slice is walked, in the same order (spaces._zero_slice);
+    ``cases_examined`` still counts the members of the full order up to
+    the witness, or all q^d of them.
     """
     shape = space.shape
     if shape.n != shape.p:
@@ -283,41 +279,47 @@ def constant_det_witness_search(space, N: Matrix,
         raise ValueError(f"direction rank must be n-1 = {shape.n - 1}, got {rk}")
     _check_budget(budget)
     f, n = shape.field, shape.n
-    limit = DEFAULT_ELEMENT_BUDGET if budget is None else budget
+    own_basis, own_base = _coset_vectors(space)
+    d = len(own_basis)
+    total = _coset_size(shape, d, DEFAULT_ELEMENT_BUDGET if budget is None else budget)
     pm = f.modulus
     last = n - 1
     # The principal minors of sizes 3..n-1 through the last index; see
     # _constant_det for sizes 1, 2 and n.
     minors = [[idx + (last,) for idx in combinations(range(last), size - 1)]
               for size in range(3, n)]
-    moved = N != canonical_N(f, n, n, rk)
-    if moved:
-        members = _iter_coset(shape, *transport_rows(space, *to_rank_normal_form(N)), limit)
+    basis, base = own_basis, own_base
+    if N != canonical_N(f, n, n, rk):
+        basis, base = transport_rows(space, *to_rank_normal_form(N))
+    if n == 1:  # det(A + tN) = A[0][0]: no slice
+        walk = basis, base, lambda s: _odometer_digits(s, pm, d)
     else:
-        members = space.elements(budget=limit)
-    cases = 0
-    for a_rows in members:
-        cases += 1
+        walk = _zero_slice(basis, base, n * n - 1, pm)
+        if walk is None:
+            return SearchOutcome(EXHAUSTED_NO_WITNESS, None, total)
+    basis, base, lift = walk
+    for s, a_rows in enumerate(_iter_coset(shape, basis, base, None)):
         if _constant_det(a_rows, last, minors, pm):
-            if moved:  # the witness is the space's own member number `cases`
-                a_rows = next(islice(space.elements(budget=limit), cases - 1, None))
-            return SearchOutcome(WITNESS_FOUND,
-                                 _finite_certificate(Matrix(f, n, n, a_rows), N), cases)
-    return SearchOutcome(EXHAUSTED_NO_WITNESS, None, cases)
+            digits = lift(s)
+            position = 0
+            for c in digits:
+                position = position * pm + c
+            A = Matrix(f, n, n, _member(shape, own_basis, own_base, digits))
+            return SearchOutcome(WITNESS_FOUND, _finite_certificate(A, N), position + 1)
+    return SearchOutcome(EXHAUSTED_NO_WITNESS, None, total)
 
 
 def _constant_det(rows, last: int, minors, pm: int) -> bool:
-    """Is det(A + tN) a nonzero constant, for N = canonical_N of rank n-1?
+    """Is det(A + tN) a nonzero constant, for N = canonical_N of rank n-1
+    and A with a zero corner A[n-1][n-1] (any A at n = 1)?
 
     By multilinearity the coefficient of t^k is the sum of A's principal
     minors of size n-k through index n-1, so the determinant is a nonzero
     constant iff the sums of sizes 1..n-1 vanish and det A does not.  Size
-    1 is the corner entry; with it zero, the size-2 sum is
-    -sum_i A[i][n-1] * A[n-1][i].  At n = 2 size 2 is det A itself, and at
-    n = 1 so is size 1.
+    1 is the corner entry, which the caller has made zero; then the size-2
+    sum is -sum_i A[i][n-1] * A[n-1][i].  At n = 2 size 2 is det A itself,
+    and at n = 1 so is size 1.
     """
-    if last and rows[last][last]:
-        return False
     if last > 1 and sum(rows[i][last] * rows[last][i] for i in range(last)) % pm:
         return False
     for sets in minors:

@@ -22,9 +22,8 @@ time digit k moves, and only the matrix rows it touches are rebuilt.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product
+from itertools import combinations, product
 
 from .fields import FieldDesc, RawValue
 from .matrices import Matrix, _rref_raw, mul_rows
@@ -140,7 +139,7 @@ class AffineMatrixSubspace:
 
     def elements(self, budget: int | None = DEFAULT_ELEMENT_BUDGET):
         """Every member as raw rows, base first; as LinearMatrixSubspace.elements."""
-        return _iter_coset(self.shape, self.linear.basis, self.base.rows, budget)
+        return _iter_coset(self.shape, self.linear.basis, vectorize(self.base), budget)
 
     def to_text(self) -> str:
         lines = [self.linear.to_text().rstrip("\n"), "base"]
@@ -178,6 +177,13 @@ def affine_from_point(linear: LinearMatrixSubspace, point: Matrix) -> AffineMatr
     return AffineMatrixSubspace(linear, base)
 
 
+def _coset_vectors(space):
+    """(basis, base) of a subspace as raw vectors; the base is None if it is linear."""
+    if isinstance(space, AffineMatrixSubspace):
+        return space.linear.basis, vectorize(space.base)
+    return space.basis, None
+
+
 def transport(space, P: Matrix, Q: Matrix):
     """Image of a subspace under M -> P @ M @ Q, for P a x n and Q p x b.
 
@@ -186,44 +192,52 @@ def transport(space, P: Matrix, Q: Matrix):
     basis, base = transport_rows(space, P, Q)
     shape = MatrixSpaceShape(space.shape.field, P.nrows, Q.ncols)
     lin = _span(shape, basis)
-    return lin if base is None else affine_from_point(lin, Matrix(shape.field, shape.n, shape.p, base))
+    return lin if base is None else affine_from_point(lin, unvectorize(shape, base))
 
 
 def transport_rows(space, P: Matrix, Q: Matrix):
-    """(basis, base rows) of the image under M -> P @ M @ Q, not canonicalized.
+    """(basis, base) of the image under M -> P @ M @ Q, not canonicalized.
 
-    Each basis row is mapped in place (vectorized, in order), and the base
-    (None for a linear subspace) is not reduced, so ``_iter_coset`` over
-    the result yields P @ M @ Q for each member M, in the space's order.
+    As ``_coset_vectors``, but each basis row is mapped in place, in order,
+    and the base is not reduced, so ``_iter_coset`` over the result yields
+    P @ M @ Q for each member M, in the space's order.
     """
     f, n, p = space.shape.field, space.shape.n, space.shape.p
     if (P.ncols, Q.nrows, P.field, Q.field) != (n, p, f, f):
         raise ValueError(f"cannot map {n}x{p} matrices over {f} by P @ M @ Q with these P, Q")
     # Row-major vec(P @ M @ Q) = vec(M) @ K, where K[k*p + l][i*b + j] = P[i][k] * Q[l][j].
     K = [[row[k] * v for row in P.rows for v in Q.rows[l]] for k in range(n) for l in range(p)]
-    if not isinstance(space, AffineMatrixSubspace):
-        return mul_rows(f, space.basis, K), None
-    *basis, base = mul_rows(f, space.linear.basis + (vectorize(space.base),), K)
-    b = Q.ncols
-    return tuple(basis), tuple(base[i * b:(i + 1) * b] for i in range(P.nrows))
+    basis, base = _coset_vectors(space)
+    if base is None:
+        return mul_rows(f, basis, K), None
+    *basis, base = mul_rows(f, basis + (base,), K)
+    return tuple(basis), base
 
 
 # ---------------------------------------------------------------------------
 # element iteration
 
 
-def _iter_coset(shape: MatrixSpaceShape, basis, base_rows, budget: int | None):
-    """Members of base_rows (None: zero) + span(basis); checks run at the first next()."""
+def _coset_size(shape: MatrixSpaceShape, d: int, budget: int | None) -> int:
+    """q^d, the size of a d-dimensional coset; raises as a walk of it would."""
     f = shape.field
     if not f.is_finite:
         raise ValueError("element iteration requires a finite field")
-    q = f.order
-    d = len(basis)
-    total = q ** d
+    total = f.order ** d
     if budget is not None and total > budget:
         raise BudgetExceededError(f"{total} elements exceed the budget of {budget}")
+    return total
+
+
+def _iter_coset(shape: MatrixSpaceShape, basis, base, budget: int | None):
+    """Members of base (a raw vector; None: zero) + span(basis), as raw rows;
+    checks run at the first next()."""
+    d = len(basis)
+    total = _coset_size(shape, d, budget)
+    f = shape.field
+    q = f.order
     n, p = shape.n, shape.p
-    rows = list(base_rows) if base_rows is not None else [(0,) * p] * n
+    rows = [tuple(base[i * p:(i + 1) * p]) for i in range(n)] if base is not None else [(0,) * p] * n
     yield tuple(rows)
     if d == 0:
         return
@@ -254,6 +268,62 @@ def _carry(basis_rows, n: int, p: int, pm: int):
     """Sum of basis_rows mod pm, as (matrix row, entries) for each nonzero row."""
     s = [sum(col) % pm for col in zip(*basis_rows)]
     return [(i, tuple(s[i * p:(i + 1) * p])) for i in range(n) if any(s[i * p:(i + 1) * p])]
+
+
+def _odometer_digits(s: int, q: int, d: int) -> list[int]:
+    """The d digits, first digit slowest, of member number s (from 0) of a walk."""
+    digits = [0] * d
+    for k in range(d - 1, -1, -1):
+        s, digits[k] = divmod(s, q)
+    return digits
+
+
+def _member(shape: MatrixSpaceShape, basis, base, digits):
+    """Raw rows of base (None: zero) + sum_k digits[k] * basis[k]."""
+    pm, p = shape.field.modulus, shape.p
+    vec = list(base) if base is not None else [0] * shape.ambient_dim
+    for c, row in zip(digits, basis):
+        if c:
+            for j, v in enumerate(row):
+                if v:
+                    vec[j] = (vec[j] + c * v) % pm
+    return tuple(tuple(vec[i * p:(i + 1) * p]) for i in range(shape.n))
+
+
+def _zero_slice(basis, base, coord: int, pm: int):
+    """The members of base + span(basis) whose coordinate coord is 0, or None.
+
+    Returns (basis', base', lift): ``_iter_coset`` over base' + span(basis')
+    yields those members in the coset's own odometer order, and lift(s)
+    gives the coset digits of its member number s.  The coordinate is
+    base[coord] + sum_k c_k * basis[k][coord]; let j be the last k with
+    basis[k][coord] != 0.  The zero slice solves c_j from the digits before
+    it, which move slower, so dropping digit j keeps the order: basis' is
+    every other row minus the multiple of basis[j] that clears its coord,
+    and base' the same for the base.  With no such j the slice is the whole
+    coset or nothing.
+    """
+    d = len(basis)
+    c0 = base[coord] if base is not None else 0
+    hits = [k for k, row in enumerate(basis) if row[coord]]
+    if not hits:
+        return None if c0 else (basis, base, lambda s: _odometer_digits(s, pm, d))
+    j = hits[-1]
+    bj = basis[j]
+    inv = pow(bj[coord], -1, pm)
+
+    def cut(row):
+        c = row[coord] * inv % pm
+        return tuple([(a - c * b) % pm for a, b in zip(row, bj)]) if c else row
+
+    def lift(s):
+        digits = _odometer_digits(s, pm, d - 1)
+        earlier = sum(c * row[coord] for c, row in zip(digits[:j], basis))
+        digits.insert(j, -(c0 + earlier) * inv % pm)
+        return digits
+
+    rest = tuple(cut(row) for k, row in enumerate(basis) if k != j)
+    return rest, (cut(base) if base is not None else None), lift
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +369,9 @@ def _fill(m: int, pc: int, cols, values) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _every_fill(m: int, pc: int, cols, q: int) -> list[tuple[int, ...]]:
-    """Every fill of one row over F_q, last column fastest."""
-    return [_fill(m, pc, cols, vals) for vals in product(range(q), repeat=len(cols))]
+def _every_fill(m: int, pc: int, cols, q: int):
+    """Every fill of one row over F_q, last column fastest, made as they are iterated."""
+    return (_fill(m, pc, cols, vals) for vals in product(range(q), repeat=len(cols)))
 
 
 def enumerate_subspaces(shape: MatrixSpaceShape, codim: int):
@@ -320,9 +390,10 @@ def enumerate_subspaces(shape: MatrixSpaceShape, codim: int):
 def enumerate_affine(shape: MatrixSpaceShape, codim: int):
     """All affine codim-c subspaces: q^codim canonical cosets per linear one.
 
-    Each linear subspace's cosets come together, base zero first; the bases
-    are built once per cell.  The arguments are checked when it is called,
-    as in enumerate_subspaces.
+    Each linear subspace's cosets come together, base zero first.  A cell's
+    bases are made while its first subspace's cosets are yielded, then
+    reused for the rest of the cell.  The arguments are checked when it is
+    called, as in enumerate_subspaces.
     """
     lins = enumerate_subspaces(shape, codim)
     m, q = shape.ambient_dim, shape.field.order
@@ -330,12 +401,14 @@ def enumerate_affine(shape: MatrixSpaceShape, codim: int):
     def cosets():
         prof = bases = None
         for lin in lins:
-            if lin.pivots != prof:
-                prof = lin.pivots
-                free = _free_columns(prof, m)[-1]
-                bases = [unvectorize(shape, v) for v in _every_fill(m, -1, free, q)]
-            for base in bases:
-                yield AffineMatrixSubspace(lin, base)
+            if lin.pivots == prof:
+                for base in bases:
+                    yield AffineMatrixSubspace(lin, base)
+                continue
+            prof, bases = lin.pivots, []
+            for v in _every_fill(m, -1, _free_columns(prof, m)[-1], q):
+                bases.append(unvectorize(shape, v))
+                yield AffineMatrixSubspace(lin, bases[-1])
     return cosets()
 
 
@@ -345,13 +418,33 @@ def enumerate_affine(shape: MatrixSpaceShape, codim: int):
 
 def random_subspace(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> LinearMatrixSubspace:
     """Uniformly random codim-c subspace: a profile weighted by its cell's
-    size, then one draw per free column, row by row."""
+    size, then one draw per free column, row by row.
+
+    One draw below count_subspaces picks the profile: in lexicographic
+    order, each profile owns a run of integers as long as its cell.  Row i
+    of a cell has codim + i - prof[i] free columns (_free_columns), so the
+    size factorises by row and the draw is unranked a pivot at a time;
+    tail[i][lo] sums the factors of rows i..d-1 over their pivots from
+    column lo on.
+    """
     m, q = _ambient(shape, codim), shape.field.order
-    profiles = list(combinations(range(m), m - codim))
-    # Row i of a cell has codim + i - prof[i] free columns (_free_columns).
-    ends = list(accumulate(q ** sum(codim + i - pc for i, pc in enumerate(prof))
-                           for prof in profiles))
-    prof = profiles[bisect_right(ends, rng.randrange(ends[-1]))]
+    d = m - codim
+    tail = [[0] * (m + 2) for _ in range(d)] + [[1] * (m + 2)]
+    for i in range(d - 1, -1, -1):
+        for lo in range(m - d + i, -1, -1):
+            tail[i][lo] = q ** (codim + i - lo) * tail[i + 1][lo + 1] + tail[i][lo + 1]
+    x = rng.randrange(count_subspaces(m, codim, q))
+    prof = []
+    pc = 0
+    for i in range(d):
+        while x >= (run := q ** (codim + i - pc) * tail[i + 1][pc + 1]):
+            x -= run
+            pc += 1
+        # Row i's fills split pc's run evenly among the later rows' profiles.
+        x //= q ** (codim + i - pc)
+        prof.append(pc)
+        pc += 1
+    prof = tuple(prof)
     rows = tuple(_fill(m, pc, c, [rng.randrange(q) for _ in c])
                  for pc, c in zip(prof, _free_columns(prof, m)))
     return LinearMatrixSubspace(shape, rows, prof)

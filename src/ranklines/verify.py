@@ -22,6 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
+from operator import mul
 
 from .fields import FieldDesc, parse_field
 from .lines import constant_det_witness_search, witness_search
@@ -36,6 +37,7 @@ from .matrices import (
 from .spaces import (
     DEFAULT_ELEMENT_BUDGET,
     MatrixSpaceShape,
+    _coset_vectors,
     count_subspaces,
     enumerate_affine,
     enumerate_subspaces,
@@ -271,20 +273,31 @@ def _side_condition_exists(spec: CampaignSpec, space, N: Matrix, r: int) -> bool
 
     pencil/remark2 ask for a member mapping Ker N into im N; square asks
     for a member whose induced kernel-to-cokernel map is non-injective.
-    Both are invariant under M -> P @ M @ Q, N -> P @ N @ Q, so the coset
-    is first moved to make N the canonical block.  Then both ask for a
-    singular lower-right (n-r) x (n-r) block (pencil and remark2 only have
-    r = n-1, where that block is the corner entry).  The blocks of a coset
-    form a coset of blocks, which is walked.
+    Both are invariant under M -> P @ M @ Q, N -> P @ N @ Q, so with
+    P @ N @ Q the canonical block both ask for a singular lower-right
+    (n-r) x (n-r) block of P @ M @ Q (pencil and remark2 only have
+    r = n-1).  At r = n-1 that block is the corner u @ M @ w, with u the
+    last row of P and w the last column of Q, which is linear in M: it
+    vanishes somewhere on the coset iff it is nonzero on a basis row or
+    zero on the base.  For smaller r the blocks of a coset form a coset of
+    blocks, which is walked.
     """
     n, f = spec.n, spec.field
     P = Q = canonical_N(f, n, n, n)  # I_n
     if N != canonical_N(f, n, n, r):
         P, Q = to_rank_normal_form(N)
+    pm = f.modulus
+    if r == n - 1:
+        w = [row[r] for row in Q.rows]
+        weights = [a * b for a in P.rows[r] for b in w]  # on row-major vec(M)
+        basis, base = _coset_vectors(space)
+
+        def corner(vec):
+            return sum(map(mul, weights, vec)) % pm
+        return base is None or any(map(corner, basis)) or not corner(base)
     # The lower-right block of P @ M @ Q is P[r:, :] @ M @ Q[:, r:].
     blocks = transport(space, Matrix(f, n - r, n, P.rows[r:]),
                        Matrix(f, n, n - r, tuple(row[r:] for row in Q.rows)))
-    pm = f.modulus
     return any(_det_modp(rows, pm) == 0 for rows in blocks.elements(budget=spec.element_budget))
 
 

@@ -15,6 +15,15 @@ and Q instead.  ``classify_line_by_ranks`` classifies a GF(p) line by
 the rank at every t, where ``classify_line`` reads the roots of that
 polynomial.
 
+``side_condition_block_walk`` decides the same side conditions on the
+coset of lower-right blocks of a canonicalised coset, at any direction
+rank; at r = n-1 the campaigns read it off one linear functional instead.
+
+``constant_det_search_full_walk`` is ``constant_det_witness_search`` as
+it was before it walked only the corner-zero slice: every member of the
+full order is tested, and a witness found in moved coordinates is taken
+again from the space's own walk.
+
 ``iter_rref_bases``, ``canonical_coset_bases`` and ``sample_rref`` write
 out the Schubert cell rule slot by slot: the order and sample-stream
 oracles for ``enumerate_subspaces``, ``enumerate_affine``,
@@ -24,10 +33,27 @@ columns from one rule and fill whole rows.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from ranklines.fields import FieldDesc, Scalar
-from ranklines.matrices import Matrix, _rref_raw, check_pair, line_rows, rank, rank_rows
+from ranklines.lines import (
+    EXHAUSTED_NO_WITNESS,
+    WITNESS_FOUND,
+    SearchOutcome,
+    _constant_det,
+    _finite_certificate,
+)
+from ranklines.matrices import (
+    Matrix,
+    _det_modp,
+    _rref_raw,
+    canonical_N,
+    check_pair,
+    line_rows,
+    rank,
+    rank_rows,
+    to_rank_normal_form,
+)
 from ranklines.pencils import (
     HAS_ROOT,
     PencilAnalysis,
@@ -36,6 +62,7 @@ from ranklines.pencils import (
     minor_gcd,
 )
 from ranklines.polynomials import Poly, poly_gcd
+from ranklines.spaces import DEFAULT_ELEMENT_BUDGET, _iter_coset, transport, transport_rows
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -74,6 +101,16 @@ def ker_coker_noninjective(M: Matrix, N: Matrix) -> bool:
     kb = kernel_basis(N)
     r = rank(N)
     return rank(hstack(N, M @ kb)) < r + kb.ncols
+
+
+def side_condition_block_walk(space, N: Matrix, r: int) -> bool:
+    """Has some member M a singular lower-right (n-r) x (n-r) block of P @ M @ Q,
+    with P @ N @ Q = canonical_N of rank r?  Walks the coset of those blocks."""
+    f, n = N.field, N.nrows
+    P, Q = to_rank_normal_form(N)
+    blocks = transport(space, Matrix(f, n - r, n, P.rows[r:]),
+                       Matrix(f, n, n - r, tuple(row[r:] for row in Q.rows)))
+    return any(_det_modp(rows, f.modulus) == 0 for rows in blocks.elements(budget=None))
 
 
 def _check_square_pair(M: Matrix, N: Matrix) -> None:
@@ -167,6 +204,12 @@ def canonical_coset_bases(pivots, m: int, q: int):
         yield tuple(vec)
 
 
+def _free_slot_count(prof, m: int) -> int:
+    """The free slots of an RREF basis with pivots prof, counted one by one."""
+    pivset = set(prof)
+    return sum(1 for pc in prof for j in range(pc + 1, m) if j not in pivset)
+
+
 def sample_rref(m: int, codim: int, q: int, rng, affine: bool):
     """(rows, pivots, base vector or None) drawn as the samplers draw them.
 
@@ -176,8 +219,7 @@ def sample_rref(m: int, codim: int, q: int, rng, affine: bool):
     """
     d = m - codim
     profiles = list(combinations(range(m), d))
-    weights = [q ** sum(1 for pc in prof for j in range(pc + 1, m) if j not in prof)
-               for prof in profiles]
+    weights = [q ** _free_slot_count(prof, m) for prof in profiles]
     pick = rng.randrange(sum(weights))
     for prof, w in zip(profiles, weights):
         if pick < w:
@@ -193,3 +235,31 @@ def sample_rref(m: int, codim: int, q: int, rng, affine: bool):
         rows.append(tuple(row))
     base = tuple(0 if j in prof else rng.randrange(q) for j in range(m)) if affine else None
     return tuple(rows), prof, base
+
+
+def constant_det_search_full_walk(space, N: Matrix) -> SearchOutcome:
+    """constant_det_witness_search by testing every member in order.
+
+    Takes the square shape and a rank n-1 direction as given.
+    """
+    shape = space.shape
+    f, n = shape.field, shape.n
+    limit = DEFAULT_ELEMENT_BUDGET
+    pm = f.modulus
+    last = n - 1
+    minors = [[idx + (last,) for idx in combinations(range(last), size - 1)]
+              for size in range(3, n)]
+    moved = N != canonical_N(f, n, n, n - 1)
+    if moved:
+        members = _iter_coset(shape, *transport_rows(space, *to_rank_normal_form(N)), limit)
+    else:
+        members = space.elements(budget=limit)
+    cases = 0
+    for a_rows in members:
+        cases += 1
+        if not (last and a_rows[last][last]) and _constant_det(a_rows, last, minors, pm):
+            if moved:  # the witness is the space's own member number `cases`
+                a_rows = next(islice(space.elements(budget=limit), cases - 1, None))
+            return SearchOutcome(WITNESS_FOUND,
+                                 _finite_certificate(Matrix(f, n, n, a_rows), N), cases)
+    return SearchOutcome(EXHAUSTED_NO_WITNESS, None, cases)

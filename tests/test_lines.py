@@ -44,7 +44,7 @@ from ranklines.spaces import (
     random_subspace,
 )
 
-from oracles import ker_coker_noninjective, maps_ker_into_im
+from oracles import constant_det_search_full_walk, ker_coker_noninjective, maps_ker_into_im
 
 F2 = GF(2)
 F3 = GF(3)
@@ -546,3 +546,66 @@ def test_constant_det_search_keeps_member_order_for_any_direction(field):
                 else:
                     assert not out.found and out.cases_examined == len(members)
     assert min(found.values()) > 3, found
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=str)
+def test_constant_det_search_matches_the_full_walk_oracle(field):
+    # The search walks only the corner-zero slice; the oracle tests every
+    # member of the full order.  Status, witness and count must all agree.
+    rng = random.Random(f"constant-det-slice:{field}")
+    q = field.order
+    max_dim = {2: 10, 3: 6, 5: 4}[q]
+    found = {False: 0, True: 0}
+    for n in (1, 2, 3, 4):
+        shape = MatrixSpaceShape(field, n, n)
+        m = n * n
+        N0 = canonical_N(field, n, n, n - 1)
+        for k in range(40):
+            codim = m - rng.randint(0, min(m, max_dim))
+            space = (random_affine(shape, codim, rng) if k % 4 else
+                     random_subspace(shape, codim, rng))
+            moved = random_invertible(field, n, rng) @ N0 @ random_invertible(field, n, rng)
+            for N in (N0, moved):
+                out = constant_det_witness_search(space, N)
+                assert out == constant_det_search_full_walk(space, N), (space, N)
+                found[out.found] += 1
+    assert min(found.values()) > 50, found
+
+
+def _first_row_free(field, n, corner):
+    """The cycle matrix (see _cycle) with its first row free and its corner
+    (n-1, n-1) set to corner: no basis row has a corner entry."""
+    shape = MatrixSpaceShape(field, n, n)
+    lin = from_generators(shape, [Matrix.unit(field, n, n, 0, j) for j in range(n)])
+    rows = [list(row) for row in _cycle(field, n).rows]
+    rows[n - 1][n - 1] = corner
+    return affine_from_point(lin, Matrix.from_rows(field, rows))
+
+
+def test_constant_det_search_pins_the_slice_edge_cases():
+    # Empty slice: no basis row touches the corner and the base's is 1, so
+    # no member has a constant determinant and all q^d are counted.
+    for field in (F2, F3):
+        q = field.order
+        N = canonical_N(field, 3, 3, 2)
+        empty = _first_row_free(field, 3, 1)
+        out = constant_det_witness_search(empty, N)
+        assert (out.status, out.cases_examined) == (EXHAUSTED_NO_WITNESS, q ** 3)
+        assert out == constant_det_search_full_walk(empty, N)
+        # The same basis with corner 0: the slice is the whole coset.
+        whole = _first_row_free(field, 3, 0)
+        out = constant_det_witness_search(whole, N)
+        assert out.found and out == constant_det_search_full_walk(whole, N)
+    # n = 1: N = 0 and det(A + tN) = A[0][0], so there is no slice; the
+    # witness is the first nonzero member.
+    line = from_generators(MatrixSpaceShape(F3, 1, 1), [Matrix.from_rows(F3, [[1]])])
+    out = constant_det_witness_search(line, canonical_N(F3, 1, 1, 0))
+    assert out.cases_examined == 2 and out.certificate.A.rows == ((1,),)
+    zero = from_generators(MatrixSpaceShape(F3, 1, 1), [])
+    out = constant_det_witness_search(zero, canonical_N(F3, 1, 1, 0))
+    assert (out.status, out.cases_examined) == (EXHAUSTED_NO_WITNESS, 1)
+    # The budget bounds the whole coset (q^d = 81), not its slice (27).
+    space, N = _full_space(F3, 2, 2), canonical_N(F3, 2, 2, 1)
+    with pytest.raises(BudgetExceededError, match="81 elements exceed the budget of 30"):
+        constant_det_witness_search(space, N, budget=30)
+    assert constant_det_witness_search(space, N, budget=81).found

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 
+from ranklines import spaces
 from ranklines.fields import GF, RATIONALS
 from ranklines.matrices import Matrix, random_invertible, random_matrix, rank
 from ranklines.spaces import (
@@ -244,6 +246,21 @@ def test_samplers_keep_the_oracle_stream_draw_by_draw(field):
         assert rng.random() == ref.random()  # same number of draws
 
 
+def test_samplers_keep_the_oracle_stream_where_profiles_are_many():
+    # GF(2) 5x5 has C(25, codim) pivot profiles; the draw is unranked one
+    # pivot at a time rather than looked up in the list of all of them.
+    shape = _shape(F2, 5, 5)
+    for codim, draws in ((2, 12), (3, 6), (4, 3)):
+        rng, ref = random.Random(f"many:{codim}"), random.Random(f"many:{codim}")
+        for i in range(draws):
+            affine = i % 2 == 1
+            space = (random_affine if affine else random_subspace)(shape, codim, rng)
+            lin = space.linear if affine else space
+            base = vectorize(space.base) if affine else None
+            assert (lin.basis, lin.pivots, base) == sample_rref(25, codim, 2, ref, affine)
+        assert rng.random() == ref.random()
+
+
 def test_samplers_reject_negative_codim_as_enumeration_does():
     shape = _shape(F3, 3, 3)
     for draw in (random_subspace, random_affine):
@@ -259,6 +276,21 @@ def test_enumeration_is_lazy():
     first = next(enumerate_subspaces(shape, 2))
     assert first.pivots == tuple(range(62)) and first.basis[0] == (1,) + (0,) * 63
     assert next(enumerate_affine(shape, 2)).linear == first
+
+
+def test_affine_enumeration_makes_a_cells_bases_as_it_yields_them(monkeypatch):
+    # GF(2) 4x4 at codim 12 has 4,096 coset bases per cell: the first coset
+    # comes after one base is made, and the cell's later subspaces reuse them.
+    made = []
+    real = spaces.unvectorize
+    monkeypatch.setattr(spaces, "unvectorize", lambda shape, v: made.append(v) or real(shape, v))
+    cosets = enumerate_affine(_shape(F2, 4, 4), 12)
+    first = next(cosets)
+    assert len(made) == 1 and first.base == Matrix.zeros(F2, 4, 4)
+    rest = list(islice(cosets, 2 * 4096 - 1))
+    assert len(made) == 4096
+    assert rest[4095].linear != first.linear and rest[4095].base is first.base
+    assert [a.base for a in rest[4095:]] == [first.base] + [a.base for a in rest[:4095]]
 
 
 def test_affine_enumeration_counts_cosets():

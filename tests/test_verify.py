@@ -30,7 +30,7 @@ from ranklines.verify import (
     validate_spec,
 )
 
-from oracles import ker_coker_noninjective, maps_ker_into_im
+from oracles import ker_coker_noninjective, maps_ker_into_im, side_condition_block_walk
 
 F2 = GF(2)
 F3 = GF(3)
@@ -147,6 +147,31 @@ def test_side_condition_matches_the_member_walk_predicates(field):
                     assert _side_condition_exists(spec, space, N, r) == want, (space, N)
                     outcomes[want] += 1
     assert min(outcomes.values()) > 100, outcomes
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5)], ids=str)
+def test_corank_one_side_condition_matches_the_block_walk(field):
+    # At r = n-1 the side condition reads one linear functional off the
+    # basis and base; the oracle walks the coset of 1 x 1 corner blocks.
+    rng = random.Random(f"corner-functional:{field}")
+    outcomes = {False: 0, True: 0}
+    for n in (1, 2, 3, 4):
+        shape = MatrixSpaceShape(field, n, n)
+        m = n * n
+        N0 = canonical_N(field, n, n, n - 1)
+        for family in ("pencil", "square"):
+            spec = CampaignSpec(theorem=family, field=field, n=n, p=n,
+                                codims=(0,), rank_range=(n - 1,))
+            for _ in range(40):
+                codim = rng.randint(max(0, m - 4), m)
+                space = (random_affine(shape, codim, rng) if rng.random() < 0.8
+                         else random_subspace(shape, codim, rng))
+                moved = random_invertible(field, n, rng) @ N0 @ random_invertible(field, n, rng)
+                for N in (N0, moved):
+                    want = side_condition_block_walk(space, N, n - 1)
+                    assert _side_condition_exists(spec, space, N, n - 1) == want, (space, N)
+                    outcomes[want] += 1
+    assert min(outcomes.values()) > 40, outcomes
 
 
 # ------------------------------------------------------------------- execution
