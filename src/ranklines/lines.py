@@ -122,13 +122,13 @@ class SearchOutcome:
         return self.status == WITNESS_FOUND
 
 
-def _full_rank_all_t(field: FieldDesc, a_rows, n_rows, p: int) -> bool:
-    """True iff rank(A + tN) = p for every t in the (finite) field."""
+def _first_rank_drop(field: FieldDesc, a_rows, n_rows, p: int) -> int | None:
+    """The smallest t in the (finite) field with rank(A + tN) < p, or None."""
     pm = field.modulus
     for t in range(pm):
         if rank_rows(field, line_rows(a_rows, n_rows, t, pm), p) < p:
-            return False
-    return True
+            return t
+    return None
 
 
 def _finite_certificate(A: Matrix, N: Matrix) -> WitnessCertificate:
@@ -153,9 +153,9 @@ def line_full_rank(A: Matrix, N: Matrix):
     f = A.field
     p = A.ncols
     if f.is_finite:
-        for t in f.elements():
-            if rank_rows(f, line_rows(A.rows, N.rows, t, f.modulus), p) < p:
-                return False, Scalar(f, t)
+        t0 = _first_rank_drop(f, A.rows, N.rows, p)
+        if t0 is not None:
+            return False, Scalar(f, t0)
         return True, _finite_certificate(A, N)
     analysis = classify_line(A, N)
     if analysis.full_rank:
@@ -165,9 +165,12 @@ def line_full_rank(A: Matrix, N: Matrix):
 
 
 def validate_certificate(cert: WitnessCertificate) -> bool:
-    """Re-check a certificate from scratch; True iff it proves a full-rank line."""
+    """Re-check a certificate from scratch; True iff it proves a full-rank line.
+
+    A malformed certificate is False, never an error.
+    """
     A, N = cert.A, cert.N
-    if (A.nrows, A.ncols) != (N.nrows, N.ncols) or A.field != N.field:
+    if (A.nrows, A.ncols) != (N.nrows, N.ncols) or A.field != N.field or A.nrows < A.ncols:
         return False
     f = A.field
     p = A.ncols
@@ -176,11 +179,8 @@ def validate_certificate(cert: WitnessCertificate) -> bool:
             return False
         if sorted(t for t, _ in cert.table) != list(f.elements()):
             return False
-        for t, recorded in cert.table:
-            r = rank_rows(f, line_rows(A.rows, N.rows, t, f.modulus), p)
-            if r != recorded or r != p:
-                return False
-        return True
+        return (all(recorded == p for _, recorded in cert.table)
+                and _first_rank_drop(f, A.rows, N.rows, p) is None)
     if cert.analysis is None:
         return False
     fresh = classify_line(A, N)
@@ -237,7 +237,7 @@ def witness_search(space, N: Matrix, strategy: str = EXHAUSTIVE,
         cases = 0
         for a_rows in space.elements(budget=limit):
             cases += 1
-            if _full_rank_all_t(f, a_rows, n_rows, p):
+            if _first_rank_drop(f, a_rows, n_rows, p) is None:
                 return SearchOutcome(WITNESS_FOUND,
                                      _finite_certificate(Matrix(f, n, p, a_rows), N), cases)
         return SearchOutcome(EXHAUSTED_NO_WITNESS, None, cases)
@@ -246,7 +246,7 @@ def witness_search(space, N: Matrix, strategy: str = EXHAUSTIVE,
         rng = random.Random(seed)
         for i in range(limit):
             a_rows = _random_member(space, rng)
-            if _full_rank_all_t(f, a_rows, n_rows, p):
+            if _first_rank_drop(f, a_rows, n_rows, p) is None:
                 return SearchOutcome(WITNESS_FOUND,
                                      _finite_certificate(Matrix(f, n, p, a_rows), N), i + 1)
         return SearchOutcome(BUDGET_EXHAUSTED, None, limit)

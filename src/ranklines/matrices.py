@@ -2,8 +2,11 @@
 
 Entries are stored as raw canonical values (see :mod:`ranklines.fields`)
 in immutable row tuples.  All operations are pure functions; matrices are
-safe to share freely.  Rank over GF(2) runs on packed machine words, which
-is observably identical to the generic elimination path (tested against it).
+safe to share freely.  There is one elimination kernel per job: packed
+XOR rank over GF(2), one forward elimination giving rank and determinant
+over GF(p), integer Bareiss for rational determinants, and the RREF
+(rational rank, spans, normal forms).  Each fast path is tested against
+an independent route.
 ``line_rows`` is the one place that evaluates a line A + t*N over GF(p).
 """
 
@@ -187,12 +190,20 @@ def _rank_gf2_packed(rows, ncols: int) -> int:
     return len(basis)
 
 
-def _rank_modp(rows, p: int) -> int:
+def _eliminate_modp(rows, p: int) -> tuple[int, int]:
+    """Forward elimination over GF(p): (rank, det).
+
+    The det is 0 unless the matrix is square of full rank; the empty
+    matrix has rank 0 and determinant 1.
+    """
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     r = 0
+    det = 1
     for c in range(nc):
+        if r == nr:
+            break
         piv = None
         for i in range(r, nr):
             if m[i][c]:
@@ -200,50 +211,21 @@ def _rank_modp(rows, p: int) -> int:
                 break
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
         row_r = m[r]
-        if inv != 1:
-            for j in range(c, nc):
-                row_r[j] = row_r[j] * inv % p
+        det = det * row_r[c] % p
+        inv = pow(row_r[c], -1, p)
         for i in range(r + 1, nr):
             f = m[i][c]
             if f:
+                g = f * inv % p
                 row_i = m[i]
-                for j in range(c, nc):
-                    row_i[j] = (row_i[j] - f * row_r[j]) % p
+                for j in range(c + 1, nc):
+                    row_i[j] = (row_i[j] - g * row_r[j]) % p
         r += 1
-        if r == nr:
-            break
-    return r
-
-
-def _rank_rat(rows) -> int:
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        row_r = m[r]
-        for i in range(r + 1, nr):
-            f = m[i][c]
-            if f:
-                g = f / row_r[c]
-                row_i = m[i]
-                for j in range(c, nc):
-                    row_i[j] -= g * row_r[j]
-        r += 1
-        if r == nr:
-            break
-    return r
+    return r, det if r == nr == nc else 0
 
 
 def rank_rows(field: FieldDesc, rows, ncols: int) -> int:
@@ -251,8 +233,8 @@ def rank_rows(field: FieldDesc, rows, ncols: int) -> int:
     if field.kind == "gf":
         if field.modulus == 2:
             return _rank_gf2_packed(rows, ncols)
-        return _rank_modp(rows, field.modulus)
-    return _rank_rat(rows)
+        return _eliminate_modp(rows, field.modulus)[0]
+    return len(_rref_raw(field, rows, ncols)[1])
 
 
 def rank(M: Matrix) -> int:
@@ -276,31 +258,7 @@ def _det_modp(rows, p: int) -> int:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return (a * e * i + b * f * g + c * d * h
                 - c * e * g - b * d * i - a * f * h) % p
-    m = [list(r) for r in rows]
-    det = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det % p
-        pivval = m[c][c]
-        det = det * pivval % p
-        inv = pow(pivval, -1, p)
-        row_c = m[c]
-        for i in range(c + 1, n):
-            f = m[i][c]
-            if f:
-                g = f * inv % p
-                row_i = m[i]
-                for j in range(c + 1, n):
-                    row_i[j] = (row_i[j] - g * row_c[j]) % p
-    return det
+    return _eliminate_modp(rows, p)[1]
 
 
 def _det_bareiss_int(m: list[list[int]]) -> int:
@@ -368,6 +326,8 @@ def _rref_raw(field: FieldDesc, rows, ncols: int, pivot_limit: int | None = None
     r = 0
     one = field.one
     for c in range(limit):
+        if r == nr:
+            break
         piv = None
         for i in range(r, nr):
             if m[i][c]:
@@ -389,8 +349,6 @@ def _rref_raw(field: FieldDesc, rows, ncols: int, pivot_limit: int | None = None
                     row_i[j] = field.sub(row_i[j], field.mul(f, row_r[j]))
         pivots.append(c)
         r += 1
-        if r == nr:
-            break
     return m, pivots
 
 
@@ -409,34 +367,27 @@ def canonical_N(field: FieldDesc, nrows: int, ncols: int, r: int) -> Matrix:
                         for i in range(nrows)))
 
 
+def _reduce_with_transform(field: FieldDesc, rows, ncols: int):
+    """(T, R) as raw rows: T invertible with T @ rows = R in RREF, by reducing [rows | I]."""
+    n = len(rows)
+    aug = [list(row) + [field.one if i == j else field.zero for j in range(n)]
+           for i, row in enumerate(rows)]
+    red, _ = _rref_raw(field, aug, ncols + n, pivot_limit=ncols)
+    return tuple(tuple(row[ncols:]) for row in red), [row[:ncols] for row in red]
+
+
 def to_rank_normal_form(M: Matrix) -> tuple[Matrix, Matrix]:
-    """Invertible (P, Q) with P @ M @ Q equal to canonical_N(n, p, rank M)."""
+    """Invertible (P, Q) with P @ M @ Q equal to canonical_N(n, p, rank M).
+
+    P reduces M to its RREF R.  The first r columns of R^T are independent
+    and the rest are zero, so the RREF of R^T is canonical_N(p, n, r); the
+    transform T that reaches it gives Q = T^T.
+    """
     f = M.field
     n, p = M.nrows, M.ncols
-    # Row phase on the augmented matrix [M | I]: left block becomes RREF.
-    aug = [list(row) + [f.one if i == j else f.zero for j in range(n)]
-           for i, row in enumerate(M.rows)]
-    red, pivots = _rref_raw(f, aug, p + n, pivot_limit=p)
-    P = Matrix(f, n, n, tuple(tuple(row[p:]) for row in red))
-    work = [row[:p] for row in red]
-    r = len(pivots)
-    # Column phase: clear non-pivot entries in pivot rows, then permute
-    # pivot columns to the front.  Q accumulates the same column operations.
-    q = [[f.one if i == j else f.zero for j in range(p)] for i in range(p)]
-    for i, pc in enumerate(pivots):
-        for j in range(p):
-            if j != pc and work[i][j] != f.zero:
-                factor = work[i][j]
-                for k in range(n):
-                    work[k][j] = f.sub(work[k][j], f.mul(factor, work[k][pc]))
-                for k in range(p):
-                    q[k][j] = f.sub(q[k][j], f.mul(factor, q[k][pc]))
-    perm = list(pivots) + [j for j in range(p) if j not in set(pivots)]
-    work = [[row[perm[j]] for j in range(p)] for row in work]
-    q = [[row[perm[j]] for j in range(p)] for row in q]
-    Q = Matrix(f, p, p, tuple(tuple(row) for row in q))
-    assert Matrix(f, n, p, tuple(tuple(row) for row in work)) == canonical_N(f, n, p, r)
-    return P, Q
+    P, R = _reduce_with_transform(f, M.rows, p)
+    T, _ = _reduce_with_transform(f, [[row[j] for row in R] for j in range(p)], n)
+    return Matrix(f, n, n, P), Matrix(f, p, p, tuple(zip(*T)))
 
 
 # ---------------------------------------------------------------------------

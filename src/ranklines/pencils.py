@@ -26,7 +26,7 @@ from .matrices import Matrix, _det_bareiss_int, check_pair
 
 # rank_rows is unused here; bench/trace.py wraps pencils.rank_rows by name.
 from .matrices import rank_rows  # noqa: F401
-from .polynomials import Poly, _horner, _int_gcd_poly, _primitive, _strip, poly_gcd, rational_roots
+from .polynomials import Poly, _gcd_modp, _horner, _int_gcd_poly, _primitive, _strip, rational_roots
 
 IDENTICALLY_ZERO = "identically-zero"
 CONSTANT_NONZERO = "constant-nonzero"
@@ -114,7 +114,7 @@ def minor_gcd(A: Matrix, N: Matrix) -> Poly:
         minor = _int_det_pencil(list(sub))
         if f.is_finite:
             # Reduce each minor before the gcd: a gcd over Z, reduced afterwards, is wrong.
-            g = list(poly_gcd(Poly(f, tuple(g)), Poly.from_coeffs(f, minor)).coeffs)
+            g = _gcd_modp(g, minor, f.modulus)
         elif minor:
             g = _int_gcd_poly(g, minor) if g else _primitive(minor)
         if len(g) == 1:

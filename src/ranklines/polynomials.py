@@ -229,21 +229,28 @@ def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
     return quot
 
 
-def _squarefree_mod(f: list[int], p: int) -> bool:
-    """True iff f mod p keeps its degree and has no repeated factor."""
-    if f[-1] % p == 0:
-        return False
-    a = [c % p for c in f]
-    b = _strip([c % p for c in _derivative(f)])
+def _gcd_modp(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p) of two integer polynomials reduced mod p; [] if both are zero."""
+    a = _strip([c % p for c in a])
+    b = _strip([c % p for c in b])
     while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            c, shift = a[-1] * inv % p, len(a) - len(b)
-            for j, y in enumerate(b):
-                a[shift + j] = (a[shift + j] - c * y) % p
+        inv, lb = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > lb:
+            c = a.pop() * inv % p  # the leading term cancels
+            shift = len(a) - lb
+            for j in range(lb):
+                a[shift + j] = (a[shift + j] - c * b[j]) % p
             _strip(a)
         a, b = b, a
-    return len(a) == 1
+    if len(a) <= 1:  # zero or a unit
+        return [1] if a else []
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _squarefree_mod(f: list[int], p: int) -> bool:
+    """True iff f mod p keeps its degree and has no repeated factor."""
+    return f[-1] % p != 0 and len(_gcd_modp(f, _derivative(f), p)) == 1
 
 
 def _horner(ints: list[int], x: int, m: int) -> int:

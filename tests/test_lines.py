@@ -34,7 +34,8 @@ from ranklines.matrices import (
     rank,
     to_rank_normal_form,
 )
-from ranklines.pencils import classify_line, det_pencil
+from ranklines.pencils import CONSTANT_NONZERO, PencilAnalysis, classify_line, det_pencil
+from ranklines.polynomials import Poly
 from ranklines.spaces import (
     BudgetExceededError,
     MatrixSpaceShape,
@@ -231,6 +232,18 @@ def test_tampered_certificate_fails_validation():
                                   table=cert.table, analysis=None,
                                   verdict=cert.verdict)
     assert not validate_certificate(tampered)
+
+
+def test_certificate_with_fewer_rows_than_columns_fails_validation():
+    A = Matrix.from_rows(RATIONALS, [[1, 0, 0], [0, 1, 0]])
+    N = Matrix.zeros(RATIONALS, 2, 3)
+    one = Poly.constant(RATIONALS, 1)
+    cert = WitnessCertificate(A, N, analysis=PencilAnalysis(one, "minor-gcd", CONSTANT_NONZERO))
+    assert not validate_certificate(cert)
+    assert not validate_certificate(WitnessCertificate.from_json(cert.to_json()))
+    table = tuple((t, 3) for t in F2.elements())
+    wide = WitnessCertificate(Matrix.zeros(F2, 2, 3), Matrix.zeros(F2, 2, 3), table=table)
+    assert not validate_certificate(wide)
 
 
 # -------------------------------------------------------------- side conditions

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from ranklines.fields import GF, RATIONALS, FieldMismatchError
 from ranklines.matrices import (
     Matrix,
-    _rank_modp,
-    _rank_rat,
+    _det_modp,
+    _eliminate_modp,
     _rref_raw,
     canonical_N,
     det,
@@ -23,6 +23,7 @@ from ranklines.matrices import (
     rank_rows,
     to_rank_normal_form,
 )
+from ranklines.pencils import det_pencil
 from ranklines.spaces import MatrixSpaceShape, from_generators
 
 from oracles import hstack, kernel_basis
@@ -34,10 +35,8 @@ FIELDS = (F2, F3, F5, RATIONALS)
 
 
 def rank_rows_generic(field, rows) -> int:
-    """Rank via the generic elimination path only (no GF(2) packing)."""
-    if field.kind == "gf":
-        return _rank_modp(rows, field.modulus)
-    return _rank_rat(rows)
+    """Rank by the mod-p forward elimination only (no GF(2) packing)."""
+    return _eliminate_modp(rows, field.modulus)[0]
 
 
 def _mats(field, nrows, ncols, count, seed):
@@ -115,6 +114,34 @@ def test_gf2_packed_rank_matches_generic_elimination(nrows, ncols, data):
     assert rank_rows(F2, rows, ncols) == rank_rows_generic(F2, rows)
 
 
+def _deficient(field, nrows, ncols, rng):
+    """A random matrix whose last row is a combination of the others (zero if it is alone)."""
+    M = random_matrix(field, nrows, ncols, rng)
+    rows = list(M.rows)
+    coeffs = [rng.randrange(field.modulus) for _ in rows[:-1]]
+    rows[-1] = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % field.modulus
+                     for j in range(ncols))
+    return Matrix(field, nrows, ncols, tuple(rows))
+
+
+def test_rank_rows_matches_rref_pivot_count():
+    # The RREF is the independent oracle for the packed and mod-p rank kernels.
+    rng = random.Random(29)
+    for field in (F2, F3, F5, GF(65521)):
+        shapes = [(5, 2), (6, 3), (2, 5), (3, 6), (4, 4), (0, 3), (3, 0), (1, 1)]
+        for nrows, ncols in shapes:
+            cases = [Matrix.zeros(field, nrows, ncols), random_matrix(field, nrows, ncols, rng)]
+            if nrows:
+                cases.append(_deficient(field, nrows, ncols, rng))
+            for M in cases:
+                expected = len(_rref_raw(field, M.rows, ncols)[1])
+                assert rank_rows(field, M.rows, ncols) == expected, (field, M)
+                rk, d = _eliminate_modp(M.rows, field.modulus)
+                assert rk == expected
+                if nrows and not nrows == ncols == expected:  # no rows reads as 0 x 0
+                    assert d == 0  # det is 0 unless square of full rank
+
+
 @given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_rank_is_transpose_invariant(field, nrows, ncols, seed):
@@ -188,6 +215,25 @@ def test_det_closed_forms_match_elimination_on_padding():
         padded[3][3] = padded[4][4] = 1
         P = Matrix.from_rows(F5, padded)
         assert det(P).value == det(A).value
+
+
+def test_det_modp_matches_the_integer_route():
+    # det_pencil(A, 0) is det A by integer Bareiss reduced mod p; it shares
+    # no step with the closed forms or the mod-p elimination.
+    rng = random.Random(31)
+    for field in (F2, F3, F5, GF(65521)):
+        for n in range(7):
+            zero = Matrix.zeros(field, n, n)
+            cases = [zero, Matrix.identity(field, n)]
+            cases += [random_matrix(field, n, n, rng) for _ in range(4)]
+            if n:
+                cases.append(_deficient(field, n, n, rng))
+            for A in cases:
+                expected = det_pencil(A, zero).coeff(0)
+                assert _det_modp(A.rows, field.modulus) == expected, (field, A)
+                assert det(A).value == expected
+            if n:
+                assert _det_modp(cases[-1].rows, field.modulus) == 0
 
 
 # ------------------------------------------------------------------------ rref
@@ -270,6 +316,16 @@ def test_to_rank_normal_form_produces_canonical_matrix():
             P, Q = to_rank_normal_form(M)
             assert rank(P) == nrows and rank(Q) == ncols
             assert P @ M @ Q == canonical_N(field, nrows, ncols, rank(M))
+
+
+def test_to_rank_normal_form_at_empty_and_zero_shapes():
+    for field in (F3, RATIONALS):
+        for nrows, ncols in [(0, 0), (0, 3), (3, 0), (2, 3), (3, 2)]:
+            M = Matrix.zeros(field, nrows, ncols)
+            P, Q = to_rank_normal_form(M)
+            assert (P.nrows, P.ncols, Q.nrows, Q.ncols) == (nrows, nrows, ncols, ncols)
+            assert P @ M @ Q == canonical_N(field, nrows, ncols, 0)
+            assert rank(P) == nrows and rank(Q) == ncols
 
 
 def test_hstack_widths():

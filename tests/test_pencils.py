@@ -226,8 +226,8 @@ def test_finite_pencils_use_no_polynomial_arithmetic(monkeypatch):
     def refuse(self, other):
         raise AssertionError("polynomial arithmetic in a GF(p) pencil")
 
-    monkeypatch.setattr(Poly, "__mul__", refuse)
-    monkeypatch.setattr(Poly, "__add__", refuse)
+    for name in ("__mul__", "__add__", "divmod"):  # divmod: the Poly gcd's remainders
+        monkeypatch.setattr(Poly, name, refuse)
     assert (det_pencil(*square), minor_gcd(*tall)) == expected
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranklines.fields import GF, RATIONALS
-from ranklines.polynomials import NEG_INF, Poly, poly_gcd, rational_roots
+from ranklines.polynomials import NEG_INF, Poly, _gcd_modp, poly_gcd, rational_roots
 
 F2 = GF(2)
 F5 = GF(5)
@@ -117,6 +117,16 @@ def test_gcd_divides_both_arguments(data):
     else:
         assert (a % g).is_zero and (b % g).is_zero
         assert g.leading() == 1
+
+
+@given(st.sampled_from((2, 3, 5, 65521)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_integer_list_gcd_mod_p_matches_poly_gcd(p, data):
+    # Integer inputs, possibly with leading coefficients that vanish mod p.
+    ints = st.lists(st.integers(-3 * p, 3 * p), max_size=6)
+    a, b = data.draw(ints), data.draw(ints)
+    F = GF(p)
+    assert _gcd_modp(a, b, p) == list(poly_gcd(Poly.from_coeffs(F, a), Poly.from_coeffs(F, b)).coeffs)
 
 
 # -------------------------------------------------------------------- printing

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import islice
 
 import pytest
@@ -513,6 +514,14 @@ def test_affine_space_text_round_trip():
     back = parse_subspace_text(aff.to_text())
     assert back == aff
     assert "base" in aff.to_text()
+
+
+def test_parse_zero_subspace_of_a_huge_shape_is_fast():
+    # The RREF stops once no rows are left, so dim 0 costs nothing per column.
+    start = time.perf_counter()
+    space = parse_subspace_text("field gf 2\nsize 100000 100000\ndim 0\n")
+    assert time.perf_counter() - start < 0.5
+    assert space.dim == 0 and space.codim == 10**10
 
 
 def test_parse_subspace_rejects_garbage():
