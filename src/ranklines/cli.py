@@ -67,8 +67,9 @@ def _load_space(path: str):
         raise _UsageError(f"{path}: {exc}") from exc
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Accepts '1', '0,2', and '0-3' (inclusive range) forms."""
+def _parse_int_list(text: str, top: int, what: str) -> tuple[int, ...]:
+    """Accepts '1', '0,2', and '0-3' (inclusive range) forms; a value above
+    top is refused before its range is expanded."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -79,6 +80,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
             raise _UsageError(f"expected an integer or a range lo-hi, got {part!r}") from None
         if hi < lo:
             raise _UsageError(f"empty range {part!r}")
+        if hi > top:
+            raise _UsageError(f"{what} {hi} exceeds {top}")
         out.extend(range(lo, hi + 1))
     return tuple(out)
 
@@ -148,9 +151,10 @@ def _cmd_verify(args) -> int:
         raise _UsageError(str(exc)) from exc
     n = args.n
     p = args.p if args.p is not None else n
-    codims = _parse_int_list(args.codim) if args.codim else tuple(range(max(n - 1, 1)))
+    codims = (_parse_int_list(args.codim, n * p, "codimension") if args.codim
+              else tuple(range(max(n - 1, 1))))
     if args.rank is not None:
-        ranks = _parse_int_list(args.rank)
+        ranks = _parse_int_list(args.rank, p, "rank")
     else:
         try:
             ranks = default_rank_range(args.theorem, n, p)

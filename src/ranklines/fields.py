@@ -4,7 +4,7 @@ Values are kept canonical throughout: integers in ``[0, p)`` for GF(p),
 reduced :class:`fractions.Fraction` for the rationals.  Matrix and
 polynomial code manipulates these raw values directly and carries a
 :class:`FieldDesc` alongside; :class:`Scalar` is the boxed variant used
-at API boundaries.
+at API boundaries, and has no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -183,40 +183,14 @@ def parse_field(text: str) -> FieldDesc:
 
 @dataclass(frozen=True)
 class Scalar:
-    """A field element boxed with its field, always in canonical form."""
+    """A field element boxed with its field, always in canonical form.
+
+    It carries values across the API (a determinant, a rank-drop t0) and
+    defines no arithmetic: compute on ``value`` with the field's ops.
+    """
 
     field: FieldDesc
     value: RawValue
-
-    @classmethod
-    def of(cls, field: FieldDesc, x: object) -> "Scalar":
-        return cls(field, field.normalize(x))
-
-    def _check(self, other: "Scalar") -> None:
-        if self.field != other.field:
-            raise FieldMismatchError(f"cannot mix {self.field} and {other.field}")
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.field.div(self.value, other.value))
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
 
     def __str__(self) -> str:
         return self.field.format(self.value)

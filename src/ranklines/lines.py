@@ -18,9 +18,10 @@ from itertools import combinations
 from .fields import FieldDesc, RawValue, Scalar
 from .matrices import (
     Matrix,
+    _check_tall,
     _det_modp,
     canonical_N,
-    check_pair,
+    check_shape,
     line_rows,
     rank,
     rank_rows,
@@ -147,9 +148,8 @@ def line_full_rank(A: Matrix, N: Matrix):
     element at which the rank drops.  Finite fields are swept directly;
     the rationals go through the minor-gcd classification.
     """
-    check_pair(A, N)
-    if A.nrows < A.ncols:
-        raise ValueError(f"expected at least as many rows as columns, got {A.nrows}x{A.ncols}")
+    check_shape(N, A.field, A.nrows, A.ncols)
+    _check_tall(A.nrows, A.ncols)
     f = A.field
     p = A.ncols
     if f.is_finite:
@@ -170,7 +170,10 @@ def validate_certificate(cert: WitnessCertificate) -> bool:
     A malformed certificate is False, never an error.
     """
     A, N = cert.A, cert.N
-    if (A.nrows, A.ncols) != (N.nrows, N.ncols) or A.field != N.field or A.nrows < A.ncols:
+    try:
+        check_shape(N, A.field, A.nrows, A.ncols)
+        _check_tall(A.nrows, A.ncols)
+    except ValueError:
         return False
     f = A.field
     p = A.ncols
@@ -194,11 +197,8 @@ def validate_certificate(cert: WitnessCertificate) -> bool:
 def _check_search_inputs(space, N: Matrix) -> int:
     """Check a search's direction against its space; returns rank(N)."""
     shape = space.shape
-    if N.field != shape.field or (N.nrows, N.ncols) != (shape.n, shape.p):
-        raise ValueError(f"direction {N.nrows}x{N.ncols} over {N.field} does not match "
-                         f"the space's shape {shape.n}x{shape.p} over {shape.field}")
-    if shape.n < shape.p:
-        raise ValueError(f"expected at least as many rows as columns, got {shape.n}x{shape.p}")
+    check_shape(N, shape.field, shape.n, shape.p)
+    _check_tall(shape.n, shape.p)
     rk = rank(N)
     if rk >= shape.p:
         raise ValueError(f"direction rank {rk} is not below p = {shape.p}")
@@ -231,26 +231,23 @@ def witness_search(space, N: Matrix, strategy: str = EXHAUSTIVE,
     _check_budget(budget)
     shape = space.shape
     f, n, p = shape.field, shape.n, shape.p
-    n_rows = N.rows
     if strategy == EXHAUSTIVE:
-        limit = DEFAULT_ELEMENT_BUDGET if budget is None else budget
-        cases = 0
-        for a_rows in space.elements(budget=limit):
-            cases += 1
-            if _first_rank_drop(f, a_rows, n_rows, p) is None:
-                return SearchOutcome(WITNESS_FOUND,
-                                     _finite_certificate(Matrix(f, n, p, a_rows), N), cases)
-        return SearchOutcome(EXHAUSTED_NO_WITNESS, None, cases)
-    if strategy == RANDOM:
-        limit = DEFAULT_RANDOM_BUDGET if budget is None else budget
+        members = space.elements(budget=DEFAULT_ELEMENT_BUDGET if budget is None else budget)
+        miss = EXHAUSTED_NO_WITNESS
+    elif strategy == RANDOM:
         rng = random.Random(seed)
-        for i in range(limit):
-            a_rows = _random_member(space, rng)
-            if _first_rank_drop(f, a_rows, n_rows, p) is None:
-                return SearchOutcome(WITNESS_FOUND,
-                                     _finite_certificate(Matrix(f, n, p, a_rows), N), i + 1)
-        return SearchOutcome(BUDGET_EXHAUSTED, None, limit)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        members = (_random_member(space, rng)
+                   for _ in range(DEFAULT_RANDOM_BUDGET if budget is None else budget))
+        miss = BUDGET_EXHAUSTED
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    cases = 0
+    for a_rows in members:
+        cases += 1
+        if _first_rank_drop(f, a_rows, N.rows, p) is None:
+            return SearchOutcome(WITNESS_FOUND,
+                                 _finite_certificate(Matrix(f, n, p, a_rows), N), cases)
+    return SearchOutcome(miss, None, cases)
 
 
 def constant_det_witness_search(space, N: Matrix,

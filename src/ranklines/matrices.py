@@ -8,6 +8,9 @@ over GF(p), integer Bareiss for rational determinants, and the RREF
 (rational rank, spans, normal forms).  Each fast path is tested against
 an independent route.
 ``line_rows`` is the one place that evaluates a line A + t*N over GF(p).
+This module is also the one input boundary: ``check_shape`` compares a
+matrix with the expected field and size, and the ``field``/``size`` text
+format (of matrices and subspaces alike) is read and written here.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from .fields import FieldDesc, FieldMismatchError, RawValue, Scalar, clear_denominators
+from .fields import FieldDesc, FieldMismatchError, RawValue, Scalar, clear_denominators, parse_field
 
 
 @dataclass(frozen=True)
@@ -67,23 +70,11 @@ class Matrix:
         return self.nrows == self.ncols
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        check_pair(self, other)
+        check_shape(other, self.field, self.nrows, self.ncols)
         f = self.field
         return Matrix(f, self.nrows, self.ncols,
                       tuple(tuple(f.add(a, b) for a, b in zip(ra, rb))
                             for ra, rb in zip(self.rows, other.rows)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        check_pair(self, other)
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols,
-                      tuple(tuple(f.sub(a, b) for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.rows, other.rows)))
-
-    def __neg__(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols,
-                      tuple(tuple(f.neg(a) for a in row) for row in self.rows))
 
     def scale(self, c) -> "Matrix":
         f = self.field
@@ -92,64 +83,92 @@ class Matrix:
                       tuple(tuple(f.mul(c, a) for a in row) for row in self.rows))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise FieldMismatchError(f"cannot mix {self.field} and {other.field}")
-        if self.ncols != other.nrows:
-            raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
+        check_shape(other, self.field, self.ncols, other.ncols)
         return Matrix(self.field, self.nrows, other.ncols,
                       mul_rows(self.field, self.rows, other.rows))
 
-    # -- text format -----------------------------------------------------------
-    #
-    #   field gf 2          (or: field rat)
-    #   size 3 2
-    #   1 0
-    #   0 0
-    #   0 0
+    # -- text format (see _write_text) ----------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"field {self.field}", f"size {self.nrows} {self.ncols}"]
-        fmt = self.field.format
-        lines.extend(" ".join(fmt(v) for v in row) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        return _write_text(self.field, self.nrows, self.ncols, (None, self.rows))
 
     @classmethod
     def from_text(cls, text: str) -> "Matrix":
-        from .fields import parse_field
-
-        raw = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-        if len(raw) < 2 or not raw[0].startswith("field ") or not raw[1].startswith("size "):
-            raise ValueError("matrix text must start with 'field ...' and 'size n p' lines")
-        field = parse_field(raw[0][len("field "):])
-        try:
-            n, p = (int(t) for t in raw[1].split()[1:])
-        except Exception as exc:
-            raise ValueError(f"bad size line {raw[1]!r}") from exc
-        body = raw[2:]
-        if len(body) != n:
-            raise ValueError(f"expected {n} rows, found {len(body)}")
-        rows = []
-        for ln in body:
-            tokens = ln.split()
-            if len(tokens) != p:
-                raise ValueError(f"expected {p} entries per row, got {len(tokens)} in {ln!r}")
-            rows.append(tuple(field.parse(t) for t in tokens))
-        return cls(field, n, p, tuple(rows))
+        field, n, p, body = _read_header(text)
+        return cls(field, n, p, _read_rows(field, body, n, p, "rows"))
 
     def __str__(self) -> str:
         return self.to_text()
 
 
 # ---------------------------------------------------------------------------
-# pairs and lines A + t*N
+# input checks and the text format
 
 
-def check_pair(A: Matrix, B: Matrix) -> None:
-    """Raise unless A and B share a field (FieldMismatchError) and a shape (ValueError)."""
-    if A.field != B.field:
-        raise FieldMismatchError(f"cannot mix {A.field} and {B.field}")
-    if (A.nrows, A.ncols) != (B.nrows, B.ncols):
-        raise ValueError(f"shape mismatch: {A.nrows}x{A.ncols} vs {B.nrows}x{B.ncols}")
+def check_shape(M: Matrix, field: FieldDesc, nrows: int, ncols: int) -> None:
+    """Raise unless M is nrows x ncols over field: FieldMismatchError for
+    the field, ValueError for the size."""
+    if M.field != field:
+        raise FieldMismatchError(f"cannot mix {M.field} and {field}")
+    if (M.nrows, M.ncols) != (nrows, ncols):
+        raise ValueError(f"expected a {nrows}x{ncols} matrix, got {M.nrows}x{M.ncols}")
+
+
+def _check_tall(nrows: int, ncols: int) -> None:
+    """Raise ValueError unless n >= p, the shape of every line question."""
+    if nrows < ncols:
+        raise ValueError(f"expected at least as many rows as columns, got {nrows}x{ncols}")
+
+
+#   field gf 2          (or: field rat)
+#   size 3 2
+#   1 0
+#   0 0
+#   0 0
+# A subspace adds a ``dim d`` line before its d vectorized basis rows and,
+# for a coset, a ``base`` line before the n x p base (spaces.parse_subspace_text).
+
+
+def _write_text(field: FieldDesc, n: int, p: int, *sections) -> str:
+    """The field and size lines, then for each (heading or None, rows)
+    section its heading line and one line per row."""
+    fmt = field.format
+    lines = [f"field {field}", f"size {n} {p}"]
+    for heading, rows in sections:
+        if heading is not None:
+            lines.append(heading)
+        lines.extend(" ".join(fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _read_header(text: str):
+    """(field, n, p, the remaining non-blank lines) of the text format."""
+    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    if len(lines) < 2 or not lines[0].startswith("field ") or not lines[1].startswith("size "):
+        raise ValueError("text must start with 'field ...' and 'size n p' lines")
+    field = parse_field(lines[0][len("field "):])
+    size = lines[1].split()[1:]
+    if len(size) != 2 or not all(t.isdecimal() for t in size):
+        raise ValueError(f"bad size line {lines[1]!r}: expected two non-negative integers")
+    n, p = map(int, size)
+    return field, n, p, lines[2:]
+
+
+def _read_rows(field: FieldDesc, lines, count: int, width: int, what: str):
+    """Exactly ``count`` lines of ``width`` entries each, parsed into raw row tuples."""
+    if len(lines) != count:
+        raise ValueError(f"expected {count} {what}, found {len(lines)}")
+    rows = []
+    for ln in lines:
+        tokens = ln.split()
+        if len(tokens) != width:
+            raise ValueError(f"expected {width} entries per row, got {len(tokens)} in {ln!r}")
+        rows.append(tuple(field.parse(t) for t in tokens))
+    return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# products and lines A + t*N
 
 
 def mul_rows(field: FieldDesc, a_rows, b_rows):

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import prod
 
 from .fields import Scalar, clear_denominators
-from .matrices import Matrix, _det_bareiss_int, check_pair
+from .matrices import Matrix, _check_tall, _det_bareiss_int, check_shape
 
 # rank_rows is unused here; bench/trace.py wraps pencils.rank_rows by name.
 from .matrices import rank_rows  # noqa: F401
@@ -32,8 +32,6 @@ IDENTICALLY_ZERO = "identically-zero"
 CONSTANT_NONZERO = "constant-nonzero"
 NONCONSTANT_NO_ROOT = "nonconstant-no-root-in-K"
 HAS_ROOT = "has-root-in-K"
-
-CLASSIFICATIONS = (IDENTICALLY_ZERO, CONSTANT_NONZERO, NONCONSTANT_NO_ROOT, HAS_ROOT)
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,7 @@ def _int_rows(A: Matrix, N: Matrix) -> tuple[list[list[int]], int]:
 
 def det_pencil(A: Matrix, N: Matrix) -> Poly:
     """The exact polynomial det(A + t*N); degree at most rank(N)."""
-    check_pair(A, N)
+    check_shape(N, A.field, A.nrows, A.ncols)
     if not A.is_square:
         raise ValueError(f"pencil determinant requires square matrices, got {A.nrows}x{A.ncols}")
     rows, scale = _int_rows(A, N)
@@ -103,14 +101,12 @@ def det_pencil(A: Matrix, N: Matrix) -> Poly:
 
 def minor_gcd(A: Matrix, N: Matrix) -> Poly:
     """Monic gcd of all maximal p x p minors of A + tN (zero iff all vanish)."""
-    check_pair(A, N)
-    n, p = A.nrows, A.ncols
-    if n < p:
-        raise ValueError(f"expected at least as many rows as columns, got {n}x{p}")
+    check_shape(N, A.field, A.nrows, A.ncols)
+    _check_tall(A.nrows, A.ncols)
     f = A.field
     rows, _ = _int_rows(A, N)  # a row multiplier scales every minor by a unit, so it drops out
     g: list = []  # ascending coefficients of the gcd so far; [] is the zero polynomial
-    for sub in combinations(rows, p):
+    for sub in combinations(rows, A.ncols):
         minor = _int_det_pencil(list(sub))
         if f.is_finite:
             # Reduce each minor before the gcd: a gcd over Z, reduced afterwards, is wrong.

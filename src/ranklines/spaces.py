@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .fields import FieldDesc, RawValue
-from .matrices import Matrix, _rref_raw, mul_rows
+from .matrices import Matrix, _read_header, _read_rows, _rref_raw, _write_text, check_shape, mul_rows
 
 DEFAULT_ELEMENT_BUDGET = 1 << 24
 
@@ -94,7 +94,7 @@ class LinearMatrixSubspace:
         return tuple(out)
 
     def contains(self, M: Matrix) -> bool:
-        _check_shape(self.shape, M)
+        check_shape(M, self.shape.field, self.shape.n, self.shape.p)
         z = self.shape.field.zero
         return all(v == z for v in self.reduce(vectorize(M)))
 
@@ -108,10 +108,7 @@ class LinearMatrixSubspace:
 
     def to_text(self) -> str:
         shape = self.shape
-        lines = [f"field {shape.field}", f"size {shape.n} {shape.p}", f"dim {self.dim}"]
-        fmt = shape.field.format
-        lines.extend(" ".join(fmt(v) for v in row) for row in self.basis)
-        return "\n".join(lines) + "\n"
+        return _write_text(shape.field, shape.n, shape.p, (f"dim {self.dim}", self.basis))
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,7 +131,7 @@ class AffineMatrixSubspace:
         return self.linear.codim
 
     def contains(self, M: Matrix) -> bool:
-        _check_shape(self.shape, M)
+        check_shape(M, self.shape.field, self.shape.n, self.shape.p)
         return self.linear.reduce(vectorize(M)) == vectorize(self.base)
 
     def elements(self, budget: int | None = DEFAULT_ELEMENT_BUDGET):
@@ -142,23 +139,16 @@ class AffineMatrixSubspace:
         return _iter_coset(self.shape, self.linear.basis, vectorize(self.base), budget)
 
     def to_text(self) -> str:
-        lines = [self.linear.to_text().rstrip("\n"), "base"]
-        fmt = self.shape.field.format
-        lines.extend(" ".join(fmt(v) for v in row) for row in self.base.rows)
-        return "\n".join(lines) + "\n"
-
-
-def _check_shape(shape: MatrixSpaceShape, M: Matrix) -> None:
-    if M.field != shape.field or (M.nrows, M.ncols) != (shape.n, shape.p):
-        raise ValueError(f"matrix {M.nrows}x{M.ncols} over {M.field} does not match "
-                         f"shape {shape.n}x{shape.p} over {shape.field}")
+        shape, lin = self.shape, self.linear
+        return _write_text(shape.field, shape.n, shape.p,
+                           (f"dim {lin.dim}", lin.basis), ("base", self.base.rows))
 
 
 def from_generators(shape: MatrixSpaceShape, mats) -> LinearMatrixSubspace:
     """The canonical subspace spanned by the given matrices."""
     rows = []
     for M in mats:
-        _check_shape(shape, M)
+        check_shape(M, shape.field, shape.n, shape.p)
         rows.append(vectorize(M))
     return _span(shape, rows)
 
@@ -172,7 +162,7 @@ def _span(shape: MatrixSpaceShape, vecs) -> LinearMatrixSubspace:
 
 def affine_from_point(linear: LinearMatrixSubspace, point: Matrix) -> AffineMatrixSubspace:
     """The coset point + V, with the base canonicalized."""
-    _check_shape(linear.shape, point)
+    check_shape(point, linear.shape.field, linear.shape.n, linear.shape.p)
     base = unvectorize(linear.shape, linear.reduce(vectorize(point)))
     return AffineMatrixSubspace(linear, base)
 
@@ -203,8 +193,8 @@ def transport_rows(space, P: Matrix, Q: Matrix):
     P @ M @ Q for each member M, in the space's order.
     """
     f, n, p = space.shape.field, space.shape.n, space.shape.p
-    if (P.ncols, Q.nrows, P.field, Q.field) != (n, p, f, f):
-        raise ValueError(f"cannot map {n}x{p} matrices over {f} by P @ M @ Q with these P, Q")
+    check_shape(P, f, P.nrows, n)
+    check_shape(Q, f, p, Q.ncols)
     # Row-major vec(P @ M @ Q) = vec(M) @ K, where K[k*p + l][i*b + j] = P[i][k] * Q[l][j].
     K = [[row[k] * v for row in P.rows for v in Q.rows[l]] for k in range(n) for l in range(p)]
     basis, base = _coset_vectors(space)
@@ -469,45 +459,18 @@ def parse_subspace_text(text: str):
     Layout: the matrix header (field/size), a ``dim d`` line, d vectorized
     basis rows, and optionally a ``base`` line followed by an n x p block.
     """
-    from .fields import parse_field
-
-    raw = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if len(raw) < 3 or not raw[0].startswith("field ") or not raw[1].startswith("size "):
-        raise ValueError("subspace text must start with 'field ...' and 'size n p' lines")
-    field = parse_field(raw[0][len("field "):])
-    try:
-        n, p = (int(t) for t in raw[1].split()[1:])
-    except Exception as exc:
-        raise ValueError(f"bad size line {raw[1]!r}") from exc
-    if not raw[2].startswith("dim "):
+    field, n, p, body = _read_header(text)
+    if not body or not body[0].startswith("dim "):
         raise ValueError("expected a 'dim <d>' line after the size line")
-    d = int(raw[2].split()[1])
+    d = int(body[0][len("dim "):])
     shape = MatrixSpaceShape(field, n, p)
-    m = shape.ambient_dim
-    body = raw[3:]
-    if len(body) < d:
-        raise ValueError(f"expected {d} basis rows, found {len(body)}")
-    gens = []
-    for ln in body[:d]:
-        tokens = ln.split()
-        if len(tokens) != m:
-            raise ValueError(f"expected {m} coordinates per basis row, got {len(tokens)}")
-        gens.append(unvectorize(shape, [field.parse(t) for t in tokens]))
-    lin = from_generators(shape, gens)
+    lin = _span(shape, _read_rows(field, body[1:d + 1], d, shape.ambient_dim, "basis rows"))
     if lin.dim != d:
         raise ValueError(f"basis rows span dimension {lin.dim}, not the declared {d}")
-    rest = body[d:]
+    rest = body[d + 1:]
     if not rest:
         return lin
     if rest[0] != "base":
         raise ValueError(f"unexpected line {rest[0]!r} after basis rows")
-    block = rest[1:]
-    if len(block) != n:
-        raise ValueError(f"expected {n} base rows, found {len(block)}")
-    rows = []
-    for ln in block:
-        tokens = ln.split()
-        if len(tokens) != p:
-            raise ValueError(f"expected {p} entries per base row, got {len(tokens)}")
-        rows.append(tuple(field.parse(t) for t in tokens))
-    return affine_from_point(lin, Matrix(field, n, p, tuple(rows)))
+    base = _read_rows(field, rest[1:], n, p, "base rows")
+    return affine_from_point(lin, Matrix(field, n, p, base))

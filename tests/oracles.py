@@ -48,7 +48,7 @@ from ranklines.matrices import (
     _det_modp,
     _rref_raw,
     canonical_N,
-    check_pair,
+    check_shape,
     line_rows,
     rank,
     rank_rows,
@@ -114,7 +114,7 @@ def side_condition_block_walk(space, N: Matrix, r: int) -> bool:
 
 
 def _check_square_pair(M: Matrix, N: Matrix) -> None:
-    check_pair(M, N)
+    check_shape(N, M.field, M.nrows, M.ncols)
     if not M.is_square:
         raise ValueError("both matrices must be square of the same size")
 

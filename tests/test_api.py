@@ -1,0 +1,31 @@
+"""The public names of the package are pinned, so growing the API is a deliberate edit."""
+
+from __future__ import annotations
+
+import types
+
+import ranklines
+
+PUBLIC_NAMES = [
+    "AffineMatrixSubspace", "BUDGET_EXHAUSTED", "BudgetExceededError", "CONSTANT_NONZERO",
+    "CampaignSpec", "CampaignSpecError", "CaseRecord", "DEFAULT_ELEMENT_BUDGET",
+    "EXAMPLE_NAMES", "EXHAUSTED_NO_WITNESS", "FieldDesc", "FieldMismatchError", "GF",
+    "HAS_ROOT", "IDENTICALLY_ZERO", "LinearMatrixSubspace", "Matrix", "MatrixSpaceShape",
+    "NONCONSTANT_NO_ROOT", "PencilAnalysis", "Poly", "RATIONALS", "Scalar", "SearchOutcome",
+    "VerificationReport", "WITNESS_FOUND", "WitnessCertificate", "affine_from_point",
+    "canonical_N", "classify_line", "constant_det_witness_search", "count_subspaces",
+    "default_rank_range", "det", "det_pencil", "enumerate_affine", "enumerate_subspaces",
+    "expected_total", "flanders_extremal", "from_generators", "lemma1_witness",
+    "line_full_rank", "minor_gcd", "parse_field", "parse_subspace_text", "poly_gcd",
+    "random_affine", "random_invertible", "random_matrix", "random_subspace", "rank",
+    "rational_roots", "remark1_example", "remark2_f2_example", "replay_failure",
+    "run_campaign", "sharpness_example", "to_rank_normal_form", "transport", "unvectorize",
+    "validate_certificate", "validate_spec", "vectorize", "witness_search",
+]
+
+
+def test_public_names_are_pinned():
+    # Submodules become attributes of the package once imported; they are not API names.
+    names = sorted(name for name, value in vars(ranklines).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES

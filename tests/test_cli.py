@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ranklines.cli import main
+from ranklines.cli import _parse_int_list, _UsageError, main
 from ranklines.fields import GF
 from ranklines.lines import WitnessCertificate
 from ranklines.matrices import Matrix, canonical_N
@@ -78,6 +78,12 @@ def test_check_line_malformed_matrix_exits_two(workdir):
     A = _write(workdir / "A.txt", "field gf 2\nsize 2 2\n1 0\n")
     N = _matrix_file(workdir / "N.txt", Matrix.zeros(F2, 2, 2))
     assert main(["check-line", A, N]) == 2
+
+
+def test_check_line_negative_size_exits_two(workdir, capsys):
+    M = _write(workdir / "M.txt", "field gf 2\nsize 0 -3\n")
+    assert main(["check-line", M, M]) == 2
+    assert "bad size line" in capsys.readouterr().err
 
 
 def test_check_line_zero_denominator_exits_two(workdir, capsys):
@@ -260,6 +266,19 @@ def test_verify_non_integer_list_exits_two(flag, value, capsys):
     code = main(["verify", "--theorem", "main", "--q", "2", "--n", "3", flag, value])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, value", [("--codim", "0-7"), ("--codim", "1,9"), ("--rank", "3")])
+def test_verify_out_of_range_list_exits_two(flag, value, capsys):
+    code = main(["verify", "--theorem", "main", "--q", "2", "--n", "3", "--p", "2", flag, value])
+    assert code == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
+def test_int_list_bound_is_checked_before_a_range_is_built():
+    with pytest.raises(_UsageError, match="codimension 1000000000 exceeds 9"):
+        _parse_int_list("0-1000000000", 9, "codimension")
+    assert _parse_int_list("0-2,5", 9, "codimension") == (0, 1, 2, 5)
 
 
 # ------------------------------------------------------------------------- gen

@@ -81,7 +81,7 @@ def test_line_full_rank_zero_base_fails_at_zero():
     N = canonical_N(F2, 3, 2, 1)
     ok, t0 = line_full_rank(A, N)
     assert not ok
-    assert t0 == Scalar.of(F2, 0)
+    assert t0 == Scalar(F2, F2.normalize(0))
 
 
 def test_line_full_rank_reports_smallest_failure():
@@ -89,7 +89,7 @@ def test_line_full_rank_reports_smallest_failure():
     N = Matrix.unit(F3, 2, 2, 0, 0)
     ok, t0 = line_full_rank(A, N)
     assert not ok
-    assert t0 == Scalar.of(F3, 2)
+    assert t0 == Scalar(F3, F3.normalize(2))
 
 
 def test_line_full_rank_rational_cases():

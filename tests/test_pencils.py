@@ -327,7 +327,7 @@ def test_classify_detects_smallest_root():
     N = Matrix.unit(F3, 2, 2, 0, 0)
     res = classify_line(A, N)
     assert res.classification == HAS_ROOT
-    assert res.witness == Scalar.of(F3, 2)
+    assert res.witness == Scalar(F3, F3.normalize(2))
     assert res.poly_kind == "det"
     assert rank(_shift(A, N, 2)) < 2
 

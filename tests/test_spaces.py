@@ -529,6 +529,10 @@ def test_parse_subspace_rejects_garbage():
         parse_subspace_text("field gf 2\nsize 2 2\ndim 1\n")
     with pytest.raises(ValueError):
         parse_subspace_text("field gf 2\nsize 2 2\ndim 1\n1 0 0 0\n1 1\n")
+    with pytest.raises(ValueError):
+        parse_subspace_text("field gf 2\nsize 3 -1\ndim 0\n")
+    with pytest.raises(ValueError):
+        parse_subspace_text("field gf 2\nsize 1 1\ndim 1 2\n1\n")
 
 
 def test_rational_space_text_round_trip():
