@@ -48,7 +48,7 @@ from .pencils import (
     det_pencil,
     minor_gcd,
 )
-from .polynomials import Poly, poly_gcd, rational_roots
+from .polynomials import Poly, rational_roots
 from .spaces import (
     DEFAULT_ELEMENT_BUDGET,
     AffineMatrixSubspace,

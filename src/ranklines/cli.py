@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-from .fields import parse_field
+from .fields import GF, parse_field
 from .gallery import (
     EXAMPLE_NAMES,
     flanders_extremal,
@@ -36,9 +37,9 @@ from .spaces import BudgetExceededError, parse_subspace_text
 from .verify import (
     THEOREMS,
     CampaignSpec,
-    CampaignSpecError,
     default_rank_range,
     run_campaign,
+    validate_spec,
 )
 
 
@@ -53,18 +54,29 @@ def _read_text(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_matrix(path: str) -> Matrix:
+def _write_text(path: Path, text: str, mode: str = "w", make_parents: bool = False) -> None:
     try:
-        return Matrix.from_text(_read_text(path))
-    except ValueError as exc:
-        raise _UsageError(f"{path}: {exc}") from exc
+        if make_parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open(mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_space(path: str):
+@contextmanager
+def _usage_errors(prefix: str = ""):
+    """The library's ValueError, which reports a bad input, becomes a usage error."""
     try:
-        return parse_subspace_text(_read_text(path))
+        yield
     except ValueError as exc:
-        raise _UsageError(f"{path}: {exc}") from exc
+        raise _UsageError(f"{prefix}{exc}") from exc
+
+
+def _load(path: str, parse=Matrix.from_text):
+    """The parsed contents of a matrix file, or of another text format by ``parse``."""
+    with _usage_errors(f"{path}: "):
+        return parse(_read_text(path))
 
 
 def _parse_int_list(text: str, top: int, what: str) -> tuple[int, ...]:
@@ -91,12 +103,10 @@ def _parse_int_list(text: str, top: int, what: str) -> tuple[int, ...]:
 
 
 def _cmd_check_line(args) -> int:
-    A = _load_matrix(args.A)
-    N = _load_matrix(args.N)
-    try:
+    A = _load(args.A)
+    N = _load(args.N)
+    with _usage_errors():
         ok, payload = line_full_rank(A, N)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     f = A.field
     if ok:
         if args.format == "json":
@@ -119,13 +129,11 @@ def _cmd_check_line(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    space = _load_space(args.space)
-    N = _load_matrix(args.N)
-    try:
+    space = _load(args.space, parse_subspace_text)
+    N = _load(args.N)
+    with _usage_errors():
         outcome = witness_search(space, N, strategy=args.strategy,
                                  budget=args.budget, seed=args.seed)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     if outcome.status == WITNESS_FOUND:
         cert = outcome.certificate
         if args.format == "json":
@@ -145,10 +153,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
+    with _usage_errors():
         field = parse_field(f"gf {args.q}")
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     n = args.n
     p = args.p if args.p is not None else n
     codims = (_parse_int_list(args.codim, n * p, "codimension") if args.codim
@@ -156,10 +162,8 @@ def _cmd_verify(args) -> int:
     if args.rank is not None:
         ranks = _parse_int_list(args.rank, p, "rank")
     else:
-        try:
+        with _usage_errors():
             ranks = default_rank_range(args.theorem, n, p)
-        except CampaignSpecError as exc:
-            raise _UsageError(str(exc)) from exc
     spec = CampaignSpec(
         theorem=args.theorem,
         field=field,
@@ -175,29 +179,23 @@ def _cmd_verify(args) -> int:
         random_conjugates=args.random_conjugates,
         allow_out_of_hypothesis=args.allow_out_of_hypothesis,
     )
-    try:
-        report = run_campaign(spec)
-    except CampaignSpecError as exc:
-        raise _UsageError(str(exc)) from exc
+    with _usage_errors():
+        validate_spec(spec)
+    if args.out:  # a bad path fails here, not after the campaign; "a" keeps the file as it is
+        _write_text(Path(args.out), "", mode="a")
+    report = run_campaign(spec)
     text = report.summary_text() if args.format == "text" else report.to_json()
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write_text(Path(args.out), text + "\n")
     else:
         print(text)
-    if report.failures:
-        return 1
-    if report.incomplete:
-        return 3
-    return 0
+    return {"verified": 0, "failed": 1, "incomplete": 3}[report.verdict]
 
 
 def _cmd_gen(args) -> int:
-    try:
+    with _usage_errors():
         field = parse_field(args.field)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     def need(**params):
         missing = [k for k, v in params.items() if v is None]
@@ -206,7 +204,7 @@ def _cmd_gen(args) -> int:
         return [v for v in params.values()]
 
     files: list[tuple[str, str]] = []
-    try:
+    with _usage_errors():
         if args.example == "lemma1":
             n, p, r = need(n=args.n, p=args.p, r=args.r)
             files.append(("lemma1_A.txt", lemma1_witness(n, p, r, field).to_text()))
@@ -222,6 +220,8 @@ def _cmd_gen(args) -> int:
             files.append(("remark1_space.txt", space.to_text()))
             files.append(("remark1_N.txt", N.to_text()))
         elif args.example == "remark2-f2":
+            if field != GF(2):
+                raise _UsageError(f"example remark2-f2 is over gf 2 only, got --field {args.field!r}")
             space, N = remark2_f2_example()
             files.append(("remark2-f2_space.txt", space.to_text()))
             files.append(("remark2-f2_N.txt", N.to_text()))
@@ -229,22 +229,18 @@ def _cmd_gen(args) -> int:
             n, p, r = need(n=args.n, p=args.p, r=args.r)
             space = flanders_extremal(n, p, r, field)
             files.append(("flanders-extremal_space.txt", space.to_text()))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     for name, text in files:
         path = out / name
-        path.write_text(text)
+        _write_text(path, text, make_parents=True)
         print(path)
     return 0
 
 
 def _cmd_pencil_det(args) -> int:
-    A = _load_matrix(args.A)
-    N = _load_matrix(args.N)
-    try:
+    A = _load(args.A)
+    N = _load(args.N)
+    with _usage_errors():
         poly = det_pencil(A, N)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     if args.format == "json":
         f = A.field
         print(json.dumps({

@@ -147,11 +147,16 @@ def _read_header(text: str):
     if len(lines) < 2 or not lines[0].startswith("field ") or not lines[1].startswith("size "):
         raise ValueError("text must start with 'field ...' and 'size n p' lines")
     field = parse_field(lines[0][len("field "):])
-    size = lines[1].split()[1:]
-    if len(size) != 2 or not all(t.isdecimal() for t in size):
-        raise ValueError(f"bad size line {lines[1]!r}: expected two non-negative integers")
-    n, p = map(int, size)
+    n, p = _read_counts(lines[1], 2, "two non-negative integers")
     return field, n, p, lines[2:]
+
+
+def _read_counts(line: str, count: int, expected: str) -> list[int]:
+    """The ``count`` non-negative decimal integers after a header line's keyword."""
+    tokens = line.split()[1:]
+    if len(tokens) != count or not all(t.isdecimal() for t in tokens):
+        raise ValueError(f"bad {line.split()[0]} line {line!r}: expected {expected}")
+    return [int(t) for t in tokens]
 
 
 def _read_rows(field: FieldDesc, lines, count: int, width: int, what: str):

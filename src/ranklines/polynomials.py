@@ -1,8 +1,10 @@
 """Univariate polynomials with exact coefficients in a fixed field.
 
-Coefficients are stored ascending (constant term first) with no trailing
-zeros, so equal polynomials have equal tuples.  The zero polynomial has an
-empty coefficient tuple and degree minus infinity.
+``Poly`` is a value: coefficients are stored ascending (constant term first)
+with no trailing zeros, so equal polynomials have equal tuples.  The zero
+polynomial has an empty coefficient tuple and degree minus infinity.  It
+evaluates and prints but has no arithmetic: the pencil polynomials are
+computed on integer coefficient lists and boxed once at the end.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .fields import FieldDesc, FieldMismatchError, RawValue, clear_denominators
+from .fields import FieldDesc, RawValue, clear_denominators
 
 NEG_INF = float("-inf")
 
@@ -28,21 +30,6 @@ class Poly:
             vals.pop()
         return cls(field, tuple(vals))
 
-    @classmethod
-    def zero(cls, field: FieldDesc) -> "Poly":
-        return cls(field, ())
-
-    @classmethod
-    def constant(cls, field: FieldDesc, c) -> "Poly":
-        return cls.from_coeffs(field, [c])
-
-    @classmethod
-    def t(cls, field: FieldDesc) -> "Poly":
-        """The identity polynomial t."""
-        return cls(field, (field.zero, field.one))
-
-    # -- structure -------------------------------------------------------------
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -50,95 +37,6 @@ class Poly:
     @property
     def degree(self) -> int | float:
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def leading(self) -> RawValue:
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, k: int) -> RawValue:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.field.zero
-
-    # -- arithmetic --------------------------------------------------------------
-
-    def _check(self, other: "Poly") -> None:
-        if self.field != other.field:
-            raise FieldMismatchError(f"cannot mix {self.field} and {other.field}")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly.from_coeffs(f, out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(f, tuple(f.neg(c) for c in self.coeffs))
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        f = self.field
-        if self.is_zero or other.is_zero:
-            return Poly.zero(f)
-        out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == f.zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return Poly.from_coeffs(f, out)
-
-    def scale(self, c) -> "Poly":
-        f = self.field
-        c = f.normalize(c)
-        return Poly.from_coeffs(f, [f.mul(c, a) for a in self.coeffs])
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial long division (other must be nonzero)."""
-        self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
-        rem = list(self.coeffs)
-        dlen = len(other.coeffs)
-        if len(rem) < dlen:
-            return Poly.zero(f), self
-        inv_lead = f.inv(other.coeffs[-1])
-        quot = [f.zero] * (len(rem) - dlen + 1)
-        for k in range(len(rem) - dlen, -1, -1):
-            c = rem[k + dlen - 1]
-            if c == f.zero:
-                continue
-            q = f.mul(c, inv_lead)
-            quot[k] = q
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] = f.sub(rem[k + j], f.mul(q, b))
-        return Poly.from_coeffs(f, quot), Poly.from_coeffs(f, rem)
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        f = self.field
-        inv = f.inv(self.coeffs[-1])
-        return Poly(f, tuple(f.mul(inv, c) for c in self.coeffs[:-1]) + (f.one,))
 
     def __call__(self, x) -> RawValue:
         """Evaluate by Horner's rule; returns a raw field value."""
@@ -148,8 +46,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, x), c)
         return acc
-
-    # -- rendering --------------------------------------------------------------
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -172,15 +68,6 @@ class Poly:
             else:
                 parts.append(f"- {body}" if neg else f"+ {body}")
         return " ".join(parts)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    if a.field != b.field:
-        raise FieldMismatchError(f"cannot mix {a.field} and {b.field}")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
 
 
 def _primitive(ints: list[int]) -> list[int]:

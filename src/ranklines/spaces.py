@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .fields import FieldDesc, RawValue
-from .matrices import Matrix, _read_header, _read_rows, _rref_raw, _write_text, check_shape, mul_rows
+from .matrices import (Matrix, _read_counts, _read_header, _read_rows, _rref_raw, _write_text,
+                       check_shape, mul_rows)
 
 DEFAULT_ELEMENT_BUDGET = 1 << 24
 
@@ -460,9 +461,9 @@ def parse_subspace_text(text: str):
     basis rows, and optionally a ``base`` line followed by an n x p block.
     """
     field, n, p, body = _read_header(text)
-    if not body or not body[0].startswith("dim "):
+    if not body or body[0].split()[0] != "dim":
         raise ValueError("expected a 'dim <d>' line after the size line")
-    d = int(body[0][len("dim "):])
+    (d,) = _read_counts(body[0], 1, "one non-negative integer")
     shape = MatrixSpaceShape(field, n, p)
     lin = _span(shape, _read_rows(field, body[1:d + 1], d, shape.ambient_dim, "basis rows"))
     if lin.dim != d:

@@ -415,7 +415,12 @@ class VerificationReport:
 
     @property
     def verified(self) -> bool:
-        return not self.failures and not self.incomplete
+        return self.verdict == "verified"
+
+    @property
+    def verdict(self) -> str:
+        """A failure refutes the claim, so it makes the verdict failed even in an interrupted run."""
+        return "failed" if self.failures else ("incomplete" if self.incomplete else "verified")
 
     def to_json_obj(self) -> dict:
         return {
@@ -432,8 +437,7 @@ class VerificationReport:
             "case_order_hash": self.case_order_hash,
             "elapsed_ms": self.elapsed_ms,
             "incomplete": self.incomplete,
-            "verdict": "verified" if self.verified else
-                       ("incomplete" if self.incomplete else "failed"),
+            "verdict": self.verdict,
         }
 
     def to_json(self) -> str:
@@ -480,7 +484,7 @@ class VerificationReport:
             f"findings     {len(self.findings)}",
             f"case hash    {self.case_order_hash}",
             f"elapsed      {self.elapsed_ms} ms",
-            f"verdict      {'verified' if self.verified else ('incomplete' if self.incomplete else 'FAILED')}",
+            f"verdict      {'FAILED' if self.failures else self.verdict}",
         ]
         for rec in list(self.failures) + list(self.findings):
             lines.append(f"  case {rec.index} (codim {rec.codim}, r {rec.r}): {rec.detail}")

@@ -11,9 +11,12 @@ serve them and nothing under ``src/``.
 ``minor_gcd_laplace`` folds ``poly_gcd`` over those expansions of the
 maximal minors.  They are the slow oracles for ``det_pencil`` and
 ``minor_gcd``, which interpolate integer determinants over both GF(p)
-and Q instead.  ``classify_line_by_ranks`` classifies a GF(p) line by
-the rank at every t, where ``classify_line`` reads the roots of that
-polynomial.
+and Q instead.  ``poly_add``, ``poly_sub``, ``poly_mul``, ``poly_rem`` and
+``poly_gcd`` are the K[t] arithmetic the Laplace oracles need: plain
+functions on ``Poly`` values over the field's own operations, sharing
+nothing with the integer routes under ``src/``.  ``classify_line_by_ranks``
+classifies a GF(p) line by the rank at every t, where ``classify_line``
+reads the roots of that polynomial.
 
 ``side_condition_block_walk`` decides the same side conditions on the
 coset of lower-right blocks of a canonicalised coset, at any direction
@@ -61,7 +64,7 @@ from ranklines.pencils import (
     det_pencil,
     minor_gcd,
 )
-from ranklines.polynomials import Poly, poly_gcd
+from ranklines.polynomials import Poly
 from ranklines.spaces import DEFAULT_ELEMENT_BUDGET, _iter_coset, transport, transport_rows
 
 
@@ -119,6 +122,54 @@ def _check_square_pair(M: Matrix, N: Matrix) -> None:
         raise ValueError("both matrices must be square of the same size")
 
 
+def poly_add(a: Poly, b: Poly) -> Poly:
+    f = a.field
+    if len(a.coeffs) < len(b.coeffs):
+        a, b = b, a
+    out = list(a.coeffs)
+    for i, c in enumerate(b.coeffs):
+        out[i] = f.add(out[i], c)
+    return Poly.from_coeffs(f, out)
+
+
+def poly_sub(a: Poly, b: Poly) -> Poly:
+    f = b.field
+    return poly_add(a, Poly(f, tuple(f.neg(c) for c in b.coeffs)))
+
+
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    f = a.field
+    out = [f.zero] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = f.add(out[i + j], f.mul(x, y))
+    return Poly.from_coeffs(f, out)
+
+
+def poly_rem(a: Poly, b: Poly) -> Poly:
+    """The remainder of a on long division by a nonzero b."""
+    f, lb = a.field, len(b.coeffs)
+    inv = f.inv(b.coeffs[-1])
+    rem = list(a.coeffs)
+    while len(rem) >= lb:  # cancel the leading term, then strip the zeros it leaves
+        q, shift = f.mul(rem[-1], inv), len(rem) - lb
+        for j, y in enumerate(b.coeffs):
+            rem[shift + j] = f.sub(rem[shift + j], f.mul(q, y))
+        rem = list(Poly.from_coeffs(f, rem).coeffs)
+    return Poly(f, tuple(rem))
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by the Euclidean algorithm; zero iff a and b are both zero."""
+    while not b.is_zero:
+        a, b = b, poly_rem(a, b)
+    if a.is_zero:
+        return a
+    f = a.field
+    inv = f.inv(a.coeffs[-1])
+    return Poly.from_coeffs(f, [f.mul(inv, c) for c in a.coeffs])
+
+
 def _pencil_entries(A: Matrix, N: Matrix) -> list[list[Poly]]:
     """The entries a + t*b of A + tN as polynomials over K[t]."""
     f = A.field
@@ -130,27 +181,27 @@ def _det_cofactor(entries: list[list[Poly]], field: FieldDesc) -> Poly:
     """Determinant over K[t] by Laplace expansion along the first column."""
     n = len(entries)
     if n == 0:
-        return Poly.constant(field, field.one)
+        return Poly(field, (field.one,))
     if n == 1:
         return entries[0][0]
     if n == 2:
         (a, b), (c, d) = entries
-        return a * d - b * c
-    total = Poly.zero(field)
+        return poly_sub(poly_mul(a, d), poly_mul(b, c))
+    total = Poly(field, ())
     for i in range(n):
         pivot = entries[i][0]
         if pivot.is_zero:
             continue
         sub = [row[1:] for k, row in enumerate(entries) if k != i]
-        term = pivot * _det_cofactor(sub, field)
-        total = total + term if i % 2 == 0 else total - term
+        term = poly_mul(pivot, _det_cofactor(sub, field))
+        total = poly_add(total, term) if i % 2 == 0 else poly_sub(total, term)
     return total
 
 
 def minor_gcd_laplace(A: Matrix, N: Matrix) -> Poly:
     """Monic gcd of the maximal minors of A + tN, each expanded by cofactors over K[t]."""
     entries = _pencil_entries(A, N)
-    g = Poly.zero(A.field)
+    g = Poly(A.field, ())
     for rows in combinations(entries, A.ncols):
         g = poly_gcd(g, _det_cofactor(list(rows), A.field))
     return g

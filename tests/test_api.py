@@ -1,8 +1,10 @@
-"""The public names of the package are pinned, so growing the API is a deliberate edit."""
+"""The public names of the package, and the members of ``Poly``, are pinned, so growing
+the API is a deliberate edit."""
 
 from __future__ import annotations
 
 import types
+from dataclasses import dataclass, fields
 
 import ranklines
 
@@ -16,7 +18,7 @@ PUBLIC_NAMES = [
     "canonical_N", "classify_line", "constant_det_witness_search", "count_subspaces",
     "default_rank_range", "det", "det_pencil", "enumerate_affine", "enumerate_subspaces",
     "expected_total", "flanders_extremal", "from_generators", "lemma1_witness",
-    "line_full_rank", "minor_gcd", "parse_field", "parse_subspace_text", "poly_gcd",
+    "line_full_rank", "minor_gcd", "parse_field", "parse_subspace_text",
     "random_affine", "random_invertible", "random_matrix", "random_subspace", "rank",
     "rational_roots", "remark1_example", "remark2_f2_example", "replay_failure",
     "run_campaign", "sharpness_example", "to_rank_normal_form", "transport", "unvectorize",
@@ -29,3 +31,20 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(ranklines).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+# Poly is a value with no K[t] arithmetic: its fields and what it adds to a
+# bare frozen dataclass are pinned, so an operator cannot come back unnoticed.
+POLY_SURFACE = ["__call__", "__str__", "coeffs", "degree", "field", "from_coeffs", "is_zero"]
+
+
+@dataclass(frozen=True)
+class _Bare:
+    field: object
+    coeffs: tuple
+
+
+def test_poly_members_are_pinned():
+    Poly = ranklines.Poly
+    added = set(vars(Poly)) - set(vars(_Bare))
+    assert sorted(added | {f.name for f in fields(Poly)}) == POLY_SURFACE

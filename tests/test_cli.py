@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from ranklines import cli
 from ranklines.cli import _parse_int_list, _UsageError, main
 from ranklines.fields import GF
 from ranklines.lines import WitnessCertificate
@@ -200,6 +201,18 @@ def test_verify_main_small_campaign(workdir, capsys):
     assert rep.spec.rank_range == (0, 1)  # defaulted to all r < p
 
 
+def test_verify_unwritable_out_exits_two_before_the_campaign(workdir, capsys, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("the campaign ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_campaign", refuse)
+    code = main(["verify", "--theorem", "main", "--q", "2", "--n", "2",
+                 "--out", str(workdir / "missing" / "r.json")])
+    assert code == 2
+    assert "error: cannot write" in capsys.readouterr().err
+    assert not (workdir / "missing").exists()
+
+
 def test_verify_text_format_to_stdout(capsys):
     code = main(["verify", "--theorem", "flanders", "--q", "2", "--n", "2",
                  "--p", "2", "--codim", "0-2", "--rank", "1",
@@ -303,6 +316,22 @@ def test_gen_remark2_f2_is_parameterless(workdir, capsys):
     N = Matrix.from_text((workdir / "remark2-f2_N.txt").read_text())
     assert space.codim == 1
     assert N == canonical_N(F2, 3, 3, 2)
+
+
+def test_gen_out_that_is_a_file_exits_two(workdir, capsys):
+    taken = workdir / "taken"
+    taken.write_text("keep")
+    code = main(["gen", "--example", "remark2-f2", "--out", str(taken)])
+    assert code == 2
+    assert "error: cannot write" in capsys.readouterr().err
+    assert taken.read_text() == "keep"
+
+
+def test_gen_remark2_f2_refuses_other_fields(workdir, capsys):
+    code = main(["gen", "--example", "remark2-f2", "--field", "gf 3", "--out", str(workdir)])
+    assert code == 2
+    assert "gf 2 only" in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
 
 
 def test_gen_missing_required_parameter_exits_two(workdir, capsys):

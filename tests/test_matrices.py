@@ -227,7 +227,7 @@ def test_det_modp_matches_the_integer_route():
             if n:
                 cases.append(_deficient(field, n, n, rng))
             for A in cases:
-                expected = det_pencil(A, zero).coeff(0)
+                expected = det_pencil(A, zero)(0)
                 assert _det_modp(A.rows, field.modulus) == expected, (field, A)
                 assert det(A).value == expected
             if n:

@@ -23,7 +23,13 @@ from ranklines.pencils import (
 )
 from ranklines.polynomials import Poly
 
-from oracles import _det_cofactor, _pencil_entries, classify_line_by_ranks, minor_gcd_laplace
+from oracles import (
+    _det_cofactor,
+    _pencil_entries,
+    classify_line_by_ranks,
+    minor_gcd_laplace,
+    poly_rem,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -54,7 +60,7 @@ def test_det_pencil_swap_with_corner_direction():
 def test_det_pencil_zero_direction_is_plain_det():
     A = Matrix.from_rows(F5, [[2, 1], [1, 3]])
     p = det_pencil(A, Matrix.zeros(F5, 2, 2))
-    assert p.is_constant and p.coeff(0) == 0  # det = 6-1 = 5 = 0 mod 5
+    assert p.is_zero  # det = 6-1 = 5 = 0 mod 5
 
 
 def test_det_pencil_requires_square_matching_shapes():
@@ -111,7 +117,7 @@ def test_det_pencil_monic_on_remark1_hyperplane():
                 A = Matrix.from_rows(field, rows)
                 p = det_pencil(A, N)
                 assert p.degree == n - 1
-                assert p.leading() == field.one
+                assert p.coeffs[-1] == field.one
 
 
 def _rational_lines(rng: random.Random):
@@ -148,7 +154,7 @@ def _rational_lines(rng: random.Random):
 
 def test_rational_pencils_match_the_laplace_oracles(monkeypatch):
     # det_pencil and minor_gcd interpolate integer determinants over Q;
-    # Laplace over Q[t], and the poly_gcd fold, are the oracles.
+    # Laplace over Q[t], and the oracle's poly_gcd fold, are the oracles.
     lines = list(_rational_lines(random.Random(73)))
     assert any(A.is_square and A.nrows == 6 and det_pencil(A, N).degree == 6 for A, N in lines)
     _assert_pencils_match_the_laplace_oracles(lines, lines, monkeypatch)
@@ -216,21 +222,6 @@ def test_finite_classification_matches_the_rank_at_every_t():
                                                 NONCONSTANT_NO_ROOT, HAS_ROOT}
 
 
-def test_finite_pencils_use_no_polynomial_arithmetic(monkeypatch):
-    # The GF(p) pencils stay in integers; no sum or product over K[t].
-    rng = random.Random(89)
-    square = random_matrix(F3, 5, 5, rng), random_matrix(F3, 5, 5, rng)
-    tall = random_matrix(F3, 5, 3, rng), random_matrix(F3, 5, 3, rng)
-    expected = _det_cofactor(_pencil_entries(*square), F3), minor_gcd_laplace(*tall)
-
-    def refuse(self, other):
-        raise AssertionError("polynomial arithmetic in a GF(p) pencil")
-
-    for name in ("__mul__", "__add__", "divmod"):  # divmod: the Poly gcd's remainders
-        monkeypatch.setattr(Poly, name, refuse)
-    assert (det_pencil(*square), minor_gcd(*tall)) == expected
-
-
 # ------------------------------------------------------------------- minor_gcd
 
 
@@ -257,7 +248,10 @@ def test_minor_gcd_square_case_matches_monic_determinant():
             N = random_matrix(field, n, n, rng)
             d = det_pencil(A, N)
             g = minor_gcd(A, N)
-            assert g == d.monic()
+            if d.is_zero:
+                assert g.is_zero
+            else:
+                assert g.coeffs == tuple(field.div(c, d.coeffs[-1]) for c in d.coeffs)
 
 
 def test_minor_gcd_divides_every_maximal_minor():
@@ -276,8 +270,8 @@ def test_minor_gcd_divides_every_maximal_minor():
                 if g.is_zero:
                     assert minor.is_zero
                 else:
-                    assert (minor % g).is_zero
-            assert g.is_zero or g.leading() == field.one
+                    assert poly_rem(minor, g).is_zero
+            assert g.is_zero or g.coeffs[-1] == field.one
 
 
 def test_minor_gcd_rejects_wide_matrices():
@@ -357,7 +351,7 @@ def test_classification_matches_brute_force_over_small_fields():
                 assert drops and res.witness.value == drops[0]
             else:
                 assert not drops
-                is_const = res.poly.is_constant
+                is_const = res.poly.degree <= 0
                 assert (res.classification == CONSTANT_NONZERO) == is_const
 
 
@@ -412,7 +406,7 @@ def test_classify_rational_spot_checks_rank():
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0)])
 def test_empty_pencils_are_constant_one(field, shape):
     Z = Matrix.zeros(field, *shape)
-    one = Poly.constant(field, 1)
+    one = Poly(field, (field.one,))
     if Z.is_square:
         assert det_pencil(Z, Z) == one
     assert minor_gcd(Z, Z) == one
@@ -443,5 +437,5 @@ def test_block_triangular_pencil_factors():
             M = Matrix.from_rows(field, rows)
             N = canonical_N(field, n, n, n - 1)
             lhs = det_pencil(M, N)
-            rhs = det_pencil(P, Matrix.identity(field, n - 1)).scale(d)
-            assert lhs == rhs
+            rhs = det_pencil(P, Matrix.identity(field, n - 1))
+            assert lhs == Poly.from_coeffs(field, [field.mul(d, c) for c in rhs.coeffs])

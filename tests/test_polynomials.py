@@ -1,4 +1,7 @@
-"""Univariate polynomial arithmetic, printing, gcd, and rational roots."""
+"""The Poly value, printing, the gcds over GF(p), and rational roots.
+
+The K[t] arithmetic these tests build inputs with is the oracle's, from
+``tests/oracles.py``; ``Poly`` itself has none."""
 
 from __future__ import annotations
 
@@ -11,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranklines.fields import GF, RATIONALS
-from ranklines.polynomials import NEG_INF, Poly, _gcd_modp, poly_gcd, rational_roots
+from ranklines.polynomials import NEG_INF, Poly, _gcd_modp, rational_roots
+
+from oracles import poly_add, poly_gcd, poly_mul, poly_rem, poly_sub
 
 F2 = GF(2)
 F5 = GF(5)
@@ -19,6 +24,21 @@ F5 = GF(5)
 
 def _poly(field, *coeffs):
     return Poly.from_coeffs(field, coeffs)
+
+
+def _product(*factors: Poly) -> Poly:
+    out = factors[0]
+    for f in factors[1:]:
+        out = poly_mul(out, f)
+    return out
+
+
+T = _poly(RATIONALS, 0, 1)
+ONE = _poly(RATIONALS, 1)
+
+
+def _scale(p: Poly, c) -> Poly:
+    return Poly.from_coeffs(p.field, [p.field.mul(p.field.normalize(c), a) for a in p.coeffs])
 
 
 def test_trailing_zeros_are_stripped():
@@ -29,29 +49,57 @@ def test_trailing_zeros_are_stripped():
 
 
 def test_degree_of_zero_is_minus_infinity():
-    z = Poly.zero(F5)
-    assert z.degree == NEG_INF
+    z = Poly(F5, ())
+    assert z.is_zero and z.degree == NEG_INF
     assert z.degree < 0
-    assert Poly.constant(F5, 3).degree == 0
-    assert Poly.t(F5).degree == 1
+    assert _poly(F5, 3).degree == 0
+    assert _poly(F5, 0, 1).degree == 1
+
+
+# The K[t] arithmetic below is the oracle's (tests/oracles.py): the Laplace
+# oracles of det_pencil and minor_gcd stand on it.
 
 
 def test_addition_and_cancellation():
     a = _poly(F5, 1, 4)  # 1 + 4t
     b = _poly(F5, 2, 1)  # 2 + t
-    assert (a + b).coeffs == (3,)
-    assert (a - a).is_zero
-    assert (-a).coeffs == (4, 1)
+    assert poly_add(a, b).coeffs == (3,)
+    assert poly_sub(a, a).is_zero
+    assert poly_sub(Poly(F5, ()), a).coeffs == (4, 1)
 
 
 def test_multiplication_known_product():
     a = _poly(F5, 1, 1)
     # (1 + t)^2 = 1 + 2t + t^2
-    assert (a * a).coeffs == (1, 2, 1)
-    two = Poly.constant(F5, 2)
-    assert (a * two).coeffs == (2, 2)
-    assert (a * Poly.zero(F5)).is_zero
-    assert a.scale(3).coeffs == (3, 3)
+    assert poly_mul(a, a).coeffs == (1, 2, 1)
+    assert poly_mul(a, _poly(F5, 2)).coeffs == (2, 2)
+    assert poly_mul(a, Poly(F5, ())).is_zero
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_divmod_identity_over_gf5(da, db, data):
+    # r = a mod b iff deg r < deg b and b divides a - r.
+    a = _poly(F5, *[data.draw(st.integers(0, 4)) for _ in range(da + 1)])
+    b_coeffs = [data.draw(st.integers(0, 4)) for _ in range(db)]
+    b = _poly(F5, *(b_coeffs + [data.draw(st.integers(1, 4))]))
+    r = poly_rem(a, b)
+    assert r.degree < b.degree
+    assert poly_rem(poly_sub(a, r), b).is_zero
+    assert poly_rem(poly_add(poly_mul(a, b), r), b) == r
+
+
+def test_divmod_with_rational_leading_coefficient():
+    a = _poly(RATIONALS, -1, 0, 1)          # t^2 - 1
+    b = _poly(RATIONALS, Fraction(1, 2), Fraction(1, 2))  # (t + 1)/2
+    assert poly_rem(a, b).is_zero
+    assert poly_rem(a, _poly(RATIONALS, Fraction(1, 2), 1)) == _poly(RATIONALS, Fraction(-3, 4))
+
+
+def test_monic_normalization():
+    # The oracle's gcd with zero is its argument made monic.
+    assert poly_gcd(_poly(F5, 2, 4), Poly(F5, ())).coeffs == (3, 1)
+    assert poly_gcd(Poly(F5, ()), Poly(F5, ())).is_zero
 
 
 def test_call_evaluates_by_horner():
@@ -61,47 +109,15 @@ def test_call_evaluates_by_horner():
     assert q(Fraction(1, 2)) == 0
 
 
-@given(st.integers(0, 4), st.integers(0, 4), st.data())
-@settings(max_examples=80, deadline=None)
-def test_divmod_identity_over_gf5(da, db, data):
-    a = _poly(F5, *[data.draw(st.integers(0, 4)) for _ in range(da + 1)])
-    b_coeffs = [data.draw(st.integers(0, 4)) for _ in range(db)]
-    b = _poly(F5, *(b_coeffs + [data.draw(st.integers(1, 4))]))
-    q, r = a.divmod(b)
-    assert q * b + r == a
-    assert r.degree < b.degree
-    assert a % b == r and a // b == q
-
-
-def test_divmod_rejects_zero_divisor():
-    with pytest.raises(ZeroDivisionError):
-        Poly.t(F5).divmod(Poly.zero(F5))
-
-
-def test_divmod_with_rational_leading_coefficient():
-    a = _poly(RATIONALS, -1, 0, 1)          # t^2 - 1
-    b = _poly(RATIONALS, Fraction(1, 2), Fraction(1, 2))  # (t + 1)/2
-    q, r = a.divmod(b)
-    assert r.is_zero
-    assert q.coeffs == (-2, 2)  # 2t - 2
-
-
-def test_monic_normalization():
-    p = _poly(F5, 2, 4)
-    assert p.monic().coeffs == (3, 1)
-    assert Poly.zero(F5).monic().is_zero
-
-
 def test_gcd_examples():
-    t = Poly.t(RATIONALS)
-    one = Poly.constant(RATIONALS, 1)
-    a = (t - one) * (t + one)
-    b = (t - one) * (t - one)
+    a = poly_mul(poly_sub(T, ONE), poly_add(T, ONE))
+    b = poly_mul(poly_sub(T, ONE), poly_sub(T, ONE))
     g = poly_gcd(a, b)
     assert g.coeffs == (-1, 1)  # t - 1, monic
-    assert poly_gcd(a, Poly.zero(RATIONALS)) == a.monic()
-    assert poly_gcd(Poly.zero(F2), Poly.zero(F2)).is_zero
-    coprime = poly_gcd(t, t + one)
+    assert poly_gcd(a, Poly(RATIONALS, ())) == a  # t^2 - 1 is monic already
+    assert poly_gcd(_scale(a, 3), Poly(RATIONALS, ())) == a
+    assert poly_gcd(Poly(F2, ()), Poly(F2, ())).is_zero
+    coprime = poly_gcd(T, poly_add(T, ONE))
     assert coprime.coeffs == (1,)
 
 
@@ -115,8 +131,8 @@ def test_gcd_divides_both_arguments(data):
     if g.is_zero:
         assert a.is_zero and b.is_zero
     else:
-        assert (a % g).is_zero and (b % g).is_zero
-        assert g.leading() == 1
+        assert poly_rem(a, g).is_zero and poly_rem(b, g).is_zero
+        assert g.coeffs[-1] == 1
 
 
 @given(st.sampled_from((2, 3, 5, 65521)), st.data())
@@ -133,9 +149,9 @@ def test_integer_list_gcd_mod_p_matches_poly_gcd(p, data):
 
 
 def test_str_rendering():
-    assert str(Poly.zero(F5)) == "0"
-    assert str(Poly.constant(F5, 3)) == "3"
-    assert str(Poly.t(F5)) == "t"
+    assert str(Poly(F5, ())) == "0"
+    assert str(_poly(F5, 3)) == "3"
+    assert str(_poly(F5, 0, 1)) == "t"
     assert str(_poly(F5, 1, 1, 1)) == "1 + t + t^2"
     assert str(_poly(F5, 1, 0, 2)) == "1 + 2*t^2"
     assert str(_poly(F5, 0, 0, 0, 1)) == "t^3"
@@ -147,49 +163,44 @@ def test_str_rendering():
 
 
 def test_rational_roots_examples():
-    t = Poly.t(RATIONALS)
-    one = Poly.constant(RATIONALS, 1)
-    assert rational_roots((t - one) * (t + one)) == [1, -1]
+    assert rational_roots(_poly(RATIONALS, -1, 0, 1)) == [1, -1]  # (t - 1)(t + 1)
     assert rational_roots(_poly(RATIONALS, 1, 0, 1)) == []  # t^2 + 1
     assert rational_roots(_poly(RATIONALS, -3, 2)) == [Fraction(3, 2)]
-    assert rational_roots(t * t) == [0]
-    assert rational_roots(one) == []
+    assert rational_roots(_poly(RATIONALS, 0, 0, 1)) == [0]
+    assert rational_roots(ONE) == []
 
 
 def test_rational_roots_rejects_zero_polynomial():
     with pytest.raises(ValueError):
-        rational_roots(Poly.zero(RATIONALS))
+        rational_roots(Poly(RATIONALS, ()))
 
 
 def test_rational_roots_ordering():
     # roots 1, -1, 1/2, 2 from (t-1)(t+1)(2t-1)(t-2); the ordering key is
     # (|num| + den, sign, |num|) so 1 < -1 < 1/2 < 2.
-    t = Poly.t(RATIONALS)
-    c = lambda v: Poly.constant(RATIONALS, v)  # noqa: E731
-    p = (t - c(1)) * (t + c(1)) * (c(2) * t - c(1)) * (t - c(2))
+    p = _product(_poly(RATIONALS, -1, 1), _poly(RATIONALS, 1, 1),
+                 _poly(RATIONALS, -1, 2), _poly(RATIONALS, -2, 1))
     assert rational_roots(p) == [1, -1, Fraction(1, 2), 2]
 
 
 def test_rational_roots_with_fractional_coefficients():
     # (t - 2/3)(t + 5) scaled by 1/7; clearing denominators must not lose roots.
-    t = Poly.t(RATIONALS)
-    p = (t - Poly.constant(RATIONALS, Fraction(2, 3))) * (t + Poly.constant(RATIONALS, 5))
-    p = p.scale(Fraction(1, 7))
+    p = poly_mul(_poly(RATIONALS, Fraction(-2, 3), 1), _poly(RATIONALS, 5, 1))
+    p = _scale(p, Fraction(1, 7))
     assert sorted(rational_roots(p)) == [-5, Fraction(2, 3)]
 
 
 def test_rational_roots_random_products_recovered():
     rng = random.Random(31)
-    t = Poly.t(RATIONALS)
     for _ in range(25):
         roots = set()
-        p = Poly.constant(RATIONALS, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        p = _poly(RATIONALS, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
         for _ in range(rng.randint(1, 3)):
             r = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             roots.add(r)
-            p = p * (t - Poly.constant(RATIONALS, r))
+            p = poly_mul(p, _poly(RATIONALS, -r, 1))
         # multiply in an irreducible quadratic so spurious roots would show up
-        p = p * _poly(RATIONALS, 1, 0, 1)
+        p = poly_mul(p, _poly(RATIONALS, 1, 0, 1))
         assert set(rational_roots(p)) == roots
 
 
@@ -246,27 +257,25 @@ def _oracle_inputs(seed: int, count: int, max_root: int) -> list[Poly]:
     small coefficients.
     """
     rng = random.Random(seed)
-    t = Poly.t(RATIONALS)
-    c = lambda v: Poly.constant(RATIONALS, v)  # noqa: E731
     out = []
     for i in range(count):
         scalar = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
         if i % 10 == 0:
-            out.append(c(scalar))
+            out.append(_poly(RATIONALS, scalar))
             continue
         if i % 5 == 0:
             coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [rng.randint(1, 9)]
-            out.append(_poly(RATIONALS, *coeffs).scale(scalar))
+            out.append(_scale(_poly(RATIONALS, *coeffs), scalar))
             continue
-        p = c(scalar)
+        p = _poly(RATIONALS, scalar)
         for _ in range(rng.choice([0, 0, 1, 2, 3])):
-            p = p * t
+            p = poly_mul(p, T)
         for _ in range(rng.randint(0, 3)):
             root = Fraction(rng.randint(-max_root, max_root), rng.randint(1, 3))
             for _ in range(rng.choice([1, 1, 2, 3])):
-                p = p * (c(root.denominator) * t - c(root.numerator))
+                p = poly_mul(p, _poly(RATIONALS, -root.numerator, root.denominator))
         if rng.random() < 0.4:
-            p = p * _poly(RATIONALS, *rng.choice(_IRREDUCIBLE_QUADRATICS))
+            p = poly_mul(p, _poly(RATIONALS, *rng.choice(_IRREDUCIBLE_QUADRATICS)))
         out.append(p)
     return out
 
@@ -292,17 +301,16 @@ def test_rational_roots_match_sympy():
 def test_rational_roots_large_constant_terms():
     # Trial division needs ~2^24 and ~2^60 steps here; the p-adic search
     # is polynomial in the bit size.
-    t = Poly.t(RATIONALS)
-    c = lambda v: Poly.constant(RATIONALS, v)  # noqa: E731
-    p48 = (t - c(281474976710597)) * (t * t + c(1))  # 2^48 - 59 is prime
-    assert abs(p48.coeff(0)).numerator.bit_length() == 48
+    p48 = poly_mul(_poly(RATIONALS, -281474976710597, 1), _poly(RATIONALS, 1, 0, 1))  # 2^48 - 59 is prime
+    assert abs(p48.coeffs[0]).numerator.bit_length() == 48
     assert rational_roots(p48) == [281474976710597]
     primes = (1073741789, 1073741827, 1073741831, 1073741833)  # four primes near 2^30
-    p120 = (c(3) * t - c(primes[0] * primes[1])) * (t + c(primes[2] * primes[3])) * (t * t + t + c(1))
-    assert abs(p120.coeff(0)).numerator.bit_length() == 120
+    p120 = _product(_poly(RATIONALS, -primes[0] * primes[1], 3), _poly(RATIONALS, primes[2] * primes[3], 1),
+                    _poly(RATIONALS, 1, 1, 1))
+    assert abs(p120.coeffs[0]).numerator.bit_length() == 120
     assert rational_roots(p120) == [Fraction(primes[0] * primes[1], 3), -primes[2] * primes[3]]
 
 
 def test_roots_only_supported_over_rationals():
     with pytest.raises(ValueError):
-        rational_roots(Poly.t(F5))
+        rational_roots(_poly(F5, 0, 1))

@@ -535,6 +535,15 @@ def test_parse_subspace_rejects_garbage():
         parse_subspace_text("field gf 2\nsize 1 1\ndim 1 2\n1\n")
 
 
+@pytest.mark.parametrize("value", ["-1", "+1", "1x", ""], ids=repr)
+def test_dim_line_follows_the_size_line_rule(value):
+    # One rule and one message for both header counts: a non-negative decimal.
+    with pytest.raises(ValueError, match="bad dim line .*: expected one non-negative integer"):
+        parse_subspace_text(f"field gf 2\nsize 1 1\ndim {value}\n1\n")
+    with pytest.raises(ValueError, match="bad size line .*: expected two non-negative integers"):
+        parse_subspace_text(f"field gf 2\nsize 1 {value}\ndim 1\n1\n")
+
+
 def test_rational_space_text_round_trip():
     shape = _shape(RATIONALS, 2, 2)
     s = from_generators(shape, [Matrix.from_rows(RATIONALS, [[1, 0], [0, 0]])])

@@ -331,6 +331,24 @@ def test_interrupt_gives_incomplete_report_of_a_prefix(workers):
     assert rep.case_order_hash == h.hexdigest()
 
 
+def test_interrupted_run_with_a_failure_is_failed(monkeypatch):
+    # The broken transport of test_conjugate_mismatch_records_replay plants
+    # failures; the run stops after the first.  A counterexample refutes the
+    # claim, so the verdict is failed, as the CLI's exit code 1 says.
+    monkeypatch.setattr(verify, "transport",
+                        lambda space, P, Q: from_generators(space.shape, []))
+
+    def on_case(idx, codim, r, verdict):
+        if verdict == verify.FAILED:
+            raise KeyboardInterrupt
+
+    rep = run_campaign(_spec(codims=(1,), rank_range=(1,), random_conjugates=1), on_case=on_case)
+    assert rep.incomplete and len(rep.failures) == 1
+    assert rep.verdict == "failed"
+    assert json.loads(rep.to_json())["verdict"] == "failed"
+    assert "verdict      FAILED" in rep.summary_text().splitlines()
+
+
 # ---------------------------------------------------------------- determinism
 
 
