@@ -33,7 +33,7 @@ from .lines import (
 )
 from .matrices import Matrix, canonical_N
 from .pencils import det_pencil
-from .spaces import BudgetExceededError, parse_subspace_text
+from .spaces import DEFAULT_ELEMENT_BUDGET, BudgetExceededError, parse_subspace_text
 from .verify import (
     THEOREMS,
     CampaignSpec,
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subspaces per codimension in sample mode")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--element-budget", type=int, default=1 << 24)
+    p.add_argument("--element-budget", type=int, default=DEFAULT_ELEMENT_BUDGET)
     p.add_argument("--random-conjugates", type=int, default=0,
                    help="re-test each case under this many random equivalences")
     p.add_argument("--allow-out-of-hypothesis", action="store_true",

@@ -20,7 +20,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 from operator import mul
 
@@ -80,48 +80,35 @@ class CampaignSpec:
     def to_json_obj(self) -> dict:
         # workers is an execution knob, not campaign identity: reports must
         # not differ between serial and parallel runs.
-        return {
-            "theorem": self.theorem,
-            "field": str(self.field),
-            "n": self.n,
-            "p": self.p,
-            "codims": list(self.codims),
-            "rank_range": list(self.rank_range),
-            "mode": self.mode,
-            "samples": self.samples,
-            "seed": self.seed,
-            "element_budget": self.element_budget,
-            "random_conjugates": self.random_conjugates,
-            "allow_out_of_hypothesis": self.allow_out_of_hypothesis,
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
+        obj.update(field=str(self.field), codims=list(self.codims),
+                   rank_range=list(self.rank_range))
+        return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CampaignSpec":
-        return cls(
-            theorem=obj["theorem"],
-            field=parse_field(obj["field"]),
-            n=obj["n"],
-            p=obj["p"],
-            codims=tuple(obj["codims"]),
-            rank_range=tuple(obj["rank_range"]),
-            mode=obj["mode"],
-            samples=obj["samples"],
-            seed=obj["seed"],
-            element_budget=obj["element_budget"],
-            random_conjugates=obj["random_conjugates"],
-            allow_out_of_hypothesis=obj["allow_out_of_hypothesis"],
-        )
+        kw = {f.name: obj[f.name] for f in fields(cls) if f.name != "workers"}
+        kw.update(field=parse_field(kw["field"]), codims=tuple(kw["codims"]),
+                  rank_range=tuple(kw["rank_range"]))
+        return cls(**kw)
+
+
+def _allowed_ranks(theorem: str, n: int, p: int) -> range:
+    """The direction ranks (for flanders, the rank bounds) a claim holds for."""
+    if theorem == "flanders":
+        return range(p + 1)
+    if theorem == "main":
+        return range(p)
+    if theorem == "square":
+        return range(n)
+    return range(n - 1, n)  # pencil and both remark2 modes: corank-one directions
 
 
 def default_rank_range(theorem: str, n: int, p: int) -> tuple[int, ...]:
     """The direction ranks a campaign sweeps when none are given explicitly."""
-    if theorem == "main":
-        return tuple(range(p))
-    if theorem == "square":
-        return tuple(range(n))
-    if theorem in ("pencil", "remark2-strong", "remark2-conjecture"):
-        return (n - 1,)
-    raise CampaignSpecError(f"theorem {theorem!r} needs an explicit rank range")
+    if theorem == "flanders" or theorem not in THEOREMS:
+        raise CampaignSpecError(f"theorem {theorem!r} needs an explicit rank range")
+    return tuple(_allowed_ranks(theorem, n, p))
 
 
 def _in_hypothesis_codim(spec: CampaignSpec, codim: int) -> bool:
@@ -152,6 +139,9 @@ def validate_spec(spec: CampaignSpec) -> None:
         problems.append("at least one codimension is required")
     if not spec.rank_range:
         problems.append("at least one direction rank is required")
+    for what, values in (("codimension", spec.codims), ("rank", spec.rank_range)):
+        if len(set(values)) < len(values):
+            problems.append(f"a {what} is listed twice in {list(values)}")
     m = spec.n * spec.p
     for c in spec.codims:
         if not 0 <= c <= m:
@@ -161,34 +151,22 @@ def validate_spec(spec: CampaignSpec) -> None:
                             "pass allow_out_of_hypothesis to sweep it anyway")
     if problems:
         raise CampaignSpecError("; ".join(problems))
-    if spec.theorem in ("pencil", "square", "remark2-strong", "remark2-conjecture"):
-        if spec.n != spec.p:
-            problems.append(f"theorem {spec.theorem} needs square matrices, got {spec.n}x{spec.p}")
-    if spec.theorem == "main":
-        if spec.p < 2:
-            problems.append("the main claim needs p >= 2")
-        for r in spec.rank_range:
-            if not 0 <= r < spec.p:
-                problems.append(f"direction rank {r} must satisfy 0 <= r < p = {spec.p}")
-    elif spec.theorem == "flanders":
-        for r in spec.rank_range:
-            if not 0 <= r <= spec.p:
-                problems.append(f"rank bound {r} outside [0, {spec.p}]")
-    elif spec.theorem == "square":
-        for r in spec.rank_range:
-            if not 0 <= r <= spec.n - 1:
-                problems.append(f"direction rank {r} must satisfy 0 <= r <= n-1 = {spec.n - 1}")
-    else:  # pencil and both remark2 modes require corank-one directions
-        for r in spec.rank_range:
-            if r != spec.n - 1:
-                problems.append(f"direction rank must be n-1 = {spec.n - 1}, got {r}")
-        if spec.theorem == "remark2-strong" and spec.field.order < 3:
-            problems.append("the strong constant-determinant claim needs at least 3 field elements")
-        if spec.theorem == "remark2-conjecture":
-            if spec.field.order != 2:
-                problems.append("conjecture mode is specific to the 2-element field")
-            if spec.n <= 3:
-                problems.append("conjecture mode needs n > 3 (n = 3 has a known counterexample)")
+    allowed = _allowed_ranks(spec.theorem, spec.n, spec.p)
+    for r in spec.rank_range:
+        if r not in allowed:
+            problems.append(f"rank {r} outside [{allowed[0]}, {allowed[-1]}] "
+                            f"for theorem {spec.theorem}")
+    if spec.theorem in AFFINE_THEOREMS and spec.n != spec.p:
+        problems.append(f"theorem {spec.theorem} needs square matrices, got {spec.n}x{spec.p}")
+    if spec.theorem == "main" and spec.p < 2:
+        problems.append("the main claim needs p >= 2")
+    if spec.theorem == "remark2-strong" and spec.field.order < 3:
+        problems.append("the strong constant-determinant claim needs at least 3 field elements")
+    if spec.theorem == "remark2-conjecture":
+        if spec.field.order != 2:
+            problems.append("conjecture mode is specific to the 2-element field")
+        if spec.n <= 3:
+            problems.append("conjecture mode needs n > 3 (n = 3 has a known counterexample)")
     if problems:
         raise CampaignSpecError("; ".join(problems))
 
@@ -492,41 +470,38 @@ class VerificationReport:
 
 
 def run_campaign(spec: CampaignSpec, on_case=None) -> VerificationReport:
-    """Execute a campaign and aggregate the report.
+    """Execute a campaign, folding each case into the report as it arrives.
 
     ``on_case(index, codim, r, verdict)`` is invoked per case in index
-    order, with any worker count; campaigns with workers > 1 partition the
-    case index range over processes and merge in order.  An interrupt
-    gives an ``incomplete`` report of the cases judged so far.
+    order, once the case is folded, with any worker count; campaigns with
+    workers > 1 partition the case index range over processes and merge in
+    order.  An interrupt gives an ``incomplete`` report of the cases judged
+    so far.
     """
     validate_spec(spec)
     start = time.monotonic()
     cases = _judge(spec) if spec.workers == 1 else _judge_in_pool(spec)
-    results = []
-    incomplete = False
-    try:
-        for result in cases:
-            results.append(result)
-            if on_case is not None:
-                on_case(*result[:4])
-    except KeyboardInterrupt:
-        incomplete = True
-    elapsed = int((time.monotonic() - start) * 1000)
     h = hashlib.sha256()
     passed = filtered = 0
     failures: list[CaseRecord] = []
     findings: list[CaseRecord] = []
-    for _idx, _codim, _r, verdict, record, digest in results:
-        h.update(digest)
-        if verdict == PASSED:
-            passed += 1
-        elif verdict == FILTERED:
-            filtered += 1
-        elif verdict == FAILED:
-            failures.append(record)
-        else:
-            findings.append(record)
-    return VerificationReport(spec, len(results), passed, filtered, tuple(failures),
+    incomplete = False
+    try:
+        for idx, codim, r, verdict, record, digest in cases:
+            h.update(digest)
+            if verdict == PASSED:
+                passed += 1
+            elif verdict == FILTERED:
+                filtered += 1
+            else:
+                (failures if verdict == FAILED else findings).append(record)
+            if on_case is not None:
+                on_case(idx, codim, r, verdict)
+    except KeyboardInterrupt:
+        incomplete = True
+    elapsed = int((time.monotonic() - start) * 1000)
+    total = passed + filtered + len(failures) + len(findings)
+    return VerificationReport(spec, total, passed, filtered, tuple(failures),
                               tuple(findings), h.hexdigest(), elapsed, incomplete)
 
 

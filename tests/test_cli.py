@@ -288,6 +288,15 @@ def test_verify_out_of_range_list_exits_two(flag, value, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_verify_repeated_list_value_exits_two(capsys):
+    code = main(["verify", "--theorem", "main", "--q", "2", "--n", "3", "--p", "2",
+                 "--codim", "1,1", "--rank", "0-1,1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "a codimension is listed twice in [1, 1]" in err
+    assert "a rank is listed twice in [0, 1, 1]" in err
+
+
 def test_int_list_bound_is_checked_before_a_range_is_built():
     with pytest.raises(_UsageError, match="codimension 1000000000 exceeds 9"):
         _parse_int_list("0-1000000000", 9, "codimension")

@@ -8,6 +8,7 @@ import json
 import os
 import random
 import resource
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -115,6 +116,35 @@ def test_validate_rejects_negative_random_conjugates():
     with pytest.raises(CampaignSpecError, match="random conjugates must be at least 0"):
         validate_spec(_spec(random_conjugates=-3))
     validate_spec(_spec(random_conjugates=0))
+
+
+def test_validate_refuses_a_repeated_codimension_or_rank():
+    with pytest.raises(CampaignSpecError, match=r"a codimension is listed twice in \[1, 1\]"):
+        validate_spec(_spec(codims=(1, 1)))
+    with pytest.raises(CampaignSpecError, match=r"a rank is listed twice in \[1, 0, 1\]"):
+        validate_spec(_spec(rank_range=(1, 0, 1)))
+
+
+@pytest.mark.parametrize("theorem", verify.THEOREMS)
+def test_one_rank_rule_bounds_every_theorem(theorem):
+    # The square claim families take n = p only, and the conjecture n > 3.
+    field = F3 if theorem == "remark2-strong" else F2
+    checked = 0
+    for n in range(2, 5):
+        for p in range(2, n + 1):
+            if (theorem in verify.AFFINE_THEOREMS and p != n) or \
+                    (theorem == "remark2-conjecture" and n <= 3):
+                continue
+            spec = CampaignSpec(theorem=theorem, field=field, n=n, p=p, codims=(0,),
+                                rank_range=(0,))
+            allowed = verify._allowed_ranks(theorem, n, p)
+            ranks = (p,) if theorem == "flanders" else default_rank_range(theorem, n, p)
+            validate_spec(dataclasses.replace(spec, rank_range=ranks))
+            for r in (allowed[0] - 1, allowed[-1] + 1):
+                with pytest.raises(CampaignSpecError, match=rf"rank {r} outside"):
+                    validate_spec(dataclasses.replace(spec, rank_range=(r,)))
+            checked += 1
+    assert checked
 
 
 # -------------------------------------------------------------- side condition
@@ -349,6 +379,27 @@ def test_interrupted_run_with_a_failure_is_failed(monkeypatch):
     assert "verdict      FAILED" in rep.summary_text().splitlines()
 
 
+def test_the_fold_streams(monkeypatch):
+    # 200,000 synthetic cases, made lazily: the run keeps no per-case result.
+    def judge(spec, lo=0, hi=None):
+        for i in range(200_000):
+            yield i, 1, 0, verify.PASSED, None, hashlib.sha256(i.to_bytes(4, "big")).digest()
+
+    monkeypatch.setattr(verify, "_judge", judge)
+    tracemalloc.start()
+    try:
+        rep = run_campaign(_spec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+    assert rep.total == rep.passed == 200_000
+    h = hashlib.sha256()
+    for *_case, digest in judge(None):
+        h.update(digest)
+    assert rep.case_order_hash == h.hexdigest()
+
+
 # ---------------------------------------------------------------- determinism
 
 
@@ -464,6 +515,23 @@ def test_workers_do_not_change_report_identity():
 
 
 # -------------------------------------------------------------- serialization
+
+
+def test_spec_codec_is_pinned():
+    spec = CampaignSpec(theorem="square", field=F3, n=3, p=3, codims=(1, 0), rank_range=(2, 1),
+                        mode="sample", samples=7, seed=5, workers=3, element_budget=999,
+                        random_conjugates=2, allow_out_of_hypothesis=True)
+    assert all(getattr(spec, f.name) != f.default for f in dataclasses.fields(spec))
+    obj = spec.to_json_obj()
+    assert list(obj.items()) == [
+        ("theorem", "square"), ("field", "gf 3"), ("n", 3), ("p", 3), ("codims", [1, 0]),
+        ("rank_range", [2, 1]), ("mode", "sample"), ("samples", 7), ("seed", 5),
+        ("element_budget", 999), ("random_conjugates", 2), ("allow_out_of_hypothesis", True),
+    ]
+    assert CampaignSpec.from_json_obj(obj) == dataclasses.replace(spec, workers=1)
+    for key in obj:  # every key is required on read
+        with pytest.raises(KeyError):
+            CampaignSpec.from_json_obj({k: v for k, v in obj.items() if k != key})
 
 
 def test_report_json_round_trip():
