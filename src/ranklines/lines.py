@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from operator import mul
 
 from .fields import FieldDesc, RawValue, Scalar
 from .matrices import (
@@ -263,8 +263,8 @@ def constant_det_witness_search(space, N: Matrix,
     For a direction other than canonical_N, the basis and base are mapped
     once by (P, Q) = to_rank_normal_form(N), which keeps the member order
     and, as det P * det Q != 0, constancy.  For n > 1 a constant
-    determinant needs a zero corner A[n-1][n-1] (see _constant_det), so
-    only that slice is walked, in the same order (spaces._zero_slice);
+    determinant needs a zero corner A[n-1][n-1], its t^(n-1) coefficient,
+    so only that slice is walked, in the same order (spaces._zero_slice);
     ``cases_examined`` still counts the members of the full order up to
     the witness, or all q^d of them.
     """
@@ -281,10 +281,6 @@ def constant_det_witness_search(space, N: Matrix,
     total = _coset_size(shape, d, DEFAULT_ELEMENT_BUDGET if budget is None else budget)
     pm = f.modulus
     last = n - 1
-    # The principal minors of sizes 3..n-1 through the last index; see
-    # _constant_det for sizes 1, 2 and n.
-    minors = [[idx + (last,) for idx in combinations(range(last), size - 1)]
-              for size in range(3, n)]
     basis, base = own_basis, own_base
     if N != canonical_N(f, n, n, rk):
         basis, base = transport_rows(space, *to_rank_normal_form(N))
@@ -296,7 +292,7 @@ def constant_det_witness_search(space, N: Matrix,
             return SearchOutcome(EXHAUSTED_NO_WITNESS, None, total)
     basis, base, lift = walk
     for s, a_rows in enumerate(_iter_coset(shape, basis, base, None)):
-        if _constant_det(a_rows, last, minors, pm):
+        if _constant_det(a_rows, last, pm):
             digits = lift(s)
             position = 0
             for c in digits:
@@ -306,21 +302,22 @@ def constant_det_witness_search(space, N: Matrix,
     return SearchOutcome(EXHAUSTED_NO_WITNESS, None, total)
 
 
-def _constant_det(rows, last: int, minors, pm: int) -> bool:
+def _constant_det(rows, last: int, pm: int) -> bool:
     """Is det(A + tN) a nonzero constant, for N = canonical_N of rank n-1
     and A with a zero corner A[n-1][n-1] (any A at n = 1)?
 
-    By multilinearity the coefficient of t^k is the sum of A's principal
-    minors of size n-k through index n-1, so the determinant is a nonzero
-    constant iff the sums of sizes 1..n-1 vanish and det A does not.  Size
-    1 is the corner entry, which the caller has made zero; then the size-2
-    sum is -sum_i A[i][n-1] * A[n-1][i].  At n = 2 size 2 is det A itself,
-    and at n = 1 so is size 1.
+    With A = [[B, u], [v, 0]], det(A + tN) = -v adj(B + tI) u is constant
+    iff the Markov parameters v B^k u vanish for k = 0..n-3 (Cayley-Hamilton;
+    Kailath, Linear Systems, 1980), and then it is det A.  k = 0 is the
+    corner sum; each later k costs one product w <- B w on the raw rows.
     """
     if last > 1 and sum(rows[i][last] * rows[last][i] for i in range(last)) % pm:
         return False
-    for sets in minors:
-        if sum(_det_modp(tuple(tuple(rows[i][j] for j in idx) for i in idx), pm)
-               for idx in sets) % pm:
-            return False
+    if last > 2:
+        head, v = rows[:last], rows[last]
+        w = [row[last] for row in head]
+        for _ in range(last - 2):
+            w = [sum(map(mul, row, w)) % pm for row in head]
+            if sum(map(mul, v, w)) % pm:
+                return False
     return _det_modp(rows, pm) != 0

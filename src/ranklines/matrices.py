@@ -430,8 +430,6 @@ def random_matrix(field: FieldDesc, nrows: int, ncols: int, rng: random.Random) 
 
 
 def random_invertible(field: FieldDesc, n: int, rng: random.Random) -> Matrix:
-    if n == 0:
-        return Matrix.identity(field, 0)
     while True:
         M = random_matrix(field, n, n, rng)
         if rank(M) == n:

@@ -381,26 +381,15 @@ def enumerate_subspaces(shape: MatrixSpaceShape, codim: int):
 def enumerate_affine(shape: MatrixSpaceShape, codim: int):
     """All affine codim-c subspaces: q^codim canonical cosets per linear one.
 
-    Each linear subspace's cosets come together, base zero first.  A cell's
-    bases are made while its first subspace's cosets are yielded, then
-    reused for the rest of the cell.  The arguments are checked when it is
-    called, as in enumerate_subspaces.
+    Each linear subspace's cosets come together, base zero first, and each
+    base is made as its coset is yielded.  The arguments are checked when
+    it is called, as in enumerate_subspaces.
     """
     lins = enumerate_subspaces(shape, codim)
     m, q = shape.ambient_dim, shape.field.order
-
-    def cosets():
-        prof = bases = None
-        for lin in lins:
-            if lin.pivots == prof:
-                for base in bases:
-                    yield AffineMatrixSubspace(lin, base)
-                continue
-            prof, bases = lin.pivots, []
-            for v in _every_fill(m, -1, _free_columns(prof, m)[-1], q):
-                bases.append(unvectorize(shape, v))
-                yield AffineMatrixSubspace(lin, bases[-1])
-    return cosets()
+    return (AffineMatrixSubspace(lin, unvectorize(shape, v))
+            for lin in lins
+            for v in _every_fill(m, -1, _free_columns(lin.pivots, m)[-1], q))
 
 
 # ---------------------------------------------------------------------------

@@ -298,8 +298,6 @@ def constant_det_search_full_walk(space, N: Matrix) -> SearchOutcome:
     limit = DEFAULT_ELEMENT_BUDGET
     pm = f.modulus
     last = n - 1
-    minors = [[idx + (last,) for idx in combinations(range(last), size - 1)]
-              for size in range(3, n)]
     moved = N != canonical_N(f, n, n, n - 1)
     if moved:
         members = _iter_coset(shape, *transport_rows(space, *to_rank_normal_form(N)), limit)
@@ -308,7 +306,7 @@ def constant_det_search_full_walk(space, N: Matrix) -> SearchOutcome:
     cases = 0
     for a_rows in members:
         cases += 1
-        if not (last and a_rows[last][last]) and _constant_det(a_rows, last, minors, pm):
+        if not (last and a_rows[last][last]) and _constant_det(a_rows, last, pm):
             if moved:  # the witness is the space's own member number `cases`
                 a_rows = next(islice(space.elements(budget=limit), cases - 1, None))
             return SearchOutcome(WITNESS_FOUND,

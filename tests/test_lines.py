@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from ranklines import lines
 from ranklines.fields import GF, RATIONALS, Scalar
 from ranklines.lines import (
     BUDGET_EXHAUSTED,
@@ -513,7 +514,7 @@ def test_constant_det_test_matches_det_pencil_on_seeded_members(field):
     rng = random.Random(f"constant-det-oracle:{field}")
     q = field.order
     outcomes = {False: 0, True: 0}
-    for n in range(1, 6):
+    for n in range(1, 7):
         N = canonical_N(field, n, n, n - 1)
         for _ in range(32):
             U = random_invertible(field, n - 1, rng)
@@ -583,6 +584,24 @@ def test_constant_det_search_matches_the_full_walk_oracle(field):
                 assert out == constant_det_search_full_walk(space, N), (space, N)
                 found[out.found] += 1
     assert min(found.values()) > 50, found
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=str)
+def test_constant_det_search_takes_no_minors(field, monkeypatch):
+    # The Markov parameters v B^k u need no minor: the only determinant a
+    # search takes is det A itself, n x n.
+    sizes = []
+    real = lines._det_modp
+    monkeypatch.setattr(lines, "_det_modp", lambda rows, p: sizes.append(len(rows)) or real(rows, p))
+    rng = random.Random(f"constant-det-sizes:{field}")
+    dim = {2: 8, 3: 5}[field.order]
+    for n in (4, 5):
+        shape = MatrixSpaceShape(field, n, n)
+        N = canonical_N(field, n, n, n - 1)
+        for _ in range(10):
+            constant_det_witness_search(random_affine(shape, n * n - dim, rng), N)
+        assert set(sizes) == {n}, n
+        sizes.clear()
 
 
 def _first_row_free(field, n, corner):

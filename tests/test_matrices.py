@@ -384,5 +384,5 @@ def test_random_matrix_is_seed_deterministic():
 def test_random_invertible_is_invertible():
     rng = random.Random(5)
     for field in FIELDS:
-        for n in (1, 2, 4):
+        for n in (0, 1, 2, 4):
             assert rank(random_invertible(field, n, rng)) == n
