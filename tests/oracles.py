@@ -22,10 +22,9 @@ reads the roots of that polynomial.
 coset of lower-right blocks of a canonicalised coset, at any direction
 rank; at r = n-1 the campaigns read it off one linear functional instead.
 
-``constant_det_search_full_walk`` is ``constant_det_witness_search`` as
-it was before it walked only the corner-zero slice: every member of the
-full order is tested, and a witness found in moved coordinates is taken
-again from the space's own walk.
+``constant_det_search_full_walk`` is ``constant_det_witness_search`` by
+brute force: every member of the space's own order, with no transport of
+N and no corner-zero slice, is tested by the degree of ``det_pencil``.
 
 ``iter_rref_bases``, ``canonical_coset_bases`` and ``sample_rref`` write
 out the Schubert cell rule slot by slot: the order and sample-stream
@@ -36,21 +35,19 @@ columns from one rule and fill whole rows.
 
 from __future__ import annotations
 
-from itertools import combinations, islice, product
+from itertools import combinations, product
 
 from ranklines.fields import FieldDesc, Scalar
 from ranklines.lines import (
     EXHAUSTED_NO_WITNESS,
     WITNESS_FOUND,
     SearchOutcome,
-    _constant_det,
     _finite_certificate,
 )
 from ranklines.matrices import (
     Matrix,
     _det_modp,
     _rref_raw,
-    canonical_N,
     check_shape,
     line_rows,
     rank,
@@ -65,7 +62,7 @@ from ranklines.pencils import (
     minor_gcd,
 )
 from ranklines.polynomials import Poly
-from ranklines.spaces import DEFAULT_ELEMENT_BUDGET, _iter_coset, transport, transport_rows
+from ranklines.spaces import DEFAULT_ELEMENT_BUDGET, transport
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -291,24 +288,15 @@ def sample_rref(m: int, codim: int, q: int, rng, affine: bool):
 def constant_det_search_full_walk(space, N: Matrix) -> SearchOutcome:
     """constant_det_witness_search by testing every member in order.
 
-    Takes the square shape and a rank n-1 direction as given.
+    A member is a witness when det_pencil(A, N) has degree 0, a nonzero
+    constant.  Takes the square shape and a rank n-1 direction as given.
     """
     shape = space.shape
     f, n = shape.field, shape.n
-    limit = DEFAULT_ELEMENT_BUDGET
-    pm = f.modulus
-    last = n - 1
-    moved = N != canonical_N(f, n, n, n - 1)
-    if moved:
-        members = _iter_coset(shape, *transport_rows(space, *to_rank_normal_form(N)), limit)
-    else:
-        members = space.elements(budget=limit)
     cases = 0
-    for a_rows in members:
+    for a_rows in space.elements(budget=DEFAULT_ELEMENT_BUDGET):
         cases += 1
-        if not (last and a_rows[last][last]) and _constant_det(a_rows, last, pm):
-            if moved:  # the witness is the space's own member number `cases`
-                a_rows = next(islice(space.elements(budget=limit), cases - 1, None))
-            return SearchOutcome(WITNESS_FOUND,
-                                 _finite_certificate(Matrix(f, n, n, a_rows), N), cases)
+        A = Matrix(f, n, n, a_rows)
+        if det_pencil(A, N).degree == 0:
+            return SearchOutcome(WITNESS_FOUND, _finite_certificate(A, N), cases)
     return SearchOutcome(EXHAUSTED_NO_WITNESS, None, cases)
