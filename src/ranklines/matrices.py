@@ -282,6 +282,8 @@ def _det_modp(rows, p: int) -> int:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return (a * e * i + b * f * g + c * d * h
                 - c * e * g - b * d * i - a * f * h) % p
+    if p == 2:  # det is 1 iff the rows are independent
+        return int(_rank_gf2_packed(rows, n) == n)
     return _eliminate_modp(rows, p)[1]
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from ranklines import lines
 from ranklines.fields import GF, RATIONALS, Scalar
+from ranklines.gallery import remark2_f2_example
 from ranklines.lines import (
     BUDGET_EXHAUSTED,
     DEFAULT_RANDOM_BUDGET,
@@ -40,6 +41,7 @@ from ranklines.polynomials import Poly
 from ranklines.spaces import (
     BudgetExceededError,
     MatrixSpaceShape,
+    _odometer_digits,
     affine_from_point,
     from_generators,
     random_affine,
@@ -570,7 +572,7 @@ def test_constant_det_search_matches_the_full_walk_oracle(field):
     q = field.order
     max_dim = {2: 10, 3: 6, 5: 4}[q]
     found = {False: 0, True: 0}
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         shape = MatrixSpaceShape(field, n, n)
         m = n * n
         N0 = canonical_N(field, n, n, n - 1)
@@ -586,22 +588,143 @@ def test_constant_det_search_matches_the_full_walk_oracle(field):
     assert min(found.values()) > 50, found
 
 
+def _corner_free_coset(field, n, dim, rng):
+    """A seeded coset whose basis and base have a zero corner (n-1, n-1):
+    with the canonical N its corner-zero slice is the whole coset, so a
+    witness at slice member s has cases_examined s + 1."""
+    shape = MatrixSpaceShape(field, n, n)
+
+    def corner_free():
+        rows = [list(row) for row in random_matrix(field, n, n, rng).rows]
+        rows[n - 1][n - 1] = 0
+        return Matrix.from_rows(field, rows)
+    lin = from_generators(shape, [corner_free() for _ in range(dim)])
+    return affine_from_point(lin, corner_free())
+
+
+@pytest.mark.parametrize("field, n, codims", [(F2, 4, (0, 1)), (F3, 3, (0,))],
+                         ids=["gf 2", "gf 3"])
+def test_bitsliced_search_walks_the_slice_in_blocks(field, n, codims, monkeypatch):
+    # These slices span several blocks of lanes.  The search stops at the
+    # first block with a passing lane; status, witness and count must equal
+    # the full walk's, and some witnesses must lie past the first block.
+    blocks = []
+    real = lines._block_mask
+    monkeypatch.setattr(lines, "_block_mask", lambda *a: blocks.append(1) or real(*a))
+    rng = random.Random(f"constant-det-blocks:{field}")
+    shape = MatrixSpaceShape(field, n, n)
+    N0 = canonical_N(field, n, n, n - 1)
+    lanes = field.order ** lines._LANE_DIGITS[field.order]
+    assert field.order ** (n * n - 2) > lanes
+    later = 0
+    for codim in codims:
+        for k in range(3):
+            space = random_affine(shape, codim, rng) if k else random_subspace(shape, codim, rng)
+            moved = random_invertible(field, n, rng) @ N0 @ random_invertible(field, n, rng)
+            for N in (N0, moved):
+                blocks.clear()
+                out = constant_det_witness_search(space, N)
+                assert out == constant_det_search_full_walk(space, N), (space, N)
+                later += out.found and len(blocks) > 1
+    assert later >= 3, later
+
+
 @pytest.mark.parametrize("field", [F2, F3], ids=str)
+def test_bitsliced_search_finds_witnesses_at_block_edges(field, monkeypatch):
+    # With q^2 lanes to a block, seeded corner-free cosets put first
+    # witnesses in the last lane of a block and in the first lane of the
+    # next; each search must equal the full walk.
+    q = field.order
+    monkeypatch.setattr(lines, "_LANE_DIGITS", {q: 2})
+    lanes = q * q
+    rng = random.Random(f"constant-det-edges:{field}")
+    N = canonical_N(field, 3, 3, 2)
+    edges = set()
+    for _ in range(300):
+        space = _corner_free_coset(field, 3, 6 if q == 2 else 4, rng)
+        out = constant_det_witness_search(space, N)
+        assert out == constant_det_search_full_walk(space, N), space
+        s = out.cases_examined - 1
+        if out.found and s >= lanes - 1 and s % lanes in (0, lanes - 1):
+            edges.add(s % lanes)
+        if len(edges) == 2:
+            break
+    assert edges == {0, lanes - 1}, edges
+
+
+def test_constant_det_search_checks_the_budget_before_any_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(lines, "_digit_tables", refuse)
+    for field in (F2, F3):
+        space, N = _full_space(field, 3, 3), canonical_N(field, 3, 3, 2)
+        with pytest.raises(BudgetExceededError):
+            constant_det_witness_search(space, N, budget=field.order ** 9 - 1)
+        with pytest.raises(AssertionError, match="a table was built"):
+            constant_det_witness_search(space, N, budget=field.order ** 9)
+
+
+def test_bitsliced_tables_hold_lane_digits_and_gf3_arithmetic():
+    # Digit tables against the division they avoid, and the GF(3) planes
+    # against the field's own sum and product, lane by lane.
+    for q in (2, 3):
+        for b in range(5):
+            ones, X = lines._digit_tables(q, b)
+            assert ones == (1 << q ** b) - 1 and len(X) == b
+            for s in range(q ** b):
+                for k, c in enumerate(_odometer_digits(s, q, b)):
+                    planes = (X[k],) if q == 2 else X[k]
+                    assert [v >> s & 1 for v in planes] == [int(c == v) for v in range(1, q)]
+    _, (first, second) = lines._digit_tables(3, 2)
+
+    def value(a, s):
+        return (a[0] >> s & 1) + 2 * (a[1] >> s & 1)
+    total, product = lines._add3(first, second), lines._mul3(first, second)
+    for s in range(9):
+        a, b = value(first, s), value(second, s)
+        assert (value(total, s), value(product, s)) == ((a + b) % 3, a * b % 3)
+        assert value(lines._GF3.neg(first), s) == -a % 3
+
+
+def test_bitsliced_witness_is_tested_again(monkeypatch):
+    # A kernel that passed every lane would return slice member 0, which
+    # here has a zero row; the scalar re-test refuses it.
+    monkeypatch.setattr(lines, "_block_mask", lambda ops, T, ones: ones)
+    for field in (F2, F3):
+        with pytest.raises(RuntimeError, match="fails the constant-determinant test"):
+            constant_det_witness_search(_full_space(field, 3, 3), canonical_N(field, 3, 3, 2))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=str)
 def test_constant_det_search_takes_no_minors(field, monkeypatch):
-    # The Markov parameters v B^k u need no minor: the only determinant a
-    # search takes is det A itself, n x n.
+    # The Markov parameters v B^k u need no minor: the only determinant the
+    # walk over GF(5) takes is det A itself, n x n.  Over GF(2) and GF(3)
+    # the members are tested bitsliced, and the one scalar re-test of a
+    # found witness is a search's only determinant, however many members
+    # it covers.
     sizes = []
     real = lines._det_modp
     monkeypatch.setattr(lines, "_det_modp", lambda rows, p: sizes.append(len(rows)) or real(rows, p))
     rng = random.Random(f"constant-det-sizes:{field}")
-    dim = {2: 8, 3: 5}[field.order]
+    dim = {2: 8, 3: 5, 5: 3}[field.order]
     for n in (4, 5):
         shape = MatrixSpaceShape(field, n, n)
         N = canonical_N(field, n, n, n - 1)
+        seen = set()
         for _ in range(10):
-            constant_det_witness_search(random_affine(shape, n * n - dim, rng), N)
-        assert set(sizes) == {n}, n
-        sizes.clear()
+            out = constant_det_witness_search(random_affine(shape, n * n - dim, rng), N)
+            seen.update(sizes)
+            if field.order <= 3:
+                assert len(sizes) == out.found, out
+            sizes.clear()
+        assert seen == {n}, n
+    if field.order == 2:  # 256 members, no witness: no determinant at all
+        assert constant_det_witness_search(*remark2_f2_example()).cases_examined == 256
+        assert sizes == []
+    if field.order <= 3:  # a witness after hundreds of members: one determinant
+        n = 6 - field.order
+        out = constant_det_witness_search(_full_space(field, n, n), canonical_N(field, n, n, n - 1))
+        assert out.cases_examined > 800 and sizes == [n], out.cases_examined
 
 
 def _first_row_free(field, n, corner):

@@ -217,21 +217,26 @@ def test_det_closed_forms_match_elimination_on_padding():
 
 def test_det_modp_matches_the_integer_route():
     # det_pencil(A, 0) is det A by integer Bareiss reduced mod p; it shares
-    # no step with the closed forms or the mod-p elimination.
+    # no step with the closed forms, the mod-p elimination or, over GF(2),
+    # the packed rank.
     rng = random.Random(31)
     for field in (F2, F3, F5, GF(65521)):
         for n in range(7):
             zero = Matrix.zeros(field, n, n)
             cases = [zero, Matrix.identity(field, n)]
-            cases += [random_matrix(field, n, n, rng) for _ in range(4)]
+            cases += [random_matrix(field, n, n, rng) for _ in range(4 if field.order > 2 else 24)]
+            cases += [random_invertible(field, n, rng) for _ in range(2)]
             if n:
                 cases.append(_deficient(field, n, n, rng))
+            dets = set()
             for A in cases:
                 expected = det_pencil(A, zero)(0)
                 assert _det_modp(A.rows, field.modulus) == expected, (field, A)
                 assert det(A).value == expected
+                dets.add(expected)
             if n:
                 assert _det_modp(cases[-1].rows, field.modulus) == 0
+                assert 0 in dets and len(dets) > 1, (field, n)
 
 
 # ------------------------------------------------------------------------ rref
