@@ -34,7 +34,6 @@ from .matrices import (
     canonical_N,
     det,
     random_invertible,
-    random_matrix,
     rank,
     to_rank_normal_form,
 )
@@ -64,8 +63,6 @@ from .spaces import (
     random_affine,
     random_subspace,
     transport,
-    unvectorize,
-    vectorize,
 )
 from .verify import (
     CampaignSpec,

@@ -41,7 +41,6 @@ from .spaces import (
     _iter_coset,
     _member,
     _odometer_digits,
-    _zero_slice,
     transport_rows,
 )
 
@@ -265,14 +264,11 @@ def constant_det_witness_search(space, N: Matrix,
 
     For a direction other than canonical_N, the basis and base are mapped
     once by (P, Q) = to_rank_normal_form(N), which keeps the member order
-    and, as det P * det Q != 0, constancy.  For n > 1 a constant
-    determinant needs a zero corner A[n-1][n-1], its t^(n-1) coefficient,
-    so only that slice is walked, in the same order (spaces._zero_slice);
-    ``cases_examined`` still counts the members of the full order up to
-    the witness, or all q^d of them.  Over GF(2) and GF(3) the slice is
-    tested a block of members at a time (_bitsliced_first) and the member
-    found is tested once more by the scalar _constant_det; over larger
-    fields each member is tested in turn.
+    and, as det P * det Q != 0, constancy.  Over GF(2) and GF(3) the coset
+    is tested a block of members at a time (_bitsliced_first) and the
+    member found is tested once more by the scalar _constant_det; over
+    larger fields each member is tested in turn.  ``cases_examined`` counts
+    the members up to the witness, or all q^d of them.
     """
     shape = space.shape
     if shape.n != shape.p:
@@ -290,41 +286,34 @@ def constant_det_witness_search(space, N: Matrix,
     basis, base = own_basis, own_base
     if N != canonical_N(f, n, n, rk):
         basis, base = transport_rows(space, *to_rank_normal_form(N))
-    if n == 1:  # det(A + tN) = A[0][0]: no slice
-        walk = basis, base, lambda s: _odometer_digits(s, pm, d)
-    else:
-        walk = _zero_slice(basis, base, n * n - 1, pm)
-        if walk is None:
-            return SearchOutcome(EXHAUSTED_NO_WITNESS, None, total)
-    slice_basis, slice_base, lift = walk
     if pm <= 3:
-        s = _bitsliced_first(shape, slice_basis, slice_base)
+        s = _bitsliced_first(shape, basis, base)
     else:
-        s = next((s for s, a_rows in enumerate(_iter_coset(shape, slice_basis, slice_base, None))
+        s = next((s for s, a_rows in enumerate(_iter_coset(shape, basis, base, None))
                   if _constant_det(a_rows, last, pm)), None)
     if s is None:
         return SearchOutcome(EXHAUSTED_NO_WITNESS, None, total)
-    digits = lift(s)
+    digits = _odometer_digits(s, pm, d)
     # One scalar test of the found member, rebuilt from its coset digits:
-    # an independent check of the bitsliced kernel, and of the lift.
+    # an independent check of the bitsliced kernel.
     if not _constant_det(_member(shape, basis, base, digits), last, pm):
         raise RuntimeError(f"coset member {digits} fails the constant-determinant test")
-    position = 0
-    for c in digits:
-        position = position * pm + c
     A = Matrix(f, n, n, _member(shape, own_basis, own_base, digits))
-    return SearchOutcome(WITNESS_FOUND, _finite_certificate(A, N), position + 1)
+    return SearchOutcome(WITNESS_FOUND, _finite_certificate(A, N), s + 1)
 
 
 def _constant_det(rows, last: int, pm: int) -> bool:
-    """Is det(A + tN) a nonzero constant, for N = canonical_N of rank n-1
-    and A with a zero corner A[n-1][n-1] (any A at n = 1)?
+    """Is det(A + tN) a nonzero constant, for N = canonical_N of rank n-1?
 
-    With A = [[B, u], [v, 0]], det(A + tN) = -v adj(B + tI) u is constant
-    iff the Markov parameters v B^k u vanish for k = 0..n-3 (Cayley-Hamilton;
-    Kailath, Linear Systems, 1980), and then it is det A.  k = 0 is the
-    corner sum; each later k costs one product w <- B w on the raw rows.
+    For n > 1 its t^(n-1) coefficient is the corner A[n-1][n-1], which must
+    be 0.  With A = [[B, u], [v, 0]], det(A + tN) = -v adj(B + tI) u is
+    constant iff the Markov parameters v B^k u vanish for k = 0..n-3
+    (Cayley-Hamilton; Kailath, Linear Systems, 1980), and then it is det A.
+    k = 0 is the corner sum; each later k costs one product w <- B w on the
+    raw rows.
     """
+    if last and rows[last][last]:
+        return False
     if last > 1 and sum(rows[i][last] * rows[last][i] for i in range(last)) % pm:
         return False
     if last > 2:
@@ -341,17 +330,18 @@ def _constant_det(rows, last: int, pm: int) -> bool:
 # bitsliced constant-determinant test over GF(2) and GF(3)
 #
 # A table holds one field value per lane, lane s being member s of a block
-# of the slice.  Over GF(2) it is one int whose bit s is the value; over
+# of the coset.  Over GF(2) it is one int whose bit s is the value; over
 # GF(3) it is a pair of one-hot planes (bit s of the first set iff the
 # value is 1, of the second iff it is 2), so negation swaps the planes
 # (T. Boothby and R. Bradshaw, arXiv:0901.1413).  None stands for a table
 # that is zero in every lane, so products with it are skipped.
 
-# Fast digits per block, so q^b lanes.  3^5 lanes ran sample-remark2-gf3
-# faster than 3^3, 3^4, 3^6 or 3^7, as most of its witnesses lie early in
-# the slice; 2^11 ran sampled GF(2), n = 4 remark2-conjecture campaigns
-# faster than 2^8, 2^10, 2^12 or 2^14.
-_LANE_DIGITS = {2: 11, 3: 5}
+# Fast digits per block, so q^b lanes; when the corner moves with those
+# digits, a q-th of the lanes have a zero corner.  3^6 lanes ran
+# sample-remark2-gf3 faster than 3^5 or 3^7, and 2^12 ran the exhaustive
+# GF(2), n = 4, codim 0,1 remark2-conjecture campaign faster than 2^11 or
+# 2^13.
+_LANE_DIGITS = {2: 12, 3: 6}
 
 
 def _add3(a, b):
@@ -424,9 +414,15 @@ def _det_table(ops: _Planes, T):
 
 
 def _block_mask(ops: _Planes, T, ones: int) -> int:
-    """Lanes whose A (n > 1: zero corner) passes _constant_det's test."""
+    """Lanes whose A passes _constant_det's test."""
     last = len(T) - 1
     mask = ones
+    if last:
+        corner = T[last][last]
+        if corner is not None:
+            mask &= ~ops.nonzero(corner)
+            if not mask:
+                return 0
     if last > 1:
         head = [row[:last] for row in T[:last]]
         v = T[last][:last]

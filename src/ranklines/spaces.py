@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 
 from .fields import FieldDesc, RawValue
@@ -281,42 +282,6 @@ def _member(shape: MatrixSpaceShape, basis, base, digits):
     return tuple(tuple(vec[i * p:(i + 1) * p]) for i in range(shape.n))
 
 
-def _zero_slice(basis, base, coord: int, pm: int):
-    """The members of base + span(basis) whose coordinate coord is 0, or None.
-
-    Returns (basis', base', lift): ``_iter_coset`` over base' + span(basis')
-    yields those members in the coset's own odometer order, and lift(s)
-    gives the coset digits of its member number s.  The coordinate is
-    base[coord] + sum_k c_k * basis[k][coord]; let j be the last k with
-    basis[k][coord] != 0.  The zero slice solves c_j from the digits before
-    it, which move slower, so dropping digit j keeps the order: basis' is
-    every other row minus the multiple of basis[j] that clears its coord,
-    and base' the same for the base.  With no such j the slice is the whole
-    coset or nothing.
-    """
-    d = len(basis)
-    c0 = base[coord] if base is not None else 0
-    hits = [k for k, row in enumerate(basis) if row[coord]]
-    if not hits:
-        return None if c0 else (basis, base, lambda s: _odometer_digits(s, pm, d))
-    j = hits[-1]
-    bj = basis[j]
-    inv = pow(bj[coord], -1, pm)
-
-    def cut(row):
-        c = row[coord] * inv % pm
-        return tuple([(a - c * b) % pm for a, b in zip(row, bj)]) if c else row
-
-    def lift(s):
-        digits = _odometer_digits(s, pm, d - 1)
-        earlier = sum(c * row[coord] for c, row in zip(digits[:j], basis))
-        digits.insert(j, -(c0 + earlier) * inv % pm)
-        return digits
-
-    rest = tuple(cut(row) for k, row in enumerate(basis) if k != j)
-    return rest, (cut(base) if base is not None else None), lift
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -396,24 +361,25 @@ def enumerate_affine(shape: MatrixSpaceShape, codim: int):
 # seeded random sampling (uniform over subspaces of the given codimension)
 
 
-def random_subspace(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> LinearMatrixSubspace:
-    """Uniformly random codim-c subspace: a profile weighted by its cell's
-    size, then one draw per free column, row by row.
-
-    One draw below count_subspaces picks the profile: in lexicographic
-    order, each profile owns a run of integers as long as its cell.  Row i
-    of a cell has codim + i - prof[i] free columns (_free_columns), so the
-    size factorises by row and the draw is unranked a pivot at a time;
-    tail[i][lo] sums the factors of rows i..d-1 over their pivots from
-    column lo on.
-    """
-    m, q = _ambient(shape, codim), shape.field.order
+@cache
+def _cell_tails(m: int, codim: int, q: int):
+    """tail[i][lo]: the sum, over pivots of rows i..d-1 from column lo on, of
+    the product of those rows' cell-size factors; tail[0][0] is
+    count_subspaces(m, codim, q)."""
     d = m - codim
     tail = [[0] * (m + 2) for _ in range(d)] + [[1] * (m + 2)]
     for i in range(d - 1, -1, -1):
         for lo in range(m - d + i, -1, -1):
             tail[i][lo] = q ** (codim + i - lo) * tail[i + 1][lo + 1] + tail[i][lo + 1]
-    x = rng.randrange(count_subspaces(m, codim, q))
+    return tuple(map(tuple, tail))
+
+
+def _random_cell(shape: MatrixSpaceShape, codim: int, rng: random.Random):
+    """A random_subspace draw and its cell's _free_columns."""
+    m, q = _ambient(shape, codim), shape.field.order
+    d = m - codim
+    tail = _cell_tails(m, codim, q)
+    x = rng.randrange(tail[0][0])
     prof = []
     pc = 0
     for i in range(d):
@@ -425,17 +391,29 @@ def random_subspace(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> 
         prof.append(pc)
         pc += 1
     prof = tuple(prof)
-    rows = tuple(_fill(m, pc, c, [rng.randrange(q) for _ in c])
-                 for pc, c in zip(prof, _free_columns(prof, m)))
-    return LinearMatrixSubspace(shape, rows, prof)
+    free = _free_columns(prof, m)
+    rows = tuple(_fill(m, pc, c, [rng.randrange(q) for _ in c]) for pc, c in zip(prof, free))
+    return LinearMatrixSubspace(shape, rows, prof), free
+
+
+def random_subspace(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> LinearMatrixSubspace:
+    """Uniformly random codim-c subspace: a profile weighted by its cell's
+    size, then one draw per free column, row by row.
+
+    One draw below count_subspaces picks the profile: in lexicographic
+    order, each profile owns a run of integers as long as its cell.  Row i
+    of a cell has codim + i - prof[i] free columns (_free_columns), so the
+    size factorises by row and the draw is unranked a pivot at a time
+    against the sums of _cell_tails, built once per (m, codim, q).
+    """
+    return _random_cell(shape, codim, rng)[0]
 
 
 def random_affine(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> AffineMatrixSubspace:
     """A random_subspace draw, then one draw per free column of the canonical base."""
-    lin = random_subspace(shape, codim, rng)
+    lin, free = _random_cell(shape, codim, rng)
     m, q = shape.ambient_dim, shape.field.order
-    free = _free_columns(lin.pivots, m)[-1]
-    vec = _fill(m, -1, free, [rng.randrange(q) for _ in free])
+    vec = _fill(m, -1, free[-1], [rng.randrange(q) for _ in free[-1]])
     return AffineMatrixSubspace(lin, unvectorize(shape, vec))
 
 

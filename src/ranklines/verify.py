@@ -320,9 +320,9 @@ def _conjugates_agree(spec: CampaignSpec, index: int, space, N: Matrix | None,
     return None
 
 
-def _process_case(spec: CampaignSpec, index: int, codim: int, space, r: int):
-    """Returns (verdict, CaseRecord | None, digest bytes) for one case."""
-    space_text = space.to_text()
+def _process_case(spec: CampaignSpec, index: int, codim: int, space, r: int, space_text: str):
+    """Returns (verdict, CaseRecord | None, digest bytes) for one case;
+    space_text is space.to_text()."""
     key = f"{codim}|{r}|{space_text}"
     digest = hashlib.sha256(key.encode()).digest()
     N = None if spec.theorem == "flanders" else canonical_N(spec.field, spec.n, spec.p, r)
@@ -343,9 +343,15 @@ def _process_case(spec: CampaignSpec, index: int, codim: int, space, r: int):
 
 
 def _judge(spec: CampaignSpec, lo: int = 0, hi: int | None = None):
-    """Yield (index, codim, r, verdict, CaseRecord | None, digest) for cases lo..hi-1."""
+    """Yield (index, codim, r, verdict, CaseRecord | None, digest) for cases lo..hi-1.
+
+    The cases of one space come together, one per rank, and share its text.
+    """
+    text_of = None
     for idx, codim, space, r in islice(_case_stream(spec), lo, hi):
-        verdict, record, digest = _process_case(spec, idx, codim, space, r)
+        if space is not text_of:
+            text_of, space_text = space, space.to_text()
+        verdict, record, digest = _process_case(spec, idx, codim, space, r, space_text)
         yield idx, codim, r, verdict, record, digest
 
 

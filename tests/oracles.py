@@ -24,7 +24,7 @@ rank; at r = n-1 the campaigns read it off one linear functional instead.
 
 ``constant_det_search_full_walk`` is ``constant_det_witness_search`` by
 brute force: every member of the space's own order, with no transport of
-N and no corner-zero slice, is tested by the degree of ``det_pencil``.
+N and no bitsliced lanes, is tested by the degree of ``det_pencil``.
 
 ``iter_rref_bases``, ``canonical_coset_bases`` and ``sample_rref`` write
 out the Schubert cell rule slot by slot: the order and sample-stream

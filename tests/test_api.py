@@ -3,8 +3,11 @@
 
 from __future__ import annotations
 
+import ast
+import sys
 import types
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import ranklines
 
@@ -18,11 +21,11 @@ PUBLIC_NAMES = [
     "canonical_N", "classify_line", "constant_det_witness_search", "count_subspaces",
     "default_rank_range", "det", "det_pencil", "enumerate_affine", "enumerate_subspaces",
     "expected_total", "flanders_extremal", "from_generators", "lemma1_witness",
-    "line_full_rank", "minor_gcd", "parse_field", "parse_subspace_text",
-    "random_affine", "random_invertible", "random_matrix", "random_subspace", "rank",
-    "rational_roots", "remark1_example", "remark2_f2_example", "replay_failure",
-    "run_campaign", "sharpness_example", "to_rank_normal_form", "transport", "unvectorize",
-    "validate_certificate", "validate_spec", "vectorize", "witness_search",
+    "line_full_rank", "minor_gcd", "parse_field", "parse_subspace_text", "random_affine",
+    "random_invertible", "random_subspace", "rank", "rational_roots", "remark1_example",
+    "remark2_f2_example", "replay_failure", "run_campaign", "sharpness_example",
+    "to_rank_normal_form", "transport", "validate_certificate", "validate_spec",
+    "witness_search",
 ]
 
 
@@ -59,3 +62,20 @@ CAMPAIGN_SPEC_FIELDS = ["theorem", "field", "n", "p", "codims", "rank_range", "m
 
 def test_campaign_spec_fields_are_pinned():
     assert [f.name for f in fields(ranklines.CampaignSpec)] == CAMPAIGN_SPEC_FIELDS
+
+
+def test_runtime_imports_only_the_standard_library():
+    # The runtime stays stdlib-only: every absolute import under the package
+    # names a standard-library module; relative imports stay inside it.
+    paths = sorted(Path(ranklines.__file__).parent.glob("*.py"))
+    assert len(paths) >= 9
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in sys.stdlib_module_names, (path.name, module)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -538,6 +539,47 @@ def test_constant_det_test_matches_det_pencil_on_seeded_members(field):
     assert min(outcomes.values()) >= 300, outcomes
 
 
+def _lane_tables(field, members, n):
+    """The bitsliced tables of members, member s in lane s."""
+    q = field.order
+    T = []
+    for i in range(n):
+        T.append([])
+        for j in range(n):
+            planes = [sum(1 << s for s, A in enumerate(members) if A[i][j] == v)
+                      for v in range(1, q)]
+            T[i].append(None if not any(planes) else planes[0] if q == 2 else tuple(planes))
+    return T
+
+
+@pytest.mark.parametrize("field, n", [(F2, 2), (F2, 3), (F3, 2), (F3, 3)],
+                         ids=["gf 2, n 2", "gf 2, n 3", "gf 3, n 2", "gf 3, n 3"])
+def test_constant_det_rejects_a_nonzero_corner_in_both_kernels(field, n):
+    # A member with a nonzero corner can pass the Markov test and det A:
+    # [[0, 1], [1, 1]] has det -1, yet det(A + tN) = t - 1.  The scalar
+    # test and the lanes of one block must both follow det_pencil on every
+    # n x n matrix (n = 3 over GF(3): a seeded sample).
+    q, last = field.order, n - 1
+    members = [tuple(tuple(v[i * n:(i + 1) * n]) for i in range(n))
+               for v in itertools.product(range(q), repeat=n * n)]
+    if len(members) > 4096:
+        members = random.Random(f"constant-det-corner:{field}").sample(members, 4096)
+    if n == 2:
+        assert ((0, 1), (1, 1)) in members
+    N = canonical_N(field, n, n, n - 1)
+    want = [det_pencil(Matrix(field, n, n, rows), N).degree == 0 for rows in members]
+    assert [lines._constant_det(rows, last, q) for rows in members] == want
+    ops = lines._GF2 if q == 2 else lines._GF3
+    mask = lines._block_mask(ops, _lane_tables(field, members, n), (1 << len(members)) - 1)
+    assert [bool(mask >> s & 1) for s in range(len(members))] == want
+    # Members that only the corner rule rejects: det A != 0 and, for n = 3,
+    # the one Markov parameter v u = 0.
+    corner_only = [rows for rows in members if rows[last][last]
+                   and (n == 2 or sum(rows[i][last] * rows[last][i] for i in range(last)) % q == 0)
+                   and det(Matrix(field, n, n, rows)).value != 0]
+    assert len(corner_only) >= 4, len(corner_only)
+
+
 @pytest.mark.parametrize("field", [F2, F3], ids=str)
 def test_constant_det_search_keeps_member_order_for_any_direction(field):
     # With N moved off canonical form the search walks the transported
@@ -566,8 +608,9 @@ def test_constant_det_search_keeps_member_order_for_any_direction(field):
 
 @pytest.mark.parametrize("field", [F2, F3, F5], ids=str)
 def test_constant_det_search_matches_the_full_walk_oracle(field):
-    # The search walks only the corner-zero slice; the oracle tests every
-    # member of the full order.  Status, witness and count must all agree.
+    # The search tests the transported coset, bitsliced over GF(2) and
+    # GF(3); the oracle tests every member of the space's own order by
+    # det_pencil.  Status, witness and count must all agree.
     rng = random.Random(f"constant-det-slice:{field}")
     q = field.order
     max_dim = {2: 10, 3: 6, 5: 4}[q]
@@ -590,8 +633,8 @@ def test_constant_det_search_matches_the_full_walk_oracle(field):
 
 def _corner_free_coset(field, n, dim, rng):
     """A seeded coset whose basis and base have a zero corner (n-1, n-1):
-    with the canonical N its corner-zero slice is the whole coset, so a
-    witness at slice member s has cases_examined s + 1."""
+    with the canonical N the corner rule rejects no lane, so a first
+    witness can fall in any lane of a block."""
     shape = MatrixSpaceShape(field, n, n)
 
     def corner_free():
@@ -604,8 +647,8 @@ def _corner_free_coset(field, n, dim, rng):
 
 @pytest.mark.parametrize("field, n, codims", [(F2, 4, (0, 1)), (F3, 3, (0,))],
                          ids=["gf 2", "gf 3"])
-def test_bitsliced_search_walks_the_slice_in_blocks(field, n, codims, monkeypatch):
-    # These slices span several blocks of lanes.  The search stops at the
+def test_bitsliced_search_walks_the_coset_in_blocks(field, n, codims, monkeypatch):
+    # These cosets span several blocks of lanes.  The search stops at the
     # first block with a passing lane; status, witness and count must equal
     # the full walk's, and some witnesses must lie past the first block.
     blocks = []
@@ -687,8 +730,8 @@ def test_bitsliced_tables_hold_lane_digits_and_gf3_arithmetic():
 
 
 def test_bitsliced_witness_is_tested_again(monkeypatch):
-    # A kernel that passed every lane would return slice member 0, which
-    # here has a zero row; the scalar re-test refuses it.
+    # A kernel that passed every lane would return coset member 0, the
+    # zero matrix here; the scalar re-test refuses it.
     monkeypatch.setattr(lines, "_block_mask", lambda ops, T, ones: ones)
     for field in (F2, F3):
         with pytest.raises(RuntimeError, match="fails the constant-determinant test"):
@@ -737,9 +780,9 @@ def _first_row_free(field, n, corner):
     return affine_from_point(lin, Matrix.from_rows(field, rows))
 
 
-def test_constant_det_search_pins_the_slice_edge_cases():
-    # Empty slice: no basis row touches the corner and the base's is 1, so
-    # no member has a constant determinant and all q^d are counted.
+def test_constant_det_search_pins_the_corner_edge_cases():
+    # No basis row touches the corner and the base's is 1, so no member has
+    # a zero corner, none a constant determinant, and all q^d are counted.
     for field in (F2, F3):
         q = field.order
         N = canonical_N(field, 3, 3, 2)
@@ -747,19 +790,20 @@ def test_constant_det_search_pins_the_slice_edge_cases():
         out = constant_det_witness_search(empty, N)
         assert (out.status, out.cases_examined) == (EXHAUSTED_NO_WITNESS, q ** 3)
         assert out == constant_det_search_full_walk(empty, N)
-        # The same basis with corner 0: the slice is the whole coset.
+        # The same basis with corner 0: every member has a zero corner.
         whole = _first_row_free(field, 3, 0)
         out = constant_det_witness_search(whole, N)
         assert out.found and out == constant_det_search_full_walk(whole, N)
-    # n = 1: N = 0 and det(A + tN) = A[0][0], so there is no slice; the
-    # witness is the first nonzero member.
+    # n = 1: N = 0 and det(A + tN) = A[0][0], so there is no corner rule;
+    # the witness is the first nonzero member.
     line = from_generators(MatrixSpaceShape(F3, 1, 1), [Matrix.from_rows(F3, [[1]])])
     out = constant_det_witness_search(line, canonical_N(F3, 1, 1, 0))
     assert out.cases_examined == 2 and out.certificate.A.rows == ((1,),)
     zero = from_generators(MatrixSpaceShape(F3, 1, 1), [])
     out = constant_det_witness_search(zero, canonical_N(F3, 1, 1, 0))
     assert (out.status, out.cases_examined) == (EXHAUSTED_NO_WITNESS, 1)
-    # The budget bounds the whole coset (q^d = 81), not its slice (27).
+    # The budget bounds the whole coset (q^d = 81), not its 27 members with
+    # a zero corner.
     space, N = _full_space(F3, 2, 2), canonical_N(F3, 2, 2, 1)
     with pytest.raises(BudgetExceededError, match="81 elements exceed the budget of 30"):
         constant_det_witness_search(space, N, budget=30)

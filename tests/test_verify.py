@@ -16,7 +16,8 @@ import pytest
 from ranklines import verify
 from ranklines.fields import GF, RATIONALS
 from ranklines.matrices import Matrix, canonical_N, random_invertible, rank
-from ranklines.spaces import MatrixSpaceShape, from_generators, random_affine, random_subspace
+from ranklines.spaces import (LinearMatrixSubspace, MatrixSpaceShape, from_generators, random_affine,
+                              random_subspace)
 from ranklines.verify import (
     CampaignSpec,
     CampaignSpecError,
@@ -506,6 +507,20 @@ def test_report_identity_is_pinned_for_every_family(workers):
         rep = run_campaign(dataclasses.replace(spec, workers=workers))
         assert rep.case_order_hash == order_hash, spec
         assert hashlib.sha256(rep.signature().encode()).hexdigest() == signature_hash, spec
+
+
+def test_case_hash_text_is_rendered_once_per_space(monkeypatch):
+    # Both ranks of a space hash the same text, so a serial run renders it
+    # once per space; the case hash stays the pinned one.
+    rendered = []
+    real = LinearMatrixSubspace.to_text
+    monkeypatch.setattr(LinearMatrixSubspace, "to_text",
+                        lambda self: rendered.append(self) or real(self))
+    spec, order_hash, _ = PINNED_REPORTS[0]
+    assert spec.theorem == "main" and spec.workers == 1 and len(spec.rank_range) == 2
+    rep = run_campaign(spec)
+    assert rep.case_order_hash == order_hash
+    assert rep.total == 2 * len(rendered) == 2 * len(set(rendered))
 
 
 def test_workers_do_not_change_report_identity():
