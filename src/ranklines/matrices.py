@@ -288,11 +288,26 @@ def _det_modp(rows, p: int) -> int:
 
 
 def _det_bareiss_int(m: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix; mutates m.
+    """Determinant of a square integer matrix; m is not modified.
 
-    The empty matrix has determinant 1, the empty product.
+    Sizes 2 to 4 have closed forms, 4 by the Laplace expansion along the
+    first two rows (six products of complementary 2 x 2 minors).  Others run
+    fraction-free (Bareiss) elimination on a copy; the empty matrix has
+    determinant 1, the empty product.
     """
     n = len(m)
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+        return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2) - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+                + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1) + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+                - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0) + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+    m = [list(row) for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):

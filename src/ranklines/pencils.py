@@ -6,11 +6,14 @@ p x p minors of A + tN.  Either way, the rank of A + t0*N drops below p
 exactly at the roots of that polynomial, which turns the full-rank-line
 question into root analysis.
 
-Over GF(p) and Q alike both are computed in integers: det(a + tb) at
-t = 0..n by integer Bareiss and exact interpolation, reduced mod p over
-GF(p), where reduction is a ring map and so needs no n + 1 field points.
-Minors are folded by a primitive remainder sequence over Q and, once
-reduced, by the Euclidean gcd over GF(p) (von zur Gathen & Gerhard,
+Over GF(p) and Q alike both are computed in integers.  The line is
+evaluated once, as the integer matrices a + tb at t = 0..k for k columns;
+the determinants there (closed forms up to 4 x 4, integer Bareiss beyond)
+give the coefficients by exact Newton interpolation.  A tall line takes
+each maximal minor's values from row subsets of the same points.  Over
+GF(p) the result is reduced mod p, a ring map, so it needs no k + 1 field
+points.  Minors are folded by a primitive remainder sequence over Q and,
+once reduced, by the Euclidean gcd over GF(p) (von zur Gathen & Gerhard,
 *Modern Computer Algebra*, ch. 5-6).
 """
 
@@ -54,17 +57,29 @@ class PencilAnalysis:
         return self.classification in (CONSTANT_NONZERO, NONCONSTANT_NO_ROOT)
 
 
-def _int_det_pencil(rows: list[list[int]]) -> list[int]:
-    """Ascending coefficients of det(a + tb), without trailing zeros, for rows [a_i | b_i].
+def _line_points(rows: list[list[int]], p: int) -> list[list[list[int]]]:
+    """The integer matrices a + t*b for t = 0..p, for rows [a_i | b_i] of width 2p.
 
-    The degree is at most n, so the values at t = 0..n determine it.  For
-    f in Z[t], Delta^k f(j) is divisible by k!, so every division in the
+    Each point is the previous one plus b.
+    """
+    point, b = [r[:p] for r in rows], [r[p:] for r in rows]
+    points = [point]
+    for _ in range(p):
+        point = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(point, b)]
+        points.append(point)
+    return points
+
+
+def _interpolate(values: list[int]) -> list[int]:
+    """Ascending coefficients, without trailing zeros, of the f in Z[t] with
+    deg f < len(values) and f(t) = values[t]; values is overwritten.
+
+    For f in Z[t], Delta^k f(j) is divisible by k!, so every division in the
     Newton table of divided differences is exact; its diagonal c gives
     f = c_0 + t*(c_1 + (t-1)*(c_2 + ...)), expanded from the inside out.
     """
-    n = len(rows)
-    c = [_det_bareiss_int([[x + t * y for x, y in zip(r, r[n:])] for r in rows])
-         for t in range(n + 1)]
+    c = values
+    n = len(c) - 1
     for k in range(1, n + 1):
         for i in range(n, k - 1, -1):
             c[i], rem = divmod(c[i] - c[i - 1], k)
@@ -93,7 +108,7 @@ def det_pencil(A: Matrix, N: Matrix) -> Poly:
     if not A.is_square:
         raise ValueError(f"pencil determinant requires square matrices, got {A.nrows}x{A.ncols}")
     rows, scale = _int_rows(A, N)
-    coeffs = _int_det_pencil(rows)
+    coeffs = _interpolate([_det_bareiss_int(point) for point in _line_points(rows, A.ncols)])
     if A.field.is_finite:
         return Poly.from_coeffs(A.field, coeffs)  # reduces mod p, which is a ring map
     return Poly(A.field, tuple(Fraction(c, scale) for c in coeffs))
@@ -105,9 +120,10 @@ def minor_gcd(A: Matrix, N: Matrix) -> Poly:
     _check_tall(A.nrows, A.ncols)
     f = A.field
     rows, _ = _int_rows(A, N)  # a row multiplier scales every minor by a unit, so it drops out
+    points = _line_points(rows, A.ncols)  # p + 1 points determine each minor of degree <= p
     g: list = []  # ascending coefficients of the gcd so far; [] is the zero polynomial
-    for sub in combinations(rows, A.ncols):
-        minor = _int_det_pencil(list(sub))
+    for sub in combinations(range(A.nrows), A.ncols):
+        minor = _interpolate([_det_bareiss_int([point[i] for i in sub]) for point in points])
         if f.is_finite:
             # Reduce each minor before the gcd: a gcd over Z, reduced afterwards, is wrong.
             g = _gcd_modp(g, minor, f.modulus)

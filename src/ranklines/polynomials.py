@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd as int_gcd
 
 from .fields import FieldDesc, RawValue, clear_denominators
@@ -195,10 +196,12 @@ def rational_roots(poly: Poly) -> list[Fraction]:
     section 5.10), in time polynomial in the coefficients' bit size:
 
     1. the factor t^k is removed, giving the root 0;
-    2. f is the primitive integer form of the squarefree part
-       f / gcd(f, f');
-    3. p is the smallest odd prime not dividing the leading coefficient
-       for which f mod p stays squarefree;
+    2. f is made primitive; if one of the first 8 odd primes p does not
+       divide its leading coefficient and leaves f mod p squarefree, then f
+       is squarefree and that smallest p is used;
+    3. otherwise f becomes the squarefree part f / gcd(f, f') and p is the
+       smallest odd prime not dividing its leading coefficient for which
+       f mod p stays squarefree;
     4. the roots of f mod p are found by evaluating every residue;
     5. each is Newton (Hensel) lifted until p^k > 2 * |f_0| * |f_d|;
     6. a/b is recovered by rational reconstruction with |a| <= |f_0| and
@@ -217,10 +220,14 @@ def rational_roots(poly: Poly) -> list[Fraction]:
         coeffs.pop(0)
     if len(coeffs) > 1:
         f = _primitive(clear_denominators(coeffs)[0])
-        g = _int_gcd_poly(f, _derivative(f))
-        if len(g) > 1:
-            f = _int_exact_div(f, g)
-        p = next(q for q in _odd_primes() if _squarefree_mod(f, q))
+        # A prime p with p !| lc(f) and f mod p squarefree proves f squarefree:
+        # f = g^2 * h with deg g >= 1 would give p !| lc(g), so g^2 divides f mod p.
+        p = next((q for q in islice(_odd_primes(), 8) if _squarefree_mod(f, q)), None)
+        if p is None:
+            g = _int_gcd_poly(f, _derivative(f))
+            if len(g) > 1:
+                f = _int_exact_div(f, g)
+            p = next(q for q in _odd_primes() if _squarefree_mod(f, q))
         df = _derivative(f)
         bound = abs(f[0])  # |a| of every root a/b; b <= f[-1]
         for x in range(p):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ranklines.fields import GF, RATIONALS, FieldMismatchError
 from ranklines.matrices import (
     Matrix,
+    _det_bareiss_int,
     _det_modp,
     _eliminate_modp,
     _rref_raw,
@@ -24,9 +25,10 @@ from ranklines.matrices import (
     to_rank_normal_form,
 )
 from ranklines.pencils import det_pencil
+from ranklines.polynomials import Poly
 from ranklines.spaces import MatrixSpaceShape, from_generators
 
-from oracles import hstack, kernel_basis
+from oracles import _det_cofactor, hstack, kernel_basis
 
 F2 = GF(2)
 F3 = GF(3)
@@ -215,10 +217,40 @@ def test_det_closed_forms_match_elimination_on_padding():
         assert det(P).value == det(A).value
 
 
+def test_integer_det_matches_the_laplace_oracle():
+    # _det_bareiss_int has closed forms for n = 2..4 and runs Bareiss
+    # elimination otherwise; Laplace expansion over Q[t], on constant
+    # polynomials, is the oracle.  The cases add singular matrices, a zero
+    # first pivot and a second pivot that vanishes after one step (both force
+    # a row swap in the elimination), and entries of about 2^40.
+    rng = random.Random(97)
+    big = 1 << 40
+    for n in range(7):
+        cases = [[[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+                 for lo, hi in ((-9, 9), (big - 50, big + 50), (-big - 50, big + 50)) for _ in range(5)]
+        for m in cases[::5]:  # one per entry range
+            if n:
+                cases.append([[0] + row[1:] for row in m])  # a zero column
+                cases.append([[0] + m[0][1:]] + m[1:])  # a zero first pivot
+            if n >= 2:
+                cases.append(m[:-1] + [[x - 2 * y for x, y in zip(m[0], m[-2])]])  # a dependent row
+                # row 1 starts as 2 * row 0, so the second pivot vanishes after one step
+                cases.append([m[0], [2 * x for x in m[0][:2]] + m[1][2:]] + m[2:])
+        dets = set()
+        for m in cases:
+            entries = [[Poly.from_coeffs(RATIONALS, (x,)) for x in row] for row in m]
+            expected = _det_cofactor(entries, RATIONALS)(0)
+            rows = [row[:] for row in m]
+            assert _det_bareiss_int(rows) == expected, m
+            assert rows == m  # the argument is not modified
+            dets.add(expected == 0)
+        assert dets == ({True, False} if n else {False}), n
+
+
 def test_det_modp_matches_the_integer_route():
-    # det_pencil(A, 0) is det A by integer Bareiss reduced mod p; it shares
-    # no step with the closed forms, the mod-p elimination or, over GF(2),
-    # the packed rank.
+    # det_pencil(A, 0) is det A by integer elimination (closed forms up to
+    # n = 4) reduced mod p; it shares no step with the mod-p closed forms,
+    # the mod-p elimination or, over GF(2), the packed rank.
     rng = random.Random(31)
     for field in (F2, F3, F5, GF(65521)):
         for n in range(7):

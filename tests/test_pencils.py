@@ -293,7 +293,59 @@ def test_minor_gcd_roots_are_exactly_the_rank_drops():
                 assert (g(t) == 0) == (rank(_shift(A, N, t)) < p)
 
 
+@pytest.mark.parametrize("field", [RATIONALS, F3], ids=str)
+def test_minor_gcd_shares_line_points_across_minors(field):
+    # minor_gcd evaluates the line once per point and takes each minor's
+    # values from row subsets of those points; Laplace per minor is the oracle.
+    rng = random.Random(61)
+    t2_plus_1 = Poly.from_coeffs(field, (1, 0, 1))
+    folded_past_zero = False
+    for n, p in ((5, 3), (4, 2)):
+        for _ in range(10):
+            # Row 1 is twice row 0, so the first minor (rows 0..p-1) vanishes.
+            a, b = ([[rng.randint(-4, 4) for _ in range(p)] for _ in range(n)] for _ in range(2))
+            a[1], b[1] = [2 * x for x in a[0]], [2 * x for x in b[0]]
+            A, N = Matrix.from_rows(field, a), Matrix.from_rows(field, b)
+            assert _det_cofactor(_pencil_entries(A, N)[:p], field).is_zero
+            g = minor_gcd(A, N)
+            assert g == minor_gcd_laplace(A, N)
+            folded_past_zero |= not g.is_zero
+
+            # Rows 0 and 1 are [[t, -1], [1, t]] in columns 0 and 1; below
+            # them a constant combination of those two rows sits beside a
+            # random tail.  The line is L * diag(block, tail) with L
+            # unitriangular, so by Cauchy-Binet t^2 + 1 divides every minor.
+            a = [[0, -1] + [0] * (p - 2), [1, 0] + [0] * (p - 2)]
+            b = [[1, 0] + [0] * (p - 2), [0, 1] + [0] * (p - 2)]
+            for _ in range(n - 2):
+                c0, c1 = rng.randint(-3, 3), rng.randint(-3, 3)
+                a.append([c0 * x + c1 * y for x, y in zip(a[0][:2], a[1][:2])]
+                         + [rng.randint(-4, 4) for _ in range(p - 2)])
+                b.append([c0 * x + c1 * y for x, y in zip(b[0][:2], b[1][:2])]
+                         + [rng.randint(-4, 4) for _ in range(p - 2)])
+            if not field.is_finite:  # a row multiplier other than 1
+                a[0], b[0] = [Fraction(x, 3) for x in a[0]], [Fraction(x, 3) for x in b[0]]
+            A, N = Matrix.from_rows(field, a), Matrix.from_rows(field, b)
+            g = minor_gcd(A, N)
+            assert g == minor_gcd_laplace(A, N)
+            assert not g.is_zero and poly_rem(g, t2_plus_1).is_zero
+    assert folded_past_zero
+
+
 # --------------------------------------------------------------- classify_line
+
+
+def test_rational_classify_calls_rational_roots_once_per_nonzero_polynomial(monkeypatch):
+    # bench/trace.py times the root layer by wrapping pencils.rational_roots,
+    # so classify_line over Q calls it by that name, once per nonzero polynomial.
+    calls = []
+    roots = pencils.rational_roots
+    monkeypatch.setattr(pencils, "rational_roots", lambda poly: calls.append(poly) or roots(poly))
+    lines = list(_rational_lines(random.Random(73)))
+    lines.append((Matrix.zeros(RATIONALS, 3, 2), Matrix.zeros(RATIONALS, 3, 2)))
+    results = [classify_line(A, N) for A, N in lines]
+    assert calls == [res.poly for res in results if not res.poly.is_zero]
+    assert len(calls) < len(lines)
 
 
 def test_classify_zero_line_identically_zero():

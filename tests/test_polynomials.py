@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranklines import polynomials
 from ranklines.fields import GF, RATIONALS
 from ranklines.polynomials import NEG_INF, Poly, _gcd_modp, rational_roots
 
@@ -309,6 +310,23 @@ def test_rational_roots_large_constant_terms():
                     _poly(RATIONALS, 1, 1, 1))
     assert abs(p120.coeffs[0]).numerator.bit_length() == 120
     assert rational_roots(p120) == [Fraction(primes[0] * primes[1], 3), -primes[2] * primes[3]]
+
+
+def test_squarefree_certificate_by_a_prime(monkeypatch):
+    # A squarefree f mod p with p !| lc(f) proves f squarefree, so the integer
+    # gcd(f, f') runs only when no such prime is among the first 8 odd primes.
+    calls = []
+    gcd_poly = polynomials._int_gcd_poly
+    monkeypatch.setattr(polynomials, "_int_gcd_poly", lambda a, b: calls.append(1) or gcd_poly(a, b))
+    D = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23  # t^2 - D = t^2 mod each of those primes
+    for factors, gcd_calls, roots in (
+            (((-1, 1), (2, 1), (-3, 2)), 0, [1, -2, Fraction(3, 2)]),
+            (((-1, 1), (-1, 1), (2, 1)), 1, [1, -2]),
+            (((-1, 1), (-D, 0, 1)), 1, [1])):
+        p = _product(*(_poly(RATIONALS, *c) for c in factors))
+        calls.clear()
+        assert rational_roots(p) == roots == _rational_roots_trial(p), str(p)
+        assert len(calls) == gcd_calls, str(p)
 
 
 def test_roots_only_supported_over_rationals():
