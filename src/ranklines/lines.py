@@ -284,7 +284,9 @@ def constant_det_witness_search(space, N: Matrix,
     pm = f.modulus
     last = n - 1
     basis, base = own_basis, own_base
-    if N != canonical_N(f, n, n, rk):
+    # A flag, not `basis is own_basis`: every empty basis is the same ().
+    moved = N != canonical_N(f, n, n, rk)
+    if moved:
         basis, base = transport_rows(space, *to_rank_normal_form(N))
     if pm <= 3:
         s = _bitsliced_first(shape, basis, base)
@@ -295,11 +297,14 @@ def constant_det_witness_search(space, N: Matrix,
         return SearchOutcome(EXHAUSTED_NO_WITNESS, None, total)
     digits = _odometer_digits(s, pm, d)
     # One scalar test of the found member, rebuilt from its coset digits:
-    # an independent check of the bitsliced kernel.
-    if not _constant_det(_member(shape, basis, base, digits), last, pm):
+    # an independent check of the bitsliced kernel.  Unless N was moved,
+    # that member is also the certificate's A.
+    a_rows = _member(shape, basis, base, digits)
+    if not _constant_det(a_rows, last, pm):
         raise RuntimeError(f"coset member {digits} fails the constant-determinant test")
-    A = Matrix(f, n, n, _member(shape, own_basis, own_base, digits))
-    return SearchOutcome(WITNESS_FOUND, _finite_certificate(A, N), s + 1)
+    if moved:
+        a_rows = _member(shape, own_basis, own_base, digits)
+    return SearchOutcome(WITNESS_FOUND, _finite_certificate(Matrix(f, n, n, a_rows), N), s + 1)
 
 
 def _constant_det(rows, last: int, pm: int) -> bool:

@@ -131,13 +131,19 @@ def _check_tall(nrows: int, ncols: int) -> None:
 
 def _write_text(field: FieldDesc, n: int, p: int, *sections) -> str:
     """The field and size lines, then for each (heading or None, rows)
-    section its heading line and one line per row."""
-    fmt = field.format
+    section its heading line and one line per row.
+
+    Each entry is written as ``str`` of its raw value (``FieldDesc.format``
+    over GF(p) and Q alike), so a row is one ``%`` of a ``"%s"``-per-column
+    template; rows must be tuples.  A row of width 0 is a blank line.
+    """
     lines = [f"field {field}", f"size {n} {p}"]
     for heading, rows in sections:
         if heading is not None:
             lines.append(heading)
-        lines.extend(" ".join(fmt(v) for v in row) for row in rows)
+        if rows:
+            template = " ".join(["%s"] * len(rows[0]))
+            lines.extend([template % row for row in rows])
     return "\n".join(lines) + "\n"
 
 
@@ -160,7 +166,15 @@ def _read_counts(line: str, count: int, expected: str) -> list[int]:
 
 
 def _read_rows(field: FieldDesc, lines, count: int, width: int, what: str):
-    """Exactly ``count`` lines of ``width`` entries each, parsed into raw row tuples."""
+    """Exactly ``count`` lines of ``width`` entries each, parsed into raw row tuples.
+
+    Rows of width 0 are written as blank lines, which _read_header drops,
+    so at width 0 there are no lines to read and the rows are ``count`` ().
+    """
+    if not width:
+        if lines:
+            raise ValueError(f"expected no lines for {count} empty {what}, found {len(lines)}")
+        return ((),) * count
     if len(lines) != count:
         raise ValueError(f"expected {count} {what}, found {len(lines)}")
     rows = []

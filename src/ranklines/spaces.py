@@ -310,9 +310,14 @@ def _ambient(shape: MatrixSpaceShape, codim: int) -> int:
 
 def _free_columns(prof: tuple[int, ...], m: int) -> list[list[int]]:
     """Free columns of each RREF row with pivots prof: right of its pivot, off
-    every pivot; last, those of the canonical coset base (no pivot: -1)."""
+    every pivot; last, those of the canonical coset base (every non-pivot).
+
+    Row i's pivot has i pivots and so prof[i] - i non-pivots left of it; its
+    free columns are the rest of the sorted non-pivots.
+    """
     pivset = set(prof)
-    return [[j for j in range(pc + 1, m) if j not in pivset] for pc in prof + (-1,)]
+    nonpiv = [j for j in range(m) if j not in pivset]
+    return [nonpiv[pc - i:] for i, pc in enumerate(prof)] + [nonpiv]
 
 
 def _fill(m: int, pc: int, cols, values) -> tuple[int, ...]:
@@ -375,7 +380,8 @@ def _cell_tails(m: int, codim: int, q: int):
 
 
 def _random_cell(shape: MatrixSpaceShape, codim: int, rng: random.Random):
-    """A random_subspace draw and its cell's _free_columns."""
+    """A random_subspace draw and its non-pivot columns, the free columns
+    of its canonical coset base; each row is filled in place."""
     m, q = _ambient(shape, codim), shape.field.order
     d = m - codim
     tail = _cell_tails(m, codim, q)
@@ -392,8 +398,14 @@ def _random_cell(shape: MatrixSpaceShape, codim: int, rng: random.Random):
         pc += 1
     prof = tuple(prof)
     free = _free_columns(prof, m)
-    rows = tuple(_fill(m, pc, c, [rng.randrange(q) for _ in c]) for pc, c in zip(prof, free))
-    return LinearMatrixSubspace(shape, rows, prof), free
+    rows = []
+    for pc, cols in zip(prof, free):
+        row = [0] * m
+        row[pc] = 1
+        for j in cols:
+            row[j] = rng.randrange(q)
+        rows.append(tuple(row))
+    return LinearMatrixSubspace(shape, tuple(rows), prof), free[-1]
 
 
 def random_subspace(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> LinearMatrixSubspace:
@@ -411,9 +423,11 @@ def random_subspace(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> 
 
 def random_affine(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> AffineMatrixSubspace:
     """A random_subspace draw, then one draw per free column of the canonical base."""
-    lin, free = _random_cell(shape, codim, rng)
-    m, q = shape.ambient_dim, shape.field.order
-    vec = _fill(m, -1, free[-1], [rng.randrange(q) for _ in free[-1]])
+    lin, nonpiv = _random_cell(shape, codim, rng)
+    q = shape.field.order
+    vec = [0] * shape.ambient_dim
+    for j in nonpiv:
+        vec[j] = rng.randrange(q)
     return AffineMatrixSubspace(lin, unvectorize(shape, vec))
 
 

@@ -30,7 +30,12 @@ N and no bitsliced lanes, is tested by the degree of ``det_pencil``.
 out the Schubert cell rule slot by slot: the order and sample-stream
 oracles for ``enumerate_subspaces``, ``enumerate_affine``,
 ``random_subspace`` and ``random_affine``, which take the cell's free
-columns from one rule and fill whole rows.
+columns from one rule and fill whole rows.  ``free_columns_by_scan`` is
+that rule column by column, against the suffix of the non-pivots that
+``spaces._free_columns`` takes.
+
+``write_text_per_entry`` writes the text format one ``field.format`` call
+per entry, where ``matrices._write_text`` renders a row as one template.
 """
 
 from __future__ import annotations
@@ -219,6 +224,25 @@ def classify_line_by_ranks(A: Matrix, N: Matrix) -> PencilAnalysis:
     if witness is not None and not (failures == f.order and poly.is_zero):
         return PencilAnalysis(poly, kind, HAS_ROOT, witness)
     return PencilAnalysis(poly, kind, _classify_formal(poly))
+
+
+def write_text_per_entry(field: FieldDesc, n: int, p: int, *sections) -> str:
+    """The field and size lines, then for each (heading or None, rows)
+    section its heading and one line per row, entry by entry."""
+    fmt = field.format
+    lines = [f"field {field}", f"size {n} {p}"]
+    for heading, rows in sections:
+        if heading is not None:
+            lines.append(heading)
+        lines.extend(" ".join(fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def free_columns_by_scan(prof, m: int) -> list[list[int]]:
+    """Free columns of each RREF row with pivots prof, each column tested:
+    right of the row's pivot and off every pivot; last, the base's (pivot -1)."""
+    pivset = set(prof)
+    return [[j for j in range(pc + 1, m) if j not in pivset] for pc in tuple(prof) + (-1,)]
 
 
 def iter_rref_bases(m: int, d: int, q: int):

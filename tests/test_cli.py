@@ -64,6 +64,14 @@ def test_check_line_json_certificate_round_trips(workdir, capsys):
     assert cert.verdict == "full-rank"
 
 
+def test_check_line_with_no_columns_exits_zero(workdir, capsys):
+    # A 2 x 0 matrix has rank p = 0 at every t: a full-rank line.
+    M = _matrix_file(workdir / "M.txt", Matrix.zeros(GF(3), 2, 0))
+    code = main(["check-line", M, M])
+    assert code == 0
+    assert "full-rank" in capsys.readouterr().out
+
+
 def test_check_line_shape_mismatch_exits_two(workdir, capsys):
     A = _matrix_file(workdir / "A.txt", Matrix.zeros(F2, 3, 2))
     N = _matrix_file(workdir / "N.txt", Matrix.zeros(F2, 2, 2))

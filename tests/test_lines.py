@@ -631,6 +631,37 @@ def test_constant_det_search_matches_the_full_walk_oracle(field):
     assert min(found.values()) > 50, found
 
 
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=str)
+def test_constant_det_witness_is_the_spaces_own_member(field, monkeypatch):
+    # With canonical N the member re-tested is the certificate's A, rebuilt
+    # once; with N moved it is rebuilt again from the space's own basis and
+    # base.  Every empty basis is the same (), so a point (d = 0) with N
+    # moved must still come back untransported.
+    calls = []
+    real = lines._member
+    monkeypatch.setattr(lines, "_member", lambda *a: calls.append(1) or real(*a))
+    rng = random.Random(f"constant-det-own-member:{field}")
+    seen = set()
+    for n in (2, 3):
+        shape = MatrixSpaceShape(field, n, n)
+        N0 = canonical_N(field, n, n, n - 1)
+        for dim in (0, 0, 1, 2, 3):
+            for _ in range(12):
+                space = random_affine(shape, n * n - dim, rng)
+                moved = random_invertible(field, n, rng) @ N0 @ random_invertible(field, n, rng)
+                for N in (N0, moved):
+                    calls.clear()
+                    out = constant_det_witness_search(space, N)
+                    assert out == constant_det_search_full_walk(space, N), (space, N)
+                    if out.found:
+                        assert space.contains(out.certificate.A)
+                        assert len(calls) == (1 if N == N0 else 2)
+                        seen.add((dim > 0, N != N0))
+                    else:
+                        assert calls == []
+    assert len(seen) == 4, seen
+
+
 def _corner_free_coset(field, n, dim, rng):
     """A seeded coset whose basis and base have a zero corner (n-1, n-1):
     with the canonical N the corner rule rejects no lane, so a first

@@ -390,6 +390,17 @@ def test_text_round_trip_rationals():
     assert "-1/2" in M.to_text()
 
 
+@pytest.mark.parametrize("field", [F2, F3, RATIONALS], ids=str)
+def test_text_round_trip_with_no_columns(field):
+    # An n x 0 matrix writes n blank rows, and blank lines are dropped on
+    # reading, so at width 0 there are no lines to read; one is refused.
+    for n in (0, 1, 2, 3):
+        M = Matrix.zeros(field, n, 0)
+        assert Matrix.from_text(M.to_text()) == M
+    with pytest.raises(ValueError, match="expected no lines for 2 empty rows, found 1"):
+        Matrix.from_text(f"field {field}\nsize 2 0\n0\n")
+
+
 def test_from_text_rejects_malformed_input():
     with pytest.raises(ValueError):
         Matrix.from_text("size 1 1\n0\n")

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
 from ranklines import spaces
 from ranklines.fields import GF, RATIONALS
-from ranklines.matrices import Matrix, random_invertible, random_matrix, rank
+from ranklines.matrices import Matrix, _write_text, random_invertible, random_matrix, rank
 from ranklines.spaces import (
     DEFAULT_ELEMENT_BUDGET,
     AffineMatrixSubspace,
@@ -30,7 +31,13 @@ from ranklines.spaces import (
     vectorize,
 )
 
-from oracles import canonical_coset_bases, iter_rref_bases, sample_rref
+from oracles import (
+    canonical_coset_bases,
+    free_columns_by_scan,
+    iter_rref_bases,
+    sample_rref,
+    write_text_per_entry,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -260,6 +267,21 @@ def test_samplers_keep_the_oracle_stream_where_profiles_are_many():
             base = vectorize(space.base) if affine else None
             assert (lin.basis, lin.pivots, base) == sample_rref(25, codim, 2, ref, affine)
         assert rng.random() == ref.random()
+
+
+def test_free_columns_are_the_suffix_of_the_non_pivots():
+    # Every pivot profile at m <= 9 (1,023 of them), then seeded ones at
+    # m = 25 and 36, against the column-by-column rule.
+    cells = [(m, prof) for m in range(10) for d in range(m + 1)
+             for prof in combinations(range(m), d)]
+    assert len(cells) == 1023
+    for m, prof in cells:
+        assert spaces._free_columns(prof, m) == free_columns_by_scan(prof, m), (m, prof)
+    rng = random.Random("free-columns")
+    for m in (25, 36):
+        for _ in range(300):
+            prof = tuple(sorted(rng.sample(range(m), rng.randint(0, m))))
+            assert spaces._free_columns(prof, m) == free_columns_by_scan(prof, m), prof
 
 
 def test_samplers_reject_negative_codim_as_enumeration_does():
@@ -513,6 +535,66 @@ def test_affine_space_text_round_trip():
     back = parse_subspace_text(aff.to_text())
     assert back == aff
     assert "base" in aff.to_text()
+
+
+TEXT_FIELDS = [F2, F3, GF(5), GF(65521), RATIONALS]
+TEXT_SHAPES = [(0, 0), (0, 2), (2, 0), (3, 3), (4, 2)]
+
+
+def _seeded_texts(field):
+    """(text, the per-entry oracle's text) for a seeded matrix and for
+    linear and affine spaces of dim 0, 2 (at most) and full, per shape."""
+    rng = random.Random(f"text:{field}")
+    for n, p in TEXT_SHAPES:
+        shape = _shape(field, n, p)
+        M = random_matrix(field, n, p, rng)
+        yield M.to_text(), write_text_per_entry(field, n, p, (None, M.rows))
+        units = [Matrix.unit(field, n, p, i, j) for i in range(n) for j in range(p)]
+        for gens in ([], [random_matrix(field, n, p, rng) for _ in range(2)], units):
+            lin = from_generators(shape, gens)
+            aff = affine_from_point(lin, random_matrix(field, n, p, rng))
+            dim = (f"dim {lin.dim}", lin.basis)
+            yield lin.to_text(), write_text_per_entry(field, n, p, dim)
+            yield aff.to_text(), write_text_per_entry(field, n, p, dim, ("base", aff.base.rows))
+
+
+@pytest.mark.parametrize("field", TEXT_FIELDS, ids=str)
+def test_text_writer_matches_the_per_entry_oracle(field):
+    # One template per row writes the bytes of one format call per entry,
+    # negative and fractional rationals included: the case hash reads them.
+    texts = list(_seeded_texts(field))
+    assert len(texts) == 7 * len(TEXT_SHAPES)
+    for got, want in texts:
+        assert got == want
+    if field == RATIONALS:
+        body = "".join(got for got, _ in texts)
+        assert "-" in body and "/" in body
+    rows = ((1, 0, 2), (0, 1, 1))
+    assert _write_text(field, 2, 3, (None, rows), ("base", rows[:1])) == \
+        write_text_per_entry(field, 2, 3, (None, rows), ("base", rows[:1]))
+
+
+def test_text_writer_pins_the_seeded_texts():
+    # sha256 over every seeded text, taken with the per-entry writer.
+    digest = hashlib.sha256()
+    for field in TEXT_FIELDS:
+        for got, _ in _seeded_texts(field):
+            digest.update(got.encode())
+    assert digest.hexdigest() == "8dd2431c665e2af9fa772dc1fff8b9d8ac24a2a462188fe3ab0952ac803f9fa6"
+
+
+@pytest.mark.parametrize("field", [F2, F3, RATIONALS], ids=str)
+def test_space_text_round_trip_with_no_columns(field):
+    # The base of an n x 0 coset writes n blank rows, which are dropped on
+    # reading: at width 0 there are no base lines to read.
+    for n in (1, 2, 3):
+        shape = _shape(field, n, 0)
+        lin = from_generators(shape, [])
+        aff = affine_from_point(lin, Matrix.zeros(field, n, 0))
+        assert parse_subspace_text(lin.to_text()) == lin
+        assert parse_subspace_text(aff.to_text()) == aff
+    with pytest.raises(ValueError, match="expected no lines for 2 empty base rows, found 1"):
+        parse_subspace_text(f"field {field}\nsize 2 0\ndim 0\nbase\n0\n")
 
 
 def test_parse_zero_subspace_of_a_huge_shape_is_fast():
