@@ -107,24 +107,19 @@ def _cmd_check_line(args) -> int:
     N = _load(args.N)
     with _usage_errors():
         ok, payload = line_full_rank(A, N)
-    f = A.field
     if ok:
         if args.format == "json":
             print(payload.to_json())
         else:
+            a = payload.analysis
             print("full-rank line")
-            if payload.table is not None:
-                for t, r in payload.table:
-                    print(f"  t = {f.format(t)}: rank {r}")
-            else:
-                a = payload.analysis
-                print(f"  {a.poly_kind}: {a.poly}")
-                print(f"  classification: {a.classification}")
+            print(f"  {a.poly_kind}: {a.poly}")
+            print(f"  classification: {a.classification}")
         return 0
     if args.format == "json":
-        print(json.dumps({"verdict": "rank-drop", "t0": f.format(payload.value)}, indent=2))
+        print(json.dumps({"verdict": "rank-drop", "t0": str(payload)}, indent=2))
     else:
-        print(f"rank drops at t = {f.format(payload.value)}")
+        print(f"rank drops at t = {payload}")
     return 1
 
 

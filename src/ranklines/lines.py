@@ -13,12 +13,11 @@ import json
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, reduce
 from operator import and_, mul, xor
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
-from .fields import FieldDesc, RawValue, Scalar
+from .fields import FieldDesc, Scalar
 from .matrices import (
     Matrix,
     _check_tall,
@@ -58,56 +57,51 @@ DEFAULT_RANDOM_BUDGET = 10_000
 class WitnessCertificate:
     """Checkable evidence that every matrix of A + K*N has rank p.
 
-    Over a finite field the evidence is the complete per-t rank table;
-    over the rationals it is the pencil analysis whose classification
-    excludes rational rank drops.
+    The evidence is the pencil analysis of the line, over every field: its
+    polynomial (det(A + tN), or the gcd of the maximal minors) has no root
+    in K.  The JSON form has one shape; an object without ``analysis`` is
+    the retired per-t ``table`` form and is refused.
     """
 
     A: Matrix
     N: Matrix
-    table: tuple[tuple[RawValue, int], ...] | None = None
-    analysis: PencilAnalysis | None = None
-    verdict: str = "full-rank"
+    analysis: PencilAnalysis
+    verdict: ClassVar[str] = "full-rank"
 
     def to_json_obj(self) -> dict:
-        obj = {
+        f = self.A.field
+        a = self.analysis
+        return {
             "A": self.A.to_text(),
             "N": self.N.to_text(),
-            "field": str(self.A.field),
+            "field": str(f),
             "verdict": self.verdict,
-        }
-        f = self.A.field
-        if self.table is not None:
-            obj["table"] = [{"t": f.format(t), "rank": r} for t, r in self.table]
-        if self.analysis is not None:
-            a = self.analysis
-            obj["analysis"] = {
+            "analysis": {
                 "poly_kind": a.poly_kind,
                 "poly_coeffs": [f.format(c) for c in a.poly.coeffs],
                 "poly": str(a.poly),
                 "classification": a.classification,
                 "witness": f.format(a.witness.value) if a.witness is not None else None,
-            }
-        return obj
+            },
+        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "WitnessCertificate":
+        if obj.get("verdict") != cls.verdict:
+            raise ValueError(f"certificate verdict must be {cls.verdict!r}, "
+                             f"got {obj.get('verdict')!r}")
+        if "analysis" not in obj:
+            raise ValueError("certificate has no 'analysis': the per-t 'table' form is retired")
         A = Matrix.from_text(obj["A"])
         N = Matrix.from_text(obj["N"])
         f = A.field
-        table = None
-        analysis = None
-        if "table" in obj:
-            table = tuple((f.parse(row["t"]), int(row["rank"])) for row in obj["table"])
-        if "analysis" in obj:
-            a = obj["analysis"]
-            poly = Poly.from_coeffs(f, [f.parse(c) for c in a["poly_coeffs"]])
-            witness = Scalar(f, f.parse(a["witness"])) if a["witness"] is not None else None
-            analysis = PencilAnalysis(poly, a["poly_kind"], a["classification"], witness)
-        return cls(A, N, table, analysis, obj["verdict"])
+        a = obj["analysis"]
+        poly = Poly.from_coeffs(f, [f.parse(c) for c in a["poly_coeffs"]])
+        witness = Scalar(f, f.parse(a["witness"])) if a["witness"] is not None else None
+        return cls(A, N, PencilAnalysis(poly, a["poly_kind"], a["classification"], witness))
 
     @classmethod
     def from_json(cls, text: str) -> "WitnessCertificate":
@@ -116,13 +110,20 @@ class WitnessCertificate:
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """A search's status and member count, and its witness line (A, N) if found."""
+
     status: str
-    certificate: WitnessCertificate | None
+    witness: tuple[Matrix, Matrix] | None
     cases_examined: int
 
     @property
     def found(self) -> bool:
         return self.status == WITNESS_FOUND
+
+    @property
+    def certificate(self) -> WitnessCertificate | None:
+        """The witness's certificate, built when read: campaigns never read it."""
+        return None if self.witness is None else _finite_certificate(*self.witness)
 
 
 def _first_rank_drop(field: FieldDesc, a_rows, n_rows, p: int) -> int | None:
@@ -135,35 +136,25 @@ def _first_rank_drop(field: FieldDesc, a_rows, n_rows, p: int) -> int | None:
 
 
 def _finite_certificate(A: Matrix, N: Matrix) -> WitnessCertificate:
-    """Certificate for a finite line already seen to have rank p at every t.
-
-    Callers only get here after computing each rank (or a nonzero constant
-    determinant) themselves, so the table records p without recomputing.
-    """
-    return WitnessCertificate(A, N, table=tuple((t, A.ncols) for t in A.field.elements()))
+    """The certificate of a search's witness, whose line the search found full-rank."""
+    analysis = classify_line(A, N)
+    if not analysis.full_rank:
+        raise RuntimeError(f"search witness has a {analysis.classification} line")
+    return WitnessCertificate(A, N, analysis)
 
 
 def line_full_rank(A: Matrix, N: Matrix):
     """Decide whether every matrix of A + K*N has rank p.
 
     Returns (True, certificate) or (False, t0) with t0 the smallest field
-    element at which the rank drops.  Finite fields are swept directly;
-    the rationals go through the minor-gcd classification.
+    element at which the rank drops: the smallest root of the pencil
+    polynomial, or 0 when that polynomial is identically zero.
     """
-    check_shape(N, A.field, A.nrows, A.ncols)
-    _check_tall(A.nrows, A.ncols)
-    f = A.field
-    p = A.ncols
-    if f.is_finite:
-        t0 = _first_rank_drop(f, A.rows, N.rows, p)
-        if t0 is not None:
-            return False, Scalar(f, t0)
-        return True, _finite_certificate(A, N)
-    analysis = classify_line(A, N)
+    analysis = classify_line(A, N)  # rejects a mismatched pair and n < p
     if analysis.full_rank:
-        return True, WitnessCertificate(A, N, analysis=analysis)
-    t0 = analysis.witness if analysis.witness is not None else Scalar(f, Fraction(0))
-    return False, t0
+        return True, WitnessCertificate(A, N, analysis)
+    t0 = analysis.witness
+    return False, t0 if t0 is not None else Scalar(A.field, A.field.zero)
 
 
 def validate_certificate(cert: WitnessCertificate) -> bool:
@@ -177,19 +168,7 @@ def validate_certificate(cert: WitnessCertificate) -> bool:
         _check_tall(A.nrows, A.ncols)
     except ValueError:
         return False
-    f = A.field
-    p = A.ncols
-    if f.is_finite:
-        if cert.table is None:
-            return False
-        if sorted(t for t, _ in cert.table) != list(f.elements()):
-            return False
-        return (all(recorded == p for _, recorded in cert.table)
-                and _first_rank_drop(f, A.rows, N.rows, p) is None)
-    if cert.analysis is None:
-        return False
-    fresh = classify_line(A, N)
-    return fresh == cert.analysis and fresh.full_rank
+    return classify_line(A, N) == cert.analysis and cert.analysis.full_rank
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +226,7 @@ def witness_search(space, N: Matrix, strategy: str = EXHAUSTIVE,
     for a_rows in members:
         cases += 1
         if _first_rank_drop(f, a_rows, N.rows, p) is None:
-            return SearchOutcome(WITNESS_FOUND,
-                                 _finite_certificate(Matrix(f, n, p, a_rows), N), cases)
+            return SearchOutcome(WITNESS_FOUND, (Matrix(f, n, p, a_rows), N), cases)
     return SearchOutcome(miss, None, cases)
 
 
@@ -298,13 +276,13 @@ def constant_det_witness_search(space, N: Matrix,
     digits = _odometer_digits(s, pm, d)
     # One scalar test of the found member, rebuilt from its coset digits:
     # an independent check of the bitsliced kernel.  Unless N was moved,
-    # that member is also the certificate's A.
+    # that member is also the witness A.
     a_rows = _member(shape, basis, base, digits)
     if not _constant_det(a_rows, last, pm):
         raise RuntimeError(f"coset member {digits} fails the constant-determinant test")
     if moved:
         a_rows = _member(shape, own_basis, own_base, digits)
-    return SearchOutcome(WITNESS_FOUND, _finite_certificate(Matrix(f, n, n, a_rows), N), s + 1)
+    return SearchOutcome(WITNESS_FOUND, (Matrix(f, n, n, a_rows), N), s + 1)
 
 
 def _constant_det(rows, last: int, pm: int) -> bool:

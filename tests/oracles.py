@@ -43,12 +43,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from ranklines.fields import FieldDesc, Scalar
-from ranklines.lines import (
-    EXHAUSTED_NO_WITNESS,
-    WITNESS_FOUND,
-    SearchOutcome,
-    _finite_certificate,
-)
+from ranklines.lines import EXHAUSTED_NO_WITNESS, WITNESS_FOUND, SearchOutcome
 from ranklines.matrices import (
     Matrix,
     _det_modp,
@@ -322,5 +317,5 @@ def constant_det_search_full_walk(space, N: Matrix) -> SearchOutcome:
         cases += 1
         A = Matrix(f, n, n, a_rows)
         if det_pencil(A, N).degree == 0:
-            return SearchOutcome(WITNESS_FOUND, _finite_certificate(A, N), cases)
+            return SearchOutcome(WITNESS_FOUND, (A, N), cases)
     return SearchOutcome(EXHAUSTED_NO_WITNESS, None, cases)

@@ -12,7 +12,7 @@ import pytest
 
 from ranklines import lines
 from ranklines.fields import GF, RATIONALS, Scalar
-from ranklines.gallery import remark2_f2_example
+from ranklines.gallery import lemma1_witness, remark2_f2_example
 from ranklines.lines import (
     BUDGET_EXHAUSTED,
     DEFAULT_RANDOM_BUDGET,
@@ -49,16 +49,28 @@ from ranklines.spaces import (
     random_subspace,
 )
 
-from oracles import constant_det_search_full_walk, ker_coker_noninjective, maps_ker_into_im
+from oracles import (
+    classify_line_by_ranks,
+    constant_det_search_full_walk,
+    ker_coker_noninjective,
+    maps_ker_into_im,
+)
 
 F2 = GF(2)
 F3 = GF(3)
 F5 = GF(5)
 F7 = GF(7)
 
-# sha256 of the JSON of every certificate _seeded_certificates builds, taken
-# with the earlier code that recomputed each rank of a witness's table.
-CERT_JSON_SHA256 = "7070e053bb7e8039e3dc79d2201574ae5f35ed4105df224250b3f8e2c1f3222f"
+# sha256 of (source, A, N) of every certificate _seeded_certificates builds,
+# taken with the earlier code that certified a finite line by its per-t rank
+# table: the searches and line_full_rank still return the same witnesses.
+WITNESSES_SHA256 = "63fb3a9c66e4c4e6d4843b526fc000cdc0188dd69a7cbcb14e81885a7bed63a3"
+
+# A certificate in the retired per-t table form, as the earlier code wrote it.
+TABLE_CERT_JSON = (
+    '{"A": "field gf 2\\nsize 3 2\\n0 0\\n1 0\\n0 1\\n", '
+    '"N": "field gf 2\\nsize 3 2\\n1 0\\n0 0\\n0 0\\n", "field": "gf 2", '
+    '"verdict": "full-rank", "table": [{"t": "0", "rank": 2}, {"t": "1", "rank": 2}]}')
 
 
 def _full_space(field, n, p):
@@ -76,7 +88,7 @@ def test_line_full_rank_subdiagonal_witness():
     ok, cert = line_full_rank(A, N)
     assert ok
     assert cert.verdict == "full-rank"
-    assert cert.table == ((0, 2), (1, 2))
+    assert cert.analysis == PencilAnalysis(Poly(F2, (1,)), "minor-gcd", CONSTANT_NONZERO)
     assert validate_certificate(cert)
 
 
@@ -101,8 +113,7 @@ def test_line_full_rank_rational_cases():
     N = Matrix.from_rows(RATIONALS, [[1, 0], [0, 0]])
     ok, cert = line_full_rank(A, N)
     assert ok
-    assert cert.table is None
-    assert cert.analysis is not None and cert.analysis.full_rank
+    assert cert.analysis.full_rank
     bad_ok, t0 = line_full_rank(Matrix.identity(RATIONALS, 2),
                                 Matrix.from_rows(RATIONALS, [[1, 0], [0, -1]]))
     assert not bad_ok
@@ -118,20 +129,42 @@ def test_line_full_rank_shape_guards():
         line_full_rank(Matrix.zeros(F2, 3, 2), Matrix.zeros(F2, 2, 2))
 
 
+def _planted_lines(field, rng):
+    """Square and tall lines with a rank drop planted at t = 0 and at t = q - 1
+    (a zero column of A + t0*N), and lines whose polynomial is identically
+    zero (a zero column shared by A and N)."""
+    q = field.order
+    out = []
+    for n, p in ((3, 3), (4, 2)):
+        for t0, shared in ((0, False), (q - 1, False), (0, True)):
+            j = rng.randrange(p)
+            M = [[0 if k == j else rng.randrange(q) for k in range(p)] for _ in range(n)]
+            N = Matrix.from_rows(field, [[0 if k == j and shared else rng.randrange(q)
+                                          for k in range(p)] for _ in range(n)])
+            out.append((Matrix.from_rows(field, M) + N.scale(-t0), N))
+    return out
+
+
 def test_line_full_rank_matches_brute_force():
     rng = random.Random(73)
-    for field in (F2, F3, F5):
+    planted = random.Random(74)
+    for field in (F2, F3, F5, F7):
+        pairs = []
         for _ in range(40):
             p = rng.randint(1, 3)
             n = rng.randint(p, 4)
-            A = random_matrix(field, n, p, rng)
-            N = random_matrix(field, n, p, rng)
+            pairs.append((random_matrix(field, n, p, rng), random_matrix(field, n, p, rng)))
+        pairs += _planted_lines(field, planted)
+        for A, N in pairs:
+            p = A.ncols
             ok, payload = line_full_rank(A, N)
             drops = [t for t in field.elements()
                      if rank(A + N.scale(t)) < p]
             assert ok == (not drops)
             if not ok:
                 assert payload.value == drops[0]
+            assert classify_line(A, N) == classify_line_by_ranks(A, N)
+        assert sum(classify_line(A, N).poly.is_zero for A, N in pairs) >= 2, field
 
 
 # --------------------------------------------------------------- certificates
@@ -192,12 +225,6 @@ def _seeded_certificates(field):
     return out
 
 
-def _recomputed_certificate(A, N):
-    """The certificate with every rank of A + tN recomputed by Matrix arithmetic."""
-    return WitnessCertificate(A, N, table=tuple((t, rank(A + N.scale(t)))
-                                                for t in A.field.elements()))
-
-
 @pytest.mark.parametrize("field", [F2, F3, F5, F7])
 def test_line_rows_matches_matrix_arithmetic(field):
     rng = random.Random(f"line_rows:{field}")
@@ -213,40 +240,70 @@ def test_line_rows_matches_matrix_arithmetic(field):
 
 @pytest.mark.parametrize("field", [F2, F3, F5, F7])
 def test_certificates_equal_fully_recomputed_ones(field):
+    # Each certificate's analysis is the one the per-t rank oracle gives,
+    # and a Remark 2 witness's says constant-nonzero, the claim itself.
     pairs = _seeded_certificates(field)
     assert {src for src, _ in pairs} == {"line_full_rank", EXHAUSTIVE, RANDOM, "constant-det"}
-    for _src, cert in pairs:
-        fresh = _recomputed_certificate(cert.A, cert.N)
-        assert cert == fresh
-        assert cert.to_json() == fresh.to_json()
+    for src, cert in pairs:
+        assert cert.analysis == classify_line_by_ranks(cert.A, cert.N)
+        assert WitnessCertificate.from_json(cert.to_json()) == cert
         assert validate_certificate(cert)
+        if src == "constant-det":
+            assert cert.analysis.classification == CONSTANT_NONZERO
 
 
-def test_certificate_json_unchanged_from_recomputing_searches():
-    blob = "\n".join(cert.to_json() for field in (F2, F3, F5, F7)
-                     for _src, cert in _seeded_certificates(field))
-    assert hashlib.sha256(blob.encode()).hexdigest() == CERT_JSON_SHA256
+def test_seeded_witnesses_unchanged_from_the_table_certificates():
+    blob = "".join(f"{src}\n{cert.A.to_text()}{cert.N.to_text()}"
+                   for field in (F2, F3, F5, F7) for src, cert in _seeded_certificates(field))
+    assert blob.count("\nfield ") == 2 * 132
+    assert hashlib.sha256(blob.encode()).hexdigest() == WITNESSES_SHA256
 
 
 def test_tampered_certificate_fails_validation():
     A = Matrix.from_rows(F2, [[0, 0], [1, 0], [0, 1]])
     N = canonical_N(F2, 3, 2, 1)
     _, cert = line_full_rank(A, N)
-    tampered = WitnessCertificate(A=Matrix.zeros(F2, 3, 2), N=cert.N,
-                                  table=cert.table, analysis=None,
-                                  verdict=cert.verdict)
-    assert not validate_certificate(tampered)
+    assert not validate_certificate(WitnessCertificate(Matrix.zeros(F2, 3, 2), N, cert.analysis))
+    # A + t*A drops rank at t = 1, whatever analysis the certificate claims.
+    assert not validate_certificate(WitnessCertificate(A, A, cert.analysis))
+
+
+def test_certificate_json_refuses_other_verdicts_and_the_table_form():
+    _, cert = line_full_rank(Matrix.from_rows(F2, [[0, 0], [1, 0], [0, 1]]), canonical_N(F2, 3, 2, 1))
+    obj = cert.to_json_obj()
+    for verdict in ("rank-drop", "bogus"):
+        with pytest.raises(ValueError, match="verdict"):
+            WitnessCertificate.from_json_obj({**obj, "verdict": verdict})
+    with pytest.raises(ValueError, match="'table' form is retired"):
+        WitnessCertificate.from_json(TABLE_CERT_JSON)
+    with pytest.raises(AttributeError):
+        cert.verdict = "rank-drop"
+
+
+@pytest.mark.parametrize("n, p", [(3, 3), (6, 6), (5, 3)])
+def test_large_field_certificates_take_no_per_t_rank(n, p, monkeypatch):
+    # Over GF(65521) the retired table held 65,521 ranks (3.2 MB of JSON at
+    # n = p = 3); the analysis certificate is read off one polynomial.
+    calls = []
+    real = lines._first_rank_drop
+    monkeypatch.setattr(lines, "_first_rank_drop", lambda *a: calls.append(1) or real(*a))
+    field = GF(65521)
+    A, N = lemma1_witness(n, p, p - 1, field), canonical_N(field, n, p, p - 1)
+    ok, cert = line_full_rank(A, N)
+    assert ok and validate_certificate(cert)
+    assert len(cert.to_json().encode()) < 2048
+    assert calls == []
 
 
 def test_certificate_with_fewer_rows_than_columns_fails_validation():
     A = Matrix.from_rows(RATIONALS, [[1, 0, 0], [0, 1, 0]])
     N = Matrix.zeros(RATIONALS, 2, 3)
     one = Poly(RATIONALS, (RATIONALS.one,))
-    cert = WitnessCertificate(A, N, analysis=PencilAnalysis(one, "minor-gcd", CONSTANT_NONZERO))
+    cert = WitnessCertificate(A, N, PencilAnalysis(one, "minor-gcd", CONSTANT_NONZERO))
     assert not validate_certificate(cert)
     assert not validate_certificate(WitnessCertificate.from_json(cert.to_json()))
-    table = tuple((t, 3) for t in F2.elements())
-    wide = WitnessCertificate(Matrix.zeros(F2, 2, 3), Matrix.zeros(F2, 2, 3), table=table)
+    wide = WitnessCertificate(Matrix.zeros(F2, 2, 3), Matrix.zeros(F2, 2, 3),
+                              PencilAnalysis(Poly(F2, (1,)), "minor-gcd", CONSTANT_NONZERO))
     assert not validate_certificate(wide)
 
 
@@ -633,7 +690,7 @@ def test_constant_det_search_matches_the_full_walk_oracle(field):
 
 @pytest.mark.parametrize("field", [F2, F3, F5], ids=str)
 def test_constant_det_witness_is_the_spaces_own_member(field, monkeypatch):
-    # With canonical N the member re-tested is the certificate's A, rebuilt
+    # With canonical N the member re-tested is the witness A, rebuilt
     # once; with N moved it is rebuilt again from the space's own basis and
     # base.  Every empty basis is the same (), so a point (d = 0) with N
     # moved must still come back untransported.

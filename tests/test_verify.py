@@ -13,7 +13,7 @@ from itertools import islice
 
 import pytest
 
-from ranklines import verify
+from ranklines import lines, verify
 from ranklines.fields import GF, RATIONALS
 from ranklines.matrices import Matrix, canonical_N, random_invertible, rank
 from ranklines.spaces import (LinearMatrixSubspace, MatrixSpaceShape, from_generators, random_affine,
@@ -521,6 +521,29 @@ def test_case_hash_text_is_rendered_once_per_space(monkeypatch):
     rep = run_campaign(spec)
     assert rep.case_order_hash == order_hash
     assert rep.total == 2 * len(rendered) == 2 * len(set(rendered))
+
+
+def test_campaigns_build_no_certificate(monkeypatch):
+    # A campaign reads only whether a search found a witness, so no search
+    # certificate is built for the hundreds of witnesses below.
+    built, found = [], []
+    monkeypatch.setattr(lines, "_finite_certificate", lambda *a: built.append(a))
+
+    def counted(search):
+        def run(*args, **kw):
+            outcome = search(*args, **kw)
+            found.append(outcome.found)
+            return outcome
+        return run
+    for name in ("witness_search", "constant_det_witness_search"):
+        monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+    specs = [_spec(codims=(0, 1)),
+             CampaignSpec(theorem="remark2-strong", field=F3, n=3, p=3, codims=(1,),
+                          rank_range=(2,), mode="sample", samples=100, seed=1)]
+    for spec in specs:
+        assert run_campaign(spec).verified
+    assert all(found) and len(found) > 200
+    assert built == []
 
 
 def test_workers_do_not_change_report_identity():
