@@ -12,26 +12,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
-from .fields import GF, parse_field
-from .gallery import (
-    EXAMPLE_NAMES,
-    flanders_extremal,
-    lemma1_witness,
-    remark1_example,
-    remark2_f2_example,
-    sharpness_example,
-)
+from .fields import parse_field
+from .gallery import EXAMPLES
 from .lines import (
     BUDGET_EXHAUSTED,
     WITNESS_FOUND,
     line_full_rank,
     witness_search,
 )
-from .matrices import Matrix, canonical_N
+from .matrices import Matrix
 from .pencils import det_pencil
 from .spaces import DEFAULT_ELEMENT_BUDGET, BudgetExceededError, parse_subspace_text
 from .verify import (
@@ -152,36 +147,28 @@ def _cmd_verify(args) -> int:
         field = parse_field(f"gf {args.q}")
     n = args.n
     p = args.p if args.p is not None else n
-    codims = (_parse_int_list(args.codim, n * p, "codimension") if args.codim
+    codims = (_parse_int_list(args.codim, n * p, "codimension") if args.codim is not None
               else tuple(range(max(n - 1, 1))))
     if args.rank is not None:
         ranks = _parse_int_list(args.rank, p, "rank")
     else:
         with _usage_errors():
             ranks = default_rank_range(args.theorem, n, p)
-    spec = CampaignSpec(
-        theorem=args.theorem,
-        field=field,
-        n=n,
-        p=p,
-        codims=codims,
-        rank_range=ranks,
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-        workers=args.workers,
-        element_budget=args.element_budget,
-        random_conjugates=args.random_conjugates,
-        allow_out_of_hypothesis=args.allow_out_of_hypothesis,
-    )
+    # Every other spec field is the parsed option of the same name.
+    values = vars(args) | {"field": field, "p": p, "codims": codims, "rank_range": ranks}
+    spec = CampaignSpec(**{f.name: values[f.name] for f in fields(CampaignSpec)})
     with _usage_errors():
         validate_spec(spec)
-    if args.out:  # a bad path fails here, not after the campaign; "a" keeps the file as it is
-        _write_text(Path(args.out), "", mode="a")
+    out = Path(args.out) if args.out else None
+    if out:  # a bad path fails here, not after the campaign
+        existed = os.path.lexists(out)
+        _write_text(out, "", mode="a")  # "a" keeps an existing file as it is
+        if not existed:  # a campaign that stops without a report leaves no file
+            out.unlink()
     report = run_campaign(spec)
     text = report.summary_text() if args.format == "text" else report.to_json()
-    if args.out:
-        _write_text(Path(args.out), text + "\n")
+    if out:
+        _write_text(out, text + "\n")
     else:
         print(text)
     return {"verified": 0, "failed": 1, "incomplete": 3}[report.verdict]
@@ -190,43 +177,15 @@ def _cmd_verify(args) -> int:
 def _cmd_gen(args) -> int:
     with _usage_errors():
         field = parse_field(args.field)
-    out = Path(args.out)
-
-    def need(**params):
-        missing = [k for k, v in params.items() if v is None]
-        if missing:
-            raise _UsageError(f"example {args.example} needs --{', --'.join(missing)}")
-        return [v for v in params.values()]
-
-    files: list[tuple[str, str]] = []
+    params, build = EXAMPLES[args.example]
+    missing = [k for k in params if getattr(args, k) is None]
+    if missing:
+        raise _UsageError(f"example {args.example} needs --{', --'.join(missing)}")
     with _usage_errors():
-        if args.example == "lemma1":
-            n, p, r = need(n=args.n, p=args.p, r=args.r)
-            files.append(("lemma1_A.txt", lemma1_witness(n, p, r, field).to_text()))
-            files.append(("lemma1_N.txt", canonical_N(field, n, p, r).to_text()))
-        elif args.example == "sharpness":
-            n, p = need(n=args.n, p=args.p)
-            space, N = sharpness_example(n, p, field)
-            files.append(("sharpness_space.txt", space.to_text()))
-            files.append(("sharpness_N.txt", N.to_text()))
-        elif args.example == "remark1":
-            (n,) = need(n=args.n)
-            space, N = remark1_example(n, field)
-            files.append(("remark1_space.txt", space.to_text()))
-            files.append(("remark1_N.txt", N.to_text()))
-        elif args.example == "remark2-f2":
-            if field != GF(2):
-                raise _UsageError(f"example remark2-f2 is over gf 2 only, got --field {args.field!r}")
-            space, N = remark2_f2_example()
-            files.append(("remark2-f2_space.txt", space.to_text()))
-            files.append(("remark2-f2_N.txt", N.to_text()))
-        else:  # flanders-extremal
-            n, p, r = need(n=args.n, p=args.p, r=args.r)
-            space = flanders_extremal(n, p, r, field)
-            files.append(("flanders-extremal_space.txt", space.to_text()))
-    for name, text in files:
-        path = out / name
-        _write_text(path, text, make_parents=True)
+        parts = list(build(field, *(getattr(args, k) for k in params)))
+    for part, obj in parts:
+        path = Path(args.out) / f"{args.example}_{part}.txt"
+        _write_text(path, obj.to_text(), make_parents=True)
         print(path)
     return 0
 
@@ -302,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="write a named example to files")
-    p.add_argument("--example", choices=EXAMPLE_NAMES, required=True)
+    p.add_argument("--example", choices=EXAMPLES, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--r", type=int, default=None)

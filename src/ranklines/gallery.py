@@ -3,7 +3,8 @@
 Each generator returns the objects (matrices, subspaces) of one explicit
 construction together with nothing assumed: the advertised properties
 (codimension, rank bounds, witness existence or nonexistence) are
-re-verified by the test suite and the verification campaigns.
+re-verified by the test suite and the verification campaigns.  EXAMPLES
+names them for ``ranklines gen``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from .spaces import (
     affine_from_point,
     from_generators,
 )
-
-EXAMPLE_NAMES = ("lemma1", "sharpness", "remark1", "remark2-f2", "flanders-extremal")
 
 
 def lemma1_witness(n: int, p: int, r: int, field: FieldDesc) -> Matrix:
@@ -104,3 +103,24 @@ def flanders_extremal(n: int, p: int, r: int, field: FieldDesc) -> LinearMatrixS
     shape = MatrixSpaceShape(field, n, p)
     gens = [Matrix.unit(field, n, p, i, j) for i in range(n) for j in range(r)]
     return from_generators(shape, gens)
+
+
+def _remark2_f2_parts(field: FieldDesc):
+    if field != GF(2):
+        raise ValueError(f"example remark2-f2 is over gf 2 only, got {field}")
+    return zip(("space", "N"), remark2_f2_example())
+
+
+# name -> (size parameters, builder(field, *sizes) of (part, object) pairs);
+# `ranklines gen` writes each object to <name>_<part>.txt.
+EXAMPLES = {
+    "lemma1": (("n", "p", "r"), lambda field, n, p, r: (
+        ("A", lemma1_witness(n, p, r, field)), ("N", canonical_N(field, n, p, r)))),
+    "sharpness": (("n", "p"),
+                  lambda field, n, p: zip(("space", "N"), sharpness_example(n, p, field))),
+    "remark1": (("n",), lambda field, n: zip(("space", "N"), remark1_example(n, field))),
+    "remark2-f2": ((), _remark2_f2_parts),
+    "flanders-extremal": (("n", "p", "r"), lambda field, n, p, r: (
+        ("space", flanders_extremal(n, p, r, field)),)),
+}
+EXAMPLE_NAMES = tuple(EXAMPLES)

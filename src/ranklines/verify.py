@@ -129,6 +129,8 @@ def validate_spec(spec: CampaignSpec) -> None:
         problems.append(f"need n >= p >= 1, got n={spec.n}, p={spec.p}")
     if spec.mode == "sample" and spec.samples <= 0:
         problems.append("sample mode needs a positive sample count")
+    if spec.mode != "sample" and spec.samples:
+        problems.append("a sample count is for sample mode only")
     if spec.workers < 1:
         problems.append("workers must be at least 1")
     if spec.element_budget < 1:
@@ -512,15 +514,8 @@ def run_campaign(spec: CampaignSpec, on_case=None) -> VerificationReport:
 
 
 def replay_failure(record: CaseRecord, spec: CampaignSpec) -> bool:
-    """True iff re-judging the recorded case reproduces the failure.
-
-    That is a failed verdict, or, with conjugate checks on, a conjugate
-    that disagrees with the verdict (the same conjugates, drawn by index).
-    """
-    space = record.space()
-    N = record.direction()
-    verdict, _detail = _judge_core(spec, space, N, record.r)
-    if verdict == FAILED:
-        return True
-    return bool(spec.random_conjugates) and _conjugates_agree(
-        spec, record.index, space, N, record.r, verdict) is not None
+    """True iff re-judging the recorded case as the campaign does (the same
+    conjugates, drawn by index) gives a failure or a finding again."""
+    verdict, _record, _digest = _process_case(spec, record.index, record.codim, record.space(),
+                                              record.r, record.space_text)
+    return verdict in (FAILED, FINDING)

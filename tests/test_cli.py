@@ -8,7 +8,15 @@ import pytest
 
 from ranklines import cli
 from ranklines.cli import _parse_int_list, _UsageError, main
-from ranklines.fields import GF
+from ranklines.fields import GF, parse_field
+from ranklines.gallery import (
+    EXAMPLE_NAMES,
+    flanders_extremal,
+    lemma1_witness,
+    remark1_example,
+    remark2_f2_example,
+    sharpness_example,
+)
 from ranklines.lines import WitnessCertificate
 from ranklines.matrices import Matrix, canonical_N
 from ranklines.spaces import parse_subspace_text
@@ -51,6 +59,8 @@ def test_check_line_rank_drop_exits_one(workdir, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "t" in out  # the failing parameter is reported
+    assert main(["check-line", A, N, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"verdict": "rank-drop", "t0": "0"}
 
 
 def test_check_line_json_certificate_round_trips(workdir, capsys):
@@ -138,6 +148,10 @@ def test_witness_found_exits_zero(workdir, capsys):
     assert data["verdict"] == "full-rank"
     assert data["cases_examined"] >= 1
     assert "A" in data and "N" in data
+    assert main(["witness", space, N]) == 0
+    head, *rows = capsys.readouterr().out.splitlines(keepends=True)
+    assert head == f"witness found after {data['cases_examined']} candidates\n"
+    assert Matrix.from_text("".join(rows)) == WitnessCertificate.from_json(out).A
 
 
 def test_witness_exhausted_exits_one(workdir, capsys):
@@ -150,6 +164,9 @@ def test_witness_exhausted_exits_one(workdir, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "no witness" in out.lower() or "exhausted" in out.lower()
+    assert main(["witness", space, N, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"verdict": "exhausted-no-witness",
+                                                   "cases_examined": 16}
 
 
 def test_witness_random_budget_exhaustion_exits_three(workdir, capsys):
@@ -160,6 +177,18 @@ def test_witness_random_budget_exhaustion_exits_three(workdir, capsys):
     N = str(workdir / "sharpness_N.txt")
     code = main(["witness", space, N, "--strategy", "random", "--budget", "10"])
     assert code == 3
+
+
+def test_witness_exhaustive_budget_overrun_exits_three(workdir, capsys):
+    assert main(["gen", "--example", "sharpness", "--n", "3", "--p", "2",
+                 "--out", str(workdir)]) == 0
+    capsys.readouterr()
+    space = str(workdir / "sharpness_space.txt")
+    N = str(workdir / "sharpness_N.txt")
+    assert main(["witness", space, N, "--budget", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: 16 elements exceed the budget of 3\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("strategy,budget", [("random", "-5"), ("random", "0"),
@@ -219,6 +248,18 @@ def test_verify_unwritable_out_exits_two_before_the_campaign(workdir, capsys, mo
     assert code == 2
     assert "error: cannot write" in capsys.readouterr().err
     assert not (workdir / "missing").exists()
+
+
+def test_verify_budget_overrun_leaves_no_out_file_behind(workdir, capsys):
+    base = ["verify", "--theorem", "main", "--q", "2", "--n", "3", "--codim", "0",
+            "--element-budget", "100", "--out"]
+    assert main(base + [str(workdir / "r.json")]) == 3
+    assert "512 elements exceed the budget of 100" in capsys.readouterr().err
+    assert not (workdir / "r.json").exists()
+    kept = workdir / "kept.json"
+    kept.write_text("keep")
+    assert main(base + [str(kept)]) == 3
+    assert kept.read_text() == "keep"
 
 
 def test_verify_text_format_to_stdout(capsys):
@@ -282,7 +323,8 @@ def test_verify_comma_and_range_codim_syntax(capsys):
     assert rep.spec.codims == (0, 2)
 
 
-@pytest.mark.parametrize("flag, value", [("--codim", "x"), ("--codim", "1-"), ("--rank", ",")])
+@pytest.mark.parametrize("flag, value", [("--codim", "x"), ("--codim", "1-"), ("--rank", ","),
+                                         ("--codim", ""), ("--codim", "2-1")])
 def test_verify_non_integer_list_exits_two(flag, value, capsys):
     code = main(["verify", "--theorem", "main", "--q", "2", "--n", "3", flag, value])
     assert code == 2
@@ -324,6 +366,35 @@ def test_gen_lemma1_writes_line_pair(workdir, capsys):
     assert A.field == GF(3)
     assert N == canonical_N(GF(3), 3, 2, 1)
     assert "lemma1_A.txt" in out
+
+
+def _gallery_files(field):
+    """Every example gen can write over field, as {file name: gallery object}."""
+    files = {
+        "lemma1_A.txt": lemma1_witness(3, 2, 1, field),
+        "lemma1_N.txt": canonical_N(field, 3, 2, 1),
+        "flanders-extremal_space.txt": flanders_extremal(3, 2, 1, field),
+    }
+    files["sharpness_space.txt"], files["sharpness_N.txt"] = sharpness_example(3, 2, field)
+    files["remark1_space.txt"], files["remark1_N.txt"] = remark1_example(3, field)
+    if field == F2:
+        files["remark2-f2_space.txt"], files["remark2-f2_N.txt"] = remark2_f2_example()
+    return files
+
+
+@pytest.mark.parametrize("field", ["gf 2", "gf 3", "rat"])
+def test_gen_writes_every_example_as_the_gallery_builds_it(workdir, capsys, field):
+    expected = _gallery_files(parse_field(field))
+    for name in EXAMPLE_NAMES:
+        if name == "remark2-f2" and field != "gf 2":
+            continue
+        assert main(["gen", "--example", name, "--n", "3", "--p", "2", "--r", "1",
+                     "--field", field, "--out", str(workdir)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert sorted(printed) == sorted(str(workdir / name) for name in expected)
+    assert sorted(path.name for path in workdir.iterdir()) == sorted(expected)
+    for name, obj in expected.items():
+        assert (workdir / name).read_text() == obj.to_text()
 
 
 def test_gen_remark2_f2_is_parameterless(workdir, capsys):

@@ -106,6 +106,9 @@ def test_validate_sample_mode_needs_samples():
     with pytest.raises(CampaignSpecError):
         validate_spec(_spec(mode="sample"))
     validate_spec(_spec(mode="sample", samples=5))
+    # A sample count would only change an exhaustive report's signature.
+    with pytest.raises(CampaignSpecError, match="a sample count is for sample mode only"):
+        validate_spec(_spec(samples=7))
 
 
 def test_validate_main_needs_p_at_least_two():
