@@ -1,0 +1,8 @@
+"""``python -m ranklines``: the command line of :mod:`ranklines.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,11 +13,11 @@ import json
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from operator import and_, mul, xor
 from typing import ClassVar, NamedTuple
 
-from .fields import FieldDesc, Scalar
+from .fields import FieldDesc, RawValue, Scalar
 from .matrices import (
     Matrix,
     _check_tall,
@@ -175,15 +175,44 @@ def validate_certificate(cert: WitnessCertificate) -> bool:
 # searches
 
 
-def _check_search_inputs(space, N: Matrix) -> int:
-    """Check a search's direction against its space; returns rank(N)."""
-    shape = space.shape
-    check_shape(N, shape.field, shape.n, shape.p)
-    _check_tall(shape.n, shape.p)
+class _DirectionPlan(NamedTuple):
+    """What the searches and side conditions need of a direction N, for one shape."""
+
+    rank: int
+    canonical: bool  # N is canonical_N of its rank
+    # On a square shape, (P, Q) with P @ N @ Q canonical: (I_n, I_n) when N
+    # is; None on other shapes, where nothing transports.
+    normal_form: tuple[Matrix, Matrix] | None
+    # At rank n-1 on a square shape, the corner of P @ M @ Q, u @ M @ w with u
+    # the last row of P and w the last column of Q, as the (index, weight)
+    # pairs of its nonzero weights on row-major vec(M); otherwise None.
+    corner: tuple[tuple[int, RawValue], ...] | None
+
+
+@lru_cache(maxsize=64)
+def _direction_plan(shape, N: Matrix) -> _DirectionPlan:
+    """Check a search's direction against its space's shape and plan for it.
+
+    Cached on (shape, N): a campaign searches every case with the same N,
+    so it checks and plans each direction once.  A check that fails raises
+    on every call, as exceptions are not cached.
+    """
+    f, n, p = shape.field, shape.n, shape.p
+    check_shape(N, f, n, p)
+    _check_tall(n, p)
     rk = rank(N)
-    if rk >= shape.p:
-        raise ValueError(f"direction rank {rk} is not below p = {shape.p}")
-    return rk
+    if rk >= p:
+        raise ValueError(f"direction rank {rk} is not below p = {p}")
+    canonical = N == canonical_N(f, n, p, rk)
+    if n != p:
+        return _DirectionPlan(rk, canonical, None, None)
+    P, Q = (canonical_N(f, n, n, n),) * 2 if canonical else to_rank_normal_form(N)
+    corner = None
+    if rk == n - 1:
+        w = [row[rk] for row in Q.rows]
+        weights = (a * b for a in P.rows[rk] for b in w)
+        corner = tuple((i, c) for i, c in enumerate(weights) if c)
+    return _DirectionPlan(rk, canonical, (P, Q), corner)
 
 
 def _random_member(space, rng: random.Random):
@@ -208,7 +237,7 @@ def witness_search(space, N: Matrix, strategy: str = EXHAUSTIVE,
     strategy draws ``budget`` seeded uniform samples (default 10,000) and
     never claims nonexistence.  A budget below 1 raises ValueError.
     """
-    _check_search_inputs(space, N)
+    _direction_plan(space.shape, N)
     _check_budget(budget)
     shape = space.shape
     f, n, p = shape.field, shape.n, shape.p
@@ -242,7 +271,8 @@ def constant_det_witness_search(space, N: Matrix,
 
     For a direction other than canonical_N, the basis and base are mapped
     once by (P, Q) = to_rank_normal_form(N), which keeps the member order
-    and, as det P * det Q != 0, constancy.  Over GF(2) and GF(3) the coset
+    and, as det P * det Q != 0, constancy; (P, Q) is taken once per
+    direction, with its checks, by _direction_plan.  Over GF(2) and GF(3) the coset
     is tested a block of members at a time (_bitsliced_first) and the
     member found is tested once more by the scalar _constant_det; over
     larger fields each member is tested in turn.  ``cases_examined`` counts
@@ -251,9 +281,9 @@ def constant_det_witness_search(space, N: Matrix,
     shape = space.shape
     if shape.n != shape.p:
         raise ValueError("constant-determinant search requires a square shape")
-    rk = _check_search_inputs(space, N)
-    if rk != shape.n - 1:
-        raise ValueError(f"direction rank must be n-1 = {shape.n - 1}, got {rk}")
+    plan = _direction_plan(shape, N)
+    if plan.rank != shape.n - 1:
+        raise ValueError(f"direction rank must be n-1 = {shape.n - 1}, got {plan.rank}")
     _check_budget(budget)
     f, n = shape.field, shape.n
     own_basis, own_base = _coset_vectors(space)
@@ -263,9 +293,9 @@ def constant_det_witness_search(space, N: Matrix,
     last = n - 1
     basis, base = own_basis, own_base
     # A flag, not `basis is own_basis`: every empty basis is the same ().
-    moved = N != canonical_N(f, n, n, rk)
+    moved = not plan.canonical
     if moved:
-        basis, base = transport_rows(space, *to_rank_normal_form(N))
+        basis, base = transport_rows(space, *plan.normal_form)
     if pm <= 3:
         s = _bitsliced_first(shape, basis, base)
     else:
@@ -428,8 +458,10 @@ def _bitsliced_first(shape, basis, base) -> int | None:
 
     The last digits, q^b of them to a block, are the lanes of one table per
     entry: its slow-digit value in every lane plus c * X_k for each fast
-    basis row k with coefficient c there.  The slow digits step through
-    the blocks in order, and the first block with a passing lane stops it.
+    basis row k with coefficient c there.  Those varying parts are summed
+    once, row by row over each fast row's nonzero entries, and an entry no
+    fast row touches has none.  The slow digits step through the blocks in
+    order, and the first block with a passing lane stops it.
     """
     f, n = shape.field, shape.n
     q = f.order
@@ -437,11 +469,14 @@ def _bitsliced_first(shape, basis, base) -> int | None:
     d = len(basis)
     b = min(d, _LANE_DIGITS[q])
     ones, X = _digit_tables(q, b)
-    fast = basis[d - b:]
-    varying = []
-    for j in range(n * n):
-        terms = [X[k] if row[j] == 1 else ops.neg(X[k]) for k, row in enumerate(fast) if row[j]]
-        varying.append(reduce(ops.add, terms) if terms else None)
+    varying: list = [None] * (n * n)
+    for x, row in zip(X, basis[d - b:]):
+        minus = ops.neg(x)
+        for j, c in enumerate(row):
+            if c:
+                term = x if c == 1 else minus
+                acc = varying[j]
+                varying[j] = term if acc is None else ops.add(acc, term)
     for block, rows in enumerate(_iter_coset(shape, basis[:d - b], base, None)):
         T = [[_entry(ops, v, varying[i * n + j], ones) for j, v in enumerate(row)]
              for i, row in enumerate(rows)]

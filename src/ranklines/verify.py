@@ -22,17 +22,15 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import islice
-from operator import mul
 
 from .fields import FieldDesc, parse_field
-from .lines import constant_det_witness_search, witness_search
+from .lines import _direction_plan, constant_det_witness_search, witness_search
 from .matrices import (
     Matrix,
     _det_modp,
     canonical_N,
     random_invertible,
     rank_rows,
-    to_rank_normal_form,
 )
 from .spaces import (
     DEFAULT_ELEMENT_BUDGET,
@@ -244,9 +242,6 @@ class CaseRecord:
     def space(self):
         return parse_subspace_text(self.space_text)
 
-    def direction(self) -> Matrix | None:
-        return Matrix.from_text(self.n_text) if self.n_text is not None else None
-
 
 def _side_condition_exists(spec: CampaignSpec, space, N: Matrix, r: int) -> bool:
     """Does some member satisfy the claim family's side condition?
@@ -258,24 +253,24 @@ def _side_condition_exists(spec: CampaignSpec, space, N: Matrix, r: int) -> bool
     (n-r) x (n-r) block of P @ M @ Q (pencil and remark2 only have
     r = n-1).  At r = n-1 that block is the corner u @ M @ w, with u the
     last row of P and w the last column of Q, which is linear in M: it
-    vanishes somewhere on the coset iff it is nonzero on a basis row or
-    zero on the base.  For smaller r the blocks of a coset form a coset of
-    blocks, which is walked.
+    vanishes somewhere on the coset iff it is zero on the base or nonzero
+    on a basis row, so only its nonzero weights are read.  For smaller r
+    the blocks of a coset form a coset of blocks, which is walked.  (P, Q)
+    and the corner's weights come from lines._direction_plan, which a
+    campaign computes once for its direction, not once per case.
     """
     n, f = spec.n, spec.field
-    P = Q = canonical_N(f, n, n, n)  # I_n
-    if N != canonical_N(f, n, n, r):
-        P, Q = to_rank_normal_form(N)
+    plan = _direction_plan(space.shape, N)
     pm = f.modulus
     if r == n - 1:
-        w = [row[r] for row in Q.rows]
-        weights = [a * b for a in P.rows[r] for b in w]  # on row-major vec(M)
+        weights = plan.corner
         basis, base = _coset_vectors(space)
 
         def corner(vec):
-            return sum(map(mul, weights, vec)) % pm
-        return base is None or any(map(corner, basis)) or not corner(base)
+            return sum(c * vec[i] for i, c in weights) % pm
+        return base is None or not corner(base) or any(map(corner, basis))
     # The lower-right block of P @ M @ Q is P[r:, :] @ M @ Q[:, r:].
+    P, Q = plan.normal_form
     blocks = transport(space, Matrix(f, n - r, n, P.rows[r:]),
                        Matrix(f, n, n - r, tuple(row[r:] for row in Q.rows)))
     return any(_det_modp(rows, pm) == 0 for rows in blocks.elements(budget=spec.element_budget))

@@ -21,6 +21,9 @@ reads the roots of that polynomial.
 ``side_condition_block_walk`` decides the same side conditions on the
 coset of lower-right blocks of a canonicalised coset, at any direction
 rank; at r = n-1 the campaigns read it off one linear functional instead.
+``side_condition_per_case`` is the campaigns' route as it ran before the
+direction plan: the rank normal form and the dense corner weights
+rebuilt for every case, and the block walk below r = n-1.
 
 ``constant_det_search_full_walk`` is ``constant_det_witness_search`` by
 brute force: every member of the space's own order, with no transport of
@@ -41,6 +44,7 @@ per entry, where ``matrices._write_text`` renders a row as one template.
 from __future__ import annotations
 
 from itertools import combinations, product
+from operator import mul
 
 from ranklines.fields import FieldDesc, Scalar
 from ranklines.lines import EXHAUSTED_NO_WITNESS, WITNESS_FOUND, SearchOutcome
@@ -48,6 +52,7 @@ from ranklines.matrices import (
     Matrix,
     _det_modp,
     _rref_raw,
+    canonical_N,
     check_shape,
     line_rows,
     rank,
@@ -62,7 +67,7 @@ from ranklines.pencils import (
     minor_gcd,
 )
 from ranklines.polynomials import Poly
-from ranklines.spaces import DEFAULT_ELEMENT_BUDGET, transport
+from ranklines.spaces import DEFAULT_ELEMENT_BUDGET, _coset_vectors, transport
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -111,6 +116,26 @@ def side_condition_block_walk(space, N: Matrix, r: int) -> bool:
     blocks = transport(space, Matrix(f, n - r, n, P.rows[r:]),
                        Matrix(f, n, n - r, tuple(row[r:] for row in Q.rows)))
     return any(_det_modp(rows, f.modulus) == 0 for rows in blocks.elements(budget=None))
+
+
+def side_condition_per_case(spec, space, N: Matrix, r: int) -> bool:
+    """verify._side_condition_exists with no cached direction plan."""
+    n, f = spec.n, spec.field
+    P = Q = canonical_N(f, n, n, n)  # I_n
+    if N != canonical_N(f, n, n, r):
+        P, Q = to_rank_normal_form(N)
+    pm = f.modulus
+    if r == n - 1:
+        w = [row[r] for row in Q.rows]
+        weights = [a * b for a in P.rows[r] for b in w]  # on row-major vec(M)
+        basis, base = _coset_vectors(space)
+
+        def corner(vec):
+            return sum(map(mul, weights, vec)) % pm
+        return base is None or any(map(corner, basis)) or not corner(base)
+    blocks = transport(space, Matrix(f, n - r, n, P.rows[r:]),
+                       Matrix(f, n, n - r, tuple(row[r:] for row in Q.rows)))
+    return any(_det_modp(rows, pm) == 0 for rows in blocks.elements(budget=spec.element_budget))
 
 
 def _check_square_pair(M: Matrix, N: Matrix) -> None:

@@ -1,4 +1,5 @@
-"""The benchmark's traced run can still wrap every name it patches.
+"""The benchmark's traced run can still wrap every name it patches, and a
+short traced run of the sampled Remark 2 workload passes its own checks.
 
 ``bench/trace.py`` replaces module attributes of the package by name, so a
 rename under ``src/`` would break the traced run without failing any other
@@ -53,3 +54,18 @@ def test_trace_install_patches_every_name_and_records_each_layer():
     # Every case of the hooked campaigns passed through the wrapped names.
     assert metrics["verify.cases"] == totals["expected"]
     assert metrics["lines.searches"] == totals["expected"] - totals["filtered"]
+
+
+def test_traced_remark2_run_is_correct_and_checks_its_direction_once():
+    # About 3 s: one untimed pass, one traced pass, each 8 x 400 cases.
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "sample-remark2-gf3",
+                           "--seed", "1", "--seconds", "1", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    # Every case searches with canonical_N(2); its rank is taken once per
+    # process, by the warm-up campaign before the traced pass.
+    assert metrics["matrices.rank_calls"] <= 1
+    assert metrics["verify.side_condition_calls"] == metrics["lines.searches"] == 3200

@@ -1,8 +1,13 @@
-"""End-to-end command line checks, driven through main() in-process."""
+"""End-to-end command line checks, driven through main() in-process, and
+one run of ``python -m ranklines`` in a subprocess."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -518,3 +523,15 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_python_m_ranklines_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ranklines", "--help"], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "check-line" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "ranklines", "frobnicate"], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr

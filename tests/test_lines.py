@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from ranklines import lines
-from ranklines.fields import GF, RATIONALS, Scalar
+from ranklines.fields import GF, RATIONALS, FieldMismatchError, Scalar
 from ranklines.gallery import lemma1_witness, remark2_f2_example
 from ranklines.lines import (
     BUDGET_EXHAUSTED,
@@ -424,6 +424,19 @@ def test_witness_search_rejects_full_rank_direction():
         witness_search(space, Matrix.identity(F2, 2))
 
 
+def test_invalid_directions_raise_on_every_search():
+    # The direction check is cached, but a failed check is not: a full-rank
+    # N and an N over another field raise on each of two searches in a row.
+    space = random_affine(MatrixSpaceShape(F3, 3, 3), 4, random.Random("invalid-N"))
+    full_rank = canonical_N(F3, 3, 3, 3)
+    foreign = canonical_N(F2, 3, 3, 2)
+    for search in (witness_search, constant_det_witness_search):
+        for N, error in ((full_rank, ValueError), (foreign, FieldMismatchError)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    search(space, N)
+
+
 def test_witness_search_zero_direction_reduces_to_rank():
     space = _full_space(F3, 2, 2)
     out = witness_search(space, Matrix.zeros(F3, 2, 2))
@@ -686,6 +699,42 @@ def test_constant_det_search_matches_the_full_walk_oracle(field):
                 assert out == constant_det_search_full_walk(space, N), (space, N)
                 found[out.found] += 1
     assert min(found.values()) > 50, found
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=str)
+def test_bitsliced_lane_tables_sum_shared_columns(field):
+    # Every basis row is a unit vector plus q-1 in the same two columns,
+    # both past every pivot, so each of those entries' lane tables sums (and
+    # over GF(3) negates) the digit tables of several fast rows.  With N moved, the
+    # transported rows are dense.  The search must equal the full walk.
+    q = field.order
+    rng = random.Random(f"lane-tables:{field}")
+    max_dim = {2: 8, 3: 5}[q]
+    found = {False: 0, True: 0}
+    for n in (2, 3, 4):
+        shape = MatrixSpaceShape(field, n, n)
+        m = n * n
+        N0 = canonical_N(field, n, n, n - 1)
+        for _ in range(16):
+            shared = sorted(rng.sample(range(m // 2, m), 2))
+            pivots = rng.sample(range(shared[0]), min(shared[0], rng.randint(2, max_dim)))
+            gens = []
+            for j in pivots:
+                vec = [0] * m
+                vec[j] = 1
+                for c in shared:
+                    vec[c] = q - 1
+                gens.append(Matrix(field, n, n, tuple(tuple(vec[i * n:(i + 1) * n])
+                                                      for i in range(n))))
+            lin = from_generators(shape, gens)
+            assert all(row[c] == q - 1 for row in lin.basis for c in shared)
+            space = affine_from_point(lin, random_matrix(field, n, n, rng))
+            moved = random_invertible(field, n, rng) @ N0 @ random_invertible(field, n, rng)
+            for N in (N0, moved):
+                out = constant_det_witness_search(space, N)
+                assert out == constant_det_search_full_walk(space, N), (space, N)
+                found[out.found] += 1
+    assert min(found.values()) > 5, found
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5], ids=str)

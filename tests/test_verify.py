@@ -16,8 +16,8 @@ import pytest
 from ranklines import lines, verify
 from ranklines.fields import GF, RATIONALS
 from ranklines.matrices import Matrix, canonical_N, random_invertible, rank
-from ranklines.spaces import (LinearMatrixSubspace, MatrixSpaceShape, from_generators, random_affine,
-                              random_subspace)
+from ranklines.spaces import (LinearMatrixSubspace, MatrixSpaceShape, enumerate_affine,
+                              from_generators, random_affine, random_subspace)
 from ranklines.verify import (
     CampaignSpec,
     CampaignSpecError,
@@ -32,7 +32,12 @@ from ranklines.verify import (
     validate_spec,
 )
 
-from oracles import ker_coker_noninjective, maps_ker_into_im, side_condition_block_walk
+from oracles import (
+    ker_coker_noninjective,
+    maps_ker_into_im,
+    side_condition_block_walk,
+    side_condition_per_case,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -206,6 +211,52 @@ def test_corank_one_side_condition_matches_the_block_walk(field):
                     assert _side_condition_exists(spec, space, N, n - 1) == want, (space, N)
                     outcomes[want] += 1
     assert min(outcomes.values()) > 40, outcomes
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=str)
+def test_side_condition_plan_matches_the_per_case_route(field):
+    # The campaign reads (P, Q) and the sparse corner weights off a direction
+    # plan built once per (shape, N); the oracle rebuilds the normal form and
+    # the dense weights for every case.  Every coset at n = 2 and seeded
+    # cosets at n = 3, with the canonical N and a moved one.
+    rng = random.Random(f"side-condition-plan:{field}")
+    outcomes = {False: 0, True: 0}
+    for n in (2, 3):
+        shape = MatrixSpaceShape(field, n, n)
+        m = n * n
+        if n == 2:
+            spaces = [space for c in range(m + 1) for space in enumerate_affine(shape, c)]
+        else:
+            spaces = [random_affine(shape, rng.randint(m - 5, m), rng) for _ in range(60)]
+        for theorem in ("pencil", "square", "remark2-strong"):
+            for r in default_rank_range(theorem, n, n):
+                spec = CampaignSpec(theorem=theorem, field=field, n=n, p=n,
+                                    codims=(0,), rank_range=(r,))
+                N0 = canonical_N(field, n, n, r)
+                for space in spaces:
+                    moved = random_invertible(field, n, rng) @ N0 @ random_invertible(field, n, rng)
+                    for N in (N0, moved):
+                        want = side_condition_per_case(spec, space, N, r)
+                        assert _side_condition_exists(spec, space, N, r) == want, (space, N)
+                        outcomes[want] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_a_campaign_checks_each_direction_once(monkeypatch):
+    # Every case of a campaign at rank r searches with the same
+    # canonical_N(r), so rank(N) runs once per direction, not once per case.
+    calls = []
+    real = lines.rank
+    monkeypatch.setattr(lines, "rank", lambda M: calls.append(M) or real(M))
+    lines._direction_plan.cache_clear()
+    sampled = CampaignSpec(theorem="remark2-strong", field=F3, n=3, p=3, codims=(1,),
+                           rank_range=(2,), mode="sample", samples=400, seed=7)
+    sweep = _spec(codims=(0, 1))
+    for spec in (sampled, sweep):
+        calls.clear()
+        rep = run_campaign(spec)
+        assert rep.verified and rep.total >= 100
+        assert len(calls) == len(set(calls)) <= len(spec.rank_range), spec
 
 
 # ------------------------------------------------------------------- execution
@@ -605,8 +656,7 @@ def test_case_record_round_trip():
     back = CaseRecord.from_json_obj(rec.to_json_obj())
     assert back == rec
     assert back.space().codim == 1
-    assert back.direction() is not None
-    assert rank(back.direction()) == 1
+    assert rank(Matrix.from_text(back.n_text)) == 1
 
 
 def test_summary_text_mentions_counts():
