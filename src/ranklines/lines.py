@@ -36,7 +36,6 @@ from .polynomials import Poly
 from .spaces import (
     DEFAULT_ELEMENT_BUDGET,
     _coset_size,
-    _coset_vectors,
     _iter_coset,
     _member,
     _odometer_digits,
@@ -217,9 +216,8 @@ def _direction_plan(shape, N: Matrix) -> _DirectionPlan:
 
 def _random_member(space, rng: random.Random):
     """Raw rows of a uniform member: base plus uniformly weighted basis combination."""
-    basis, base = _coset_vectors(space)
     q = space.shape.field.order
-    return _member(space.shape, basis, base, [rng.randrange(q) for _ in basis])
+    return _member(space.shape, space.basis, space.offset, [rng.randrange(q) for _ in space.basis])
 
 
 def _check_budget(budget: int | None) -> None:
@@ -286,7 +284,7 @@ def constant_det_witness_search(space, N: Matrix,
         raise ValueError(f"direction rank must be n-1 = {shape.n - 1}, got {plan.rank}")
     _check_budget(budget)
     f, n = shape.field, shape.n
-    own_basis, own_base = _coset_vectors(space)
+    own_basis, own_base = space.basis, space.offset
     d = len(own_basis)
     total = _coset_size(shape, d, DEFAULT_ELEMENT_BUDGET if budget is None else budget)
     pm = f.modulus

@@ -3,10 +3,13 @@
 Entries are stored as raw canonical values (see :mod:`ranklines.fields`)
 in immutable row tuples.  All operations are pure functions; matrices are
 safe to share freely.  There is one elimination kernel per job: packed
-XOR rank over GF(2), one forward elimination giving rank and determinant
-over GF(p), integer Bareiss for rational determinants, and the RREF
-(rational rank, spans, normal forms).  Each fast path is tested against
-an independent route.
+XOR rank over GF(2), forward elimination for rank over GF(p), the RREF
+(rational rank, spans, normal forms), and one determinant kernel for
+both fields, ``_det_bareiss_int`` (integer closed forms up to 4 x 4, then
+Bareiss).  A GF(p) determinant is that integer determinant of the
+representatives in [0, p), reduced mod p; a rational one clears each
+row's denominators first.  Each fast path is tested against an
+independent route.
 ``line_rows`` is the one place that evaluates a line A + t*N over GF(p).
 This module is also the one input boundary: ``check_shape`` compares a
 matrix with the expected field and size, and the ``field``/``size`` text
@@ -228,17 +231,12 @@ def _rank_gf2_packed(rows, ncols: int) -> int:
     return len(basis)
 
 
-def _eliminate_modp(rows, p: int) -> tuple[int, int]:
-    """Forward elimination over GF(p): (rank, det).
-
-    The det is 0 unless the matrix is square of full rank; the empty
-    matrix has rank 0 and determinant 1.
-    """
+def _rank_modp(rows, p: int) -> int:
+    """Rank over GF(p) by forward elimination."""
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     r = 0
-    det = 1
     for c in range(nc):
         if r == nr:
             break
@@ -249,11 +247,8 @@ def _eliminate_modp(rows, p: int) -> tuple[int, int]:
                 break
         if piv is None:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            det = -det
+        m[r], m[piv] = m[piv], m[r]
         row_r = m[r]
-        det = det * row_r[c] % p
         inv = pow(row_r[c], -1, p)
         for i in range(r + 1, nr):
             f = m[i][c]
@@ -263,7 +258,7 @@ def _eliminate_modp(rows, p: int) -> tuple[int, int]:
                 for j in range(c + 1, nc):
                     row_i[j] = (row_i[j] - g * row_r[j]) % p
         r += 1
-    return r, det if r == nr == nc else 0
+    return r
 
 
 def rank_rows(field: FieldDesc, rows, ncols: int) -> int:
@@ -271,7 +266,7 @@ def rank_rows(field: FieldDesc, rows, ncols: int) -> int:
     if field.kind == "gf":
         if field.modulus == 2:
             return _rank_gf2_packed(rows, ncols)
-        return _eliminate_modp(rows, field.modulus)[0]
+        return _rank_modp(rows, field.modulus)
     return len(_rref_raw(field, rows, ncols)[1])
 
 
@@ -285,24 +280,13 @@ def rank(M: Matrix) -> int:
 
 
 def _det_modp(rows, p: int) -> int:
-    n = len(rows)
-    # Closed forms for the tiny sizes the exhaustive sweeps hammer on.
-    if n == 1:
-        return rows[0][0] % p
-    if n == 2:
-        (a, b), (c, d) = rows
-        return (a * d - b * c) % p
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return (a * e * i + b * f * g + c * d * h
-                - c * e * g - b * d * i - a * f * h) % p
-    if p == 2:  # det is 1 iff the rows are independent
-        return int(_rank_gf2_packed(rows, n) == n)
-    return _eliminate_modp(rows, p)[1]
+    """Determinant over GF(p) of raw rows: the integer determinant of the
+    representatives in [0, p), reduced mod p (reduction is a ring map)."""
+    return _det_bareiss_int(rows) % p
 
 
-def _det_bareiss_int(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix; m is not modified.
+def _det_bareiss_int(m) -> int:
+    """Determinant of a square integer matrix given as rows; m is not modified.
 
     Sizes 2 to 4 have closed forms, 4 by the Laplace expansion along the
     first two rows (six products of complementary 2 x 2 minors).  Others run
@@ -351,17 +335,15 @@ def det(M: Matrix) -> Scalar:
     """Exact determinant; the empty 0x0 matrix has determinant 1."""
     if not M.is_square:
         raise ValueError(f"determinant requires a square matrix, got {M.nrows}x{M.ncols}")
-    f = M.field
-    if f.kind == "gf":
-        return Scalar(f, _det_modp(M.rows, f.modulus))
-    # Clear denominators row by row, then run integer Bareiss.
+    # Clear each row's denominators (an integer's is 1), run the integer
+    # kernel, and bring det / scale into the field.
     scale = 1
     int_rows: list[list[int]] = []
     for row in M.rows:
         ints, mult = clear_denominators(row)
         scale *= mult
         int_rows.append(ints)
-    return Scalar(f, Fraction(_det_bareiss_int(int_rows), scale))
+    return Scalar(M.field, M.field.normalize(Fraction(_det_bareiss_int(int_rows), scale)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 Subspaces are carried in canonical form: the basis of the linear part is
 the reduced row-echelon matrix of vectorized members (row-major), so equal
 subspaces compare equal, and an affine coset stores the unique
-representative whose coordinates vanish at the basis pivot positions.
+representative whose coordinates vanish at the basis pivot positions,
+as the raw row-major vector ``offset`` (``base`` is its ``Matrix`` view).
+Both kinds expose ``basis`` and ``offset`` (None for a linear subspace),
+the pair that member iteration, transport and the searches read.
 
 Enumeration over GF(p) walks pivot-column profiles (Schubert cells) in
 lexicographic order.  ``_free_columns`` is the one cell rule: a cell's
@@ -61,7 +64,12 @@ def unvectorize(shape: MatrixSpaceShape, vec) -> Matrix:
     n, p = shape.n, shape.p
     if len(vec) != n * p:
         raise ValueError(f"vector length {len(vec)} does not match {n}x{p}")
-    return Matrix(shape.field, n, p, tuple(tuple(vec[i * p:(i + 1) * p]) for i in range(n)))
+    return Matrix(shape.field, n, p, _split_rows(vec, n, p))
+
+
+def _split_rows(vec, n: int, p: int):
+    """The n rows of length p of a row-major vector, as raw row tuples."""
+    return tuple(tuple(vec[i * p:(i + 1) * p]) for i in range(n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,6 +79,8 @@ class LinearMatrixSubspace:
     shape: MatrixSpaceShape
     basis: tuple[tuple[RawValue, ...], ...]
     pivots: tuple[int, ...]
+    # No base: member iteration and transport_rows read None as zero.
+    offset = None
 
     @property
     def dim(self) -> int:
@@ -115,14 +125,26 @@ class LinearMatrixSubspace:
 
 @dataclass(frozen=True, slots=True)
 class AffineMatrixSubspace:
-    """A coset base + V with the canonical (pivot-free-coordinate) base."""
+    """A coset base + V with the canonical (pivot-free-coordinate) base.
+
+    The base is stored as ``offset``, its row-major raw vector, which is
+    the form member iteration reads; ``base`` is its ``Matrix`` view.
+    """
 
     linear: LinearMatrixSubspace
-    base: Matrix
+    offset: tuple[RawValue, ...]
 
     @property
     def shape(self) -> MatrixSpaceShape:
         return self.linear.shape
+
+    @property
+    def basis(self) -> tuple[tuple[RawValue, ...], ...]:
+        return self.linear.basis
+
+    @property
+    def base(self) -> Matrix:
+        return unvectorize(self.shape, self.offset)
 
     @property
     def dim(self) -> int:
@@ -134,16 +156,16 @@ class AffineMatrixSubspace:
 
     def contains(self, M: Matrix) -> bool:
         check_shape(M, self.shape.field, self.shape.n, self.shape.p)
-        return self.linear.reduce(vectorize(M)) == vectorize(self.base)
+        return self.linear.reduce(vectorize(M)) == self.offset
 
     def elements(self, budget: int | None = DEFAULT_ELEMENT_BUDGET):
         """Every member as raw rows, base first; as LinearMatrixSubspace.elements."""
-        return _iter_coset(self.shape, self.linear.basis, vectorize(self.base), budget)
+        return _iter_coset(self.shape, self.linear.basis, self.offset, budget)
 
     def to_text(self) -> str:
         shape, lin = self.shape, self.linear
-        return _write_text(shape.field, shape.n, shape.p,
-                           (f"dim {lin.dim}", lin.basis), ("base", self.base.rows))
+        return _write_text(shape.field, shape.n, shape.p, (f"dim {lin.dim}", lin.basis),
+                           ("base", _split_rows(self.offset, shape.n, shape.p)))
 
 
 def from_generators(shape: MatrixSpaceShape, mats) -> LinearMatrixSubspace:
@@ -165,15 +187,7 @@ def _span(shape: MatrixSpaceShape, vecs) -> LinearMatrixSubspace:
 def affine_from_point(linear: LinearMatrixSubspace, point: Matrix) -> AffineMatrixSubspace:
     """The coset point + V, with the base canonicalized."""
     check_shape(point, linear.shape.field, linear.shape.n, linear.shape.p)
-    base = unvectorize(linear.shape, linear.reduce(vectorize(point)))
-    return AffineMatrixSubspace(linear, base)
-
-
-def _coset_vectors(space):
-    """(basis, base) of a subspace as raw vectors; the base is None if it is linear."""
-    if isinstance(space, AffineMatrixSubspace):
-        return space.linear.basis, vectorize(space.base)
-    return space.basis, None
+    return AffineMatrixSubspace(linear, linear.reduce(vectorize(point)))
 
 
 def transport(space, P: Matrix, Q: Matrix):
@@ -184,22 +198,22 @@ def transport(space, P: Matrix, Q: Matrix):
     basis, base = transport_rows(space, P, Q)
     shape = MatrixSpaceShape(space.shape.field, P.nrows, Q.ncols)
     lin = _span(shape, basis)
-    return lin if base is None else affine_from_point(lin, unvectorize(shape, base))
+    return lin if base is None else AffineMatrixSubspace(lin, lin.reduce(base))
 
 
 def transport_rows(space, P: Matrix, Q: Matrix):
     """(basis, base) of the image under M -> P @ M @ Q, not canonicalized.
 
-    As ``_coset_vectors``, but each basis row is mapped in place, in order,
-    and the base is not reduced, so ``_iter_coset`` over the result yields
-    P @ M @ Q for each member M, in the space's order.
+    The base is None for a linear space.  Each basis row is mapped in
+    place, in order, and the base is not reduced, so ``_iter_coset`` over
+    the result yields P @ M @ Q for each member M, in the space's order.
     """
     f, n, p = space.shape.field, space.shape.n, space.shape.p
     check_shape(P, f, P.nrows, n)
     check_shape(Q, f, p, Q.ncols)
     # Row-major vec(P @ M @ Q) = vec(M) @ K, where K[k*p + l][i*b + j] = P[i][k] * Q[l][j].
     K = [[row[k] * v for row in P.rows for v in Q.rows[l]] for k in range(n) for l in range(p)]
-    basis, base = _coset_vectors(space)
+    basis, base = space.basis, space.offset
     if base is None:
         return mul_rows(f, basis, K), None
     *basis, base = mul_rows(f, basis + (base,), K)
@@ -229,7 +243,7 @@ def _iter_coset(shape: MatrixSpaceShape, basis, base, budget: int | None):
     f = shape.field
     q = f.order
     n, p = shape.n, shape.p
-    rows = [tuple(base[i * p:(i + 1) * p]) for i in range(n)] if base is not None else [(0,) * p] * n
+    rows = list(_split_rows(base, n, p)) if base is not None else [(0,) * p] * n
     yield tuple(rows)
     if d == 0:
         return
@@ -279,7 +293,7 @@ def _member(shape: MatrixSpaceShape, basis, base, digits):
             for j, v in enumerate(row):
                 if v:
                     vec[j] = (vec[j] + c * v) % pm
-    return tuple(tuple(vec[i * p:(i + 1) * p]) for i in range(shape.n))
+    return _split_rows(vec, shape.n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +371,7 @@ def enumerate_affine(shape: MatrixSpaceShape, codim: int):
     """
     lins = enumerate_subspaces(shape, codim)
     m, q = shape.ambient_dim, shape.field.order
-    return (AffineMatrixSubspace(lin, unvectorize(shape, v))
+    return (AffineMatrixSubspace(lin, v)
             for lin in lins
             for v in _every_fill(m, -1, _free_columns(lin.pivots, m)[-1], q))
 
@@ -428,7 +442,7 @@ def random_affine(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> Af
     vec = [0] * shape.ambient_dim
     for j in nonpiv:
         vec[j] = rng.randrange(q)
-    return AffineMatrixSubspace(lin, unvectorize(shape, vec))
+    return AffineMatrixSubspace(lin, tuple(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -455,4 +469,4 @@ def parse_subspace_text(text: str):
     if rest[0] != "base":
         raise ValueError(f"unexpected line {rest[0]!r} after basis rows")
     base = _read_rows(field, rest[1:], n, p, "base rows")
-    return affine_from_point(lin, Matrix(field, n, p, base))
+    return AffineMatrixSubspace(lin, lin.reduce([v for row in base for v in row]))

@@ -35,7 +35,6 @@ from .matrices import (
 from .spaces import (
     DEFAULT_ELEMENT_BUDGET,
     MatrixSpaceShape,
-    _coset_vectors,
     count_subspaces,
     enumerate_affine,
     enumerate_subspaces,
@@ -264,7 +263,7 @@ def _side_condition_exists(spec: CampaignSpec, space, N: Matrix, r: int) -> bool
     pm = f.modulus
     if r == n - 1:
         weights = plan.corner
-        basis, base = _coset_vectors(space)
+        basis, base = space.basis, space.offset
 
         def corner(vec):
             return sum(c * vec[i] for i, c in weights) % pm

@@ -67,7 +67,7 @@ from ranklines.pencils import (
     minor_gcd,
 )
 from ranklines.polynomials import Poly
-from ranklines.spaces import DEFAULT_ELEMENT_BUDGET, _coset_vectors, transport
+from ranklines.spaces import DEFAULT_ELEMENT_BUDGET, transport
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -128,7 +128,7 @@ def side_condition_per_case(spec, space, N: Matrix, r: int) -> bool:
     if r == n - 1:
         w = [row[r] for row in Q.rows]
         weights = [a * b for a in P.rows[r] for b in w]  # on row-major vec(M)
-        basis, base = _coset_vectors(space)
+        basis, base = space.basis, space.offset
 
         def corner(vec):
             return sum(map(mul, weights, vec)) % pm

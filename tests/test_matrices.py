@@ -14,7 +14,7 @@ from ranklines.matrices import (
     Matrix,
     _det_bareiss_int,
     _det_modp,
-    _eliminate_modp,
+    _rank_modp,
     _rref_raw,
     canonical_N,
     det,
@@ -24,7 +24,6 @@ from ranklines.matrices import (
     rank_rows,
     to_rank_normal_form,
 )
-from ranklines.pencils import det_pencil
 from ranklines.polynomials import Poly
 from ranklines.spaces import MatrixSpaceShape, from_generators
 
@@ -38,7 +37,7 @@ FIELDS = (F2, F3, F5, RATIONALS)
 
 def rank_rows_generic(field, rows) -> int:
     """Rank by the mod-p forward elimination only (no GF(2) packing)."""
-    return _eliminate_modp(rows, field.modulus)[0]
+    return _rank_modp(rows, field.modulus)
 
 
 def _mats(field, nrows, ncols, count, seed):
@@ -136,10 +135,7 @@ def test_rank_rows_matches_rref_pivot_count():
             for M in cases:
                 expected = len(_rref_raw(field, M.rows, ncols)[1])
                 assert rank_rows(field, M.rows, ncols) == expected, (field, M)
-                rk, d = _eliminate_modp(M.rows, field.modulus)
-                assert rk == expected
-                if nrows and not nrows == ncols == expected:  # no rows reads as 0 x 0
-                    assert d == 0  # det is 0 unless square of full rank
+                assert _rank_modp(M.rows, field.modulus) == expected
 
 
 @given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6))
@@ -204,7 +200,7 @@ def test_det_nonzero_iff_full_rank(field, n, seed):
 
 def test_det_closed_forms_match_elimination_on_padding():
     # Embed small matrices into a block diagonal with I_2 so the same value
-    # goes through the closed form (n<=3) and the elimination path (n=5).
+    # goes through the closed form (n = 3) and the Bareiss path (n = 5).
     rng = random.Random(7)
     for _ in range(50):
         A = random_matrix(F5, 3, 3, rng)
@@ -247,10 +243,10 @@ def test_integer_det_matches_the_laplace_oracle():
         assert dets == ({True, False} if n else {False}), n
 
 
-def test_det_modp_matches_the_integer_route():
-    # det_pencil(A, 0) is det A by integer elimination (closed forms up to
-    # n = 4) reduced mod p; it shares no step with the mod-p closed forms,
-    # the mod-p elimination or, over GF(2), the packed rank.
+def test_det_modp_matches_the_laplace_oracle():
+    # _det_modp is the integer kernel (closed forms up to n = 4, then
+    # Bareiss) reduced mod p; Laplace expansion over GF(p)[t], on constant
+    # polynomials, is the oracle and shares no step with it.
     rng = random.Random(31)
     for field in (F2, F3, F5, GF(65521)):
         for n in range(7):
@@ -262,7 +258,8 @@ def test_det_modp_matches_the_integer_route():
                 cases.append(_deficient(field, n, n, rng))
             dets = set()
             for A in cases:
-                expected = det_pencil(A, zero)(0)
+                entries = [[Poly.from_coeffs(field, (x,)) for x in row] for row in A.rows]
+                expected = _det_cofactor(entries, field)(0)
                 assert _det_modp(A.rows, field.modulus) == expected, (field, A)
                 assert det(A).value == expected
                 dets.add(expected)

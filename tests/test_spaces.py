@@ -305,14 +305,38 @@ def test_affine_enumeration_makes_a_cells_bases_as_it_yields_them(monkeypatch):
     # GF(2) 4x4 at codim 12 has 4,096 coset bases per cell: the first coset
     # comes after one base is made, and the cell's next subspace repeats them.
     made = []
-    real = spaces.unvectorize
-    monkeypatch.setattr(spaces, "unvectorize", lambda shape, v: made.append(v) or real(shape, v))
+    real = spaces._fill
+
+    def fill(m, pc, cols, values):
+        row = real(m, pc, cols, values)
+        if pc < 0:  # a coset base
+            made.append(row)
+        return row
+    monkeypatch.setattr(spaces, "_fill", fill)
     cosets = enumerate_affine(_shape(F2, 4, 4), 12)
     first = next(cosets)
     assert len(made) == 1 and first.base == Matrix.zeros(F2, 4, 4)
     rest = list(islice(cosets, 2 * 4096 - 1))
     assert rest[4095].linear != first.linear
     assert [a.base for a in rest[4095:]] == [first.base] + [a.base for a in rest[:4095]]
+
+
+def test_a_cosets_base_view_is_its_first_member():
+    # Every route that makes a coset stores its base as a raw vector;
+    # base is the Matrix view of it, the first member elements() yields.
+    rng = random.Random(23)
+    shape = _shape(F3, 2, 2)
+    cosets = list(islice(enumerate_affine(shape, 1), 0, None, 7))
+    cosets += [random_affine(shape, codim, rng) for codim in range(5) for _ in range(4)]
+    cosets += [affine_from_point(random_subspace(shape, codim, rng), random_matrix(F3, 2, 2, rng))
+               for codim in range(5)]
+    cosets += [transport(aff, random_matrix(F3, 3, 2, rng), random_matrix(F3, 2, 2, rng))
+               for aff in cosets[-6:]]
+    for aff in cosets:
+        n, p = aff.shape.n, aff.shape.p
+        first = next(iter(aff.elements()))
+        assert aff.base == Matrix(F3, n, p, first), aff
+        assert aff.contains(aff.base)
 
 
 def test_affine_enumeration_counts_cosets():

@@ -13,7 +13,7 @@ from itertools import islice
 
 import pytest
 
-from ranklines import lines, verify
+from ranklines import lines, spaces, verify
 from ranklines.fields import GF, RATIONALS
 from ranklines.matrices import Matrix, canonical_N, random_invertible, rank
 from ranklines.spaces import (LinearMatrixSubspace, MatrixSpaceShape, enumerate_affine,
@@ -257,6 +257,33 @@ def test_a_campaign_checks_each_direction_once(monkeypatch):
         rep = run_campaign(spec)
         assert rep.verified and rep.total >= 100
         assert len(calls) == len(set(calls)) <= len(spec.rank_range), spec
+
+
+def test_a_campaign_converts_no_coset_and_builds_a_matrix_only_for_a_witness(monkeypatch):
+    # A coset is carried as raw vectors from the sampler or enumerator to
+    # the searches: no case vectorizes a Matrix or builds one from a
+    # vector, and the only Matrix a case makes is the witness it finds.
+    made = {"vectorize": 0, "unvectorize": 0, "Matrix": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            made[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+    sampled = CampaignSpec(theorem="remark2-strong", field=F3, n=3, p=3, codims=(1,),
+                           rank_range=(2,), mode="sample", samples=400, seed=11)
+    swept = CampaignSpec(theorem="pencil", field=F2, n=3, p=3, codims=(1,), rank_range=(2,))
+    for spec in (sampled, swept):
+        run_campaign(spec)  # builds the direction's cached Matrix objects
+        for name in ("vectorize", "unvectorize"):
+            monkeypatch.setattr(spaces, name, counted(name, getattr(spaces, name)))
+        monkeypatch.setattr(Matrix, "__init__", counted("Matrix", Matrix.__init__))
+        rep = run_campaign(spec)
+        monkeypatch.undo()
+        assert rep.verified and rep.passed >= 100, spec
+        assert made["vectorize"] == made["unvectorize"] == 0, made
+        assert made["Matrix"] <= rep.passed, (made, rep.passed)
+        made.update(dict.fromkeys(made, 0))
 
 
 # ------------------------------------------------------------------- execution
