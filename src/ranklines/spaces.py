@@ -5,8 +5,8 @@ the reduced row-echelon matrix of vectorized members (row-major), so equal
 subspaces compare equal, and an affine coset stores the unique
 representative whose coordinates vanish at the basis pivot positions,
 as the raw row-major vector ``offset`` (``base`` is its ``Matrix`` view).
-Both kinds expose ``basis`` and ``offset`` (None for a linear subspace),
-the pair that member iteration, transport and the searches read.
+Both kinds share one body, reading ``basis`` and ``offset`` (None for a
+linear subspace); a coset's ``linear`` is a view of its linear part.
 
 Enumeration over GF(p) walks pivot-column profiles (Schubert cells) in
 lexicographic order.  ``_free_columns`` is the one cell rule: a cell's
@@ -73,14 +73,13 @@ def _split_rows(vec, n: int, p: int):
 
 
 @dataclass(frozen=True, slots=True)
-class LinearMatrixSubspace:
-    """A linear subspace, held as the RREF basis of its vectorized members."""
+class _Subspace:
+    """The body of both subspace kinds: the RREF basis of the linear part and
+    its pivots, read with each kind's ``offset`` (None: the zero base)."""
 
     shape: MatrixSpaceShape
     basis: tuple[tuple[RawValue, ...], ...]
     pivots: tuple[int, ...]
-    # No base: member iteration and transport_rows read None as zero.
-    offset = None
 
     @property
     def dim(self) -> int:
@@ -107,65 +106,50 @@ class LinearMatrixSubspace:
 
     def contains(self, M: Matrix) -> bool:
         check_shape(M, self.shape.field, self.shape.n, self.shape.p)
-        z = self.shape.field.zero
-        return all(v == z for v in self.reduce(vectorize(M)))
+        res = self.reduce(vectorize(M))
+        return res == (self.offset or (self.shape.field.zero,) * len(res))
 
     def elements(self, budget: int | None = DEFAULT_ELEMENT_BUDGET):
-        """Every member as raw rows, in odometer order (see _iter_coset).
+        """Every member as raw rows, base first, in odometer order (see _iter_coset).
 
         ``Matrix(space.shape.field, n, p, rows)`` wraps one; more than
         ``budget`` members (None: no cap) raises BudgetExceededError.
         """
-        return _iter_coset(self.shape, self.basis, None, budget)
+        return _iter_coset(self.shape, self.basis, self.offset, budget)
 
     def to_text(self) -> str:
         shape = self.shape
-        return _write_text(shape.field, shape.n, shape.p, (f"dim {self.dim}", self.basis))
+        sections = [(f"dim {self.dim}", self.basis)]
+        if self.offset is not None:
+            sections.append(("base", _split_rows(self.offset, shape.n, shape.p)))
+        return _write_text(shape.field, shape.n, shape.p, *sections)
 
 
 @dataclass(frozen=True, slots=True)
-class AffineMatrixSubspace:
+class LinearMatrixSubspace(_Subspace):
+    """A linear subspace, held as the RREF basis of its vectorized members."""
+
+    offset = None  # a class constant, not a field
+
+
+@dataclass(frozen=True, slots=True)
+class AffineMatrixSubspace(_Subspace):
     """A coset base + V with the canonical (pivot-free-coordinate) base.
 
     The base is stored as ``offset``, its row-major raw vector, which is
-    the form member iteration reads; ``base`` is its ``Matrix`` view.
+    the form member iteration reads; ``base`` is its ``Matrix`` view and
+    ``linear`` a view of V.  A coset is not a LinearMatrixSubspace.
     """
 
-    linear: LinearMatrixSubspace
     offset: tuple[RawValue, ...]
-
-    @property
-    def shape(self) -> MatrixSpaceShape:
-        return self.linear.shape
-
-    @property
-    def basis(self) -> tuple[tuple[RawValue, ...], ...]:
-        return self.linear.basis
 
     @property
     def base(self) -> Matrix:
         return unvectorize(self.shape, self.offset)
 
     @property
-    def dim(self) -> int:
-        return self.linear.dim
-
-    @property
-    def codim(self) -> int:
-        return self.linear.codim
-
-    def contains(self, M: Matrix) -> bool:
-        check_shape(M, self.shape.field, self.shape.n, self.shape.p)
-        return self.linear.reduce(vectorize(M)) == self.offset
-
-    def elements(self, budget: int | None = DEFAULT_ELEMENT_BUDGET):
-        """Every member as raw rows, base first; as LinearMatrixSubspace.elements."""
-        return _iter_coset(self.shape, self.linear.basis, self.offset, budget)
-
-    def to_text(self) -> str:
-        shape, lin = self.shape, self.linear
-        return _write_text(shape.field, shape.n, shape.p, (f"dim {lin.dim}", lin.basis),
-                           ("base", _split_rows(self.offset, shape.n, shape.p)))
+    def linear(self) -> LinearMatrixSubspace:
+        return LinearMatrixSubspace(self.shape, self.basis, self.pivots)
 
 
 def from_generators(shape: MatrixSpaceShape, mats) -> LinearMatrixSubspace:
@@ -187,7 +171,8 @@ def _span(shape: MatrixSpaceShape, vecs) -> LinearMatrixSubspace:
 def affine_from_point(linear: LinearMatrixSubspace, point: Matrix) -> AffineMatrixSubspace:
     """The coset point + V, with the base canonicalized."""
     check_shape(point, linear.shape.field, linear.shape.n, linear.shape.p)
-    return AffineMatrixSubspace(linear, linear.reduce(vectorize(point)))
+    return AffineMatrixSubspace(linear.shape, linear.basis, linear.pivots,
+                                linear.reduce(vectorize(point)))
 
 
 def transport(space, P: Matrix, Q: Matrix):
@@ -198,7 +183,8 @@ def transport(space, P: Matrix, Q: Matrix):
     basis, base = transport_rows(space, P, Q)
     shape = MatrixSpaceShape(space.shape.field, P.nrows, Q.ncols)
     lin = _span(shape, basis)
-    return lin if base is None else AffineMatrixSubspace(lin, lin.reduce(base))
+    return lin if base is None else AffineMatrixSubspace(shape, lin.basis, lin.pivots,
+                                                          lin.reduce(base))
 
 
 def transport_rows(space, P: Matrix, Q: Matrix):
@@ -371,7 +357,7 @@ def enumerate_affine(shape: MatrixSpaceShape, codim: int):
     """
     lins = enumerate_subspaces(shape, codim)
     m, q = shape.ambient_dim, shape.field.order
-    return (AffineMatrixSubspace(lin, v)
+    return (AffineMatrixSubspace(shape, lin.basis, lin.pivots, v)
             for lin in lins
             for v in _every_fill(m, -1, _free_columns(lin.pivots, m)[-1], q))
 
@@ -442,7 +428,7 @@ def random_affine(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> Af
     vec = [0] * shape.ambient_dim
     for j in nonpiv:
         vec[j] = rng.randrange(q)
-    return AffineMatrixSubspace(lin, tuple(vec))
+    return AffineMatrixSubspace(shape, lin.basis, lin.pivots, tuple(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +445,8 @@ def parse_subspace_text(text: str):
     if not body or body[0].split()[0] != "dim":
         raise ValueError("expected a 'dim <d>' line after the size line")
     (d,) = _read_counts(body[0], 1, "one non-negative integer")
+    if d > n * p:  # refused before any row is read
+        raise ValueError(f"dim {d} exceeds the ambient dimension n*p = {n * p}")
     shape = MatrixSpaceShape(field, n, p)
     lin = _span(shape, _read_rows(field, body[1:d + 1], d, shape.ambient_dim, "basis rows"))
     if lin.dim != d:
@@ -469,4 +457,4 @@ def parse_subspace_text(text: str):
     if rest[0] != "base":
         raise ValueError(f"unexpected line {rest[0]!r} after basis rows")
     base = _read_rows(field, rest[1:], n, p, "base rows")
-    return AffineMatrixSubspace(lin, lin.reduce([v for row in base for v in row]))
+    return affine_from_point(lin, Matrix(field, n, p, base))

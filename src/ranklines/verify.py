@@ -34,6 +34,7 @@ from .matrices import (
 )
 from .spaces import (
     DEFAULT_ELEMENT_BUDGET,
+    BudgetExceededError,
     MatrixSpaceShape,
     count_subspaces,
     enumerate_affine,
@@ -52,6 +53,7 @@ PASSED = "passed"
 FILTERED = "filtered"
 FAILED = "failed"
 FINDING = "finding"
+STOPPED = "stopped"  # not a case verdict: see _judge
 
 
 class CampaignSpecError(ValueError):
@@ -342,12 +344,17 @@ def _judge(spec: CampaignSpec, lo: int = 0, hi: int | None = None):
     """Yield (index, codim, r, verdict, CaseRecord | None, digest) for cases lo..hi-1.
 
     The cases of one space come together, one per rank, and share its text.
+    A case over the element budget ends it with (index, codim, r, STOPPED, None, None).
     """
     text_of = None
     for idx, codim, space, r in islice(_case_stream(spec), lo, hi):
         if space is not text_of:
             text_of, space_text = space, space.to_text()
-        verdict, record, digest = _process_case(spec, idx, codim, space, r, space_text)
+        try:
+            verdict, record, digest = _process_case(spec, idx, codim, space, r, space_text)
+        except BudgetExceededError:
+            yield idx, codim, r, STOPPED, None, None
+            return
         yield idx, codim, r, verdict, record, digest
 
 
@@ -477,8 +484,9 @@ def run_campaign(spec: CampaignSpec, on_case=None) -> VerificationReport:
     ``on_case(index, codim, r, verdict)`` is invoked per case in index
     order, once the case is folded, with any worker count; campaigns with
     workers > 1 partition the case index range over processes and merge in
-    order.  An interrupt gives an ``incomplete`` report of the cases judged
-    so far.
+    order.  An interrupt, or a case whose walk would exceed the element
+    budget, gives an ``incomplete`` report of the cases before it in index
+    order, so its ``total`` is the index of the first case not judged.
     """
     validate_spec(spec)
     start = time.monotonic()
@@ -490,6 +498,9 @@ def run_campaign(spec: CampaignSpec, on_case=None) -> VerificationReport:
     incomplete = False
     try:
         for idx, codim, r, verdict, record, digest in cases:
+            if verdict == STOPPED:
+                incomplete = True
+                break
             h.update(digest)
             if verdict == PASSED:
                 passed += 1

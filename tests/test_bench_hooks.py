@@ -69,3 +69,29 @@ def test_traced_remark2_run_is_correct_and_checks_its_direction_once():
     # process, by the warm-up campaign before the traced pass.
     assert metrics["matrices.rank_calls"] <= 1
     assert metrics["verify.side_condition_calls"] == metrics["lines.searches"] == 3200
+
+
+WALK_SCRIPT = """
+import json, sys
+sys.path.insert(0, "bench")
+import trace, workloads
+rl = workloads.load_ranklines()
+tracer = trace.Tracer()
+trace.install(tracer, rl)
+sp = rl.spaces
+shape = sp.MatrixSpaceShape(rl.fields.GF(3), 2, 2)
+coset = next(sp.enumerate_affine(shape, 2))
+linear = next(sp.enumerate_subspaces(shape, 1))
+yielded = sum(1 for space in (coset, linear) for _rows in space.elements())
+print(json.dumps({"yielded": yielded, "counted": tracer.counts.get("members", 0)}))
+"""
+
+
+def test_trace_counts_each_member_once_for_both_subspace_kinds():
+    # bench/trace.py wraps elements() on each public class in turn; were one
+    # class to inherit the other's wrapped method, its members would count twice.
+    proc = subprocess.run([sys.executable, "-c", WALK_SCRIPT], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got == {"yielded": 9 + 27, "counted": 9 + 27}

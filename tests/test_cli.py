@@ -228,6 +228,13 @@ def test_witness_zero_denominator_in_space_exits_two(workdir, capsys):
     assert "zero denominator" in capsys.readouterr().err
 
 
+def test_witness_refuses_a_dim_beyond_the_ambient_dimension(workdir, capsys):
+    space = _write(workdir / "space.txt", "field gf 2\nsize 2 0\ndim 1000000000\n")
+    N = _write(workdir / "N.txt", "field gf 2\nsize 2 0\n")
+    assert main(["witness", space, N]) == 2
+    assert "dim 1000000000 exceeds the ambient dimension n*p = 0" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------- verify
 
 
@@ -255,16 +262,14 @@ def test_verify_unwritable_out_exits_two_before_the_campaign(workdir, capsys, mo
     assert not (workdir / "missing").exists()
 
 
-def test_verify_budget_overrun_leaves_no_out_file_behind(workdir, capsys):
-    base = ["verify", "--theorem", "main", "--q", "2", "--n", "3", "--codim", "0",
-            "--element-budget", "100", "--out"]
-    assert main(base + [str(workdir / "r.json")]) == 3
-    assert "512 elements exceed the budget of 100" in capsys.readouterr().err
-    assert not (workdir / "r.json").exists()
-    kept = workdir / "kept.json"
-    kept.write_text("keep")
-    assert main(base + [str(kept)]) == 3
-    assert kept.read_text() == "keep"
+def test_verify_budget_overrun_writes_an_incomplete_report(workdir, capsys):
+    # The 63 codim-1 cases fit the budget; the first codim-0 case needs 64 members.
+    out = workdir / "r.json"
+    assert main(["verify", "--theorem", "main", "--q", "2", "--n", "3", "--p", "2",
+                 "--codim", "1,0", "--rank", "1", "--element-budget", "32",
+                 "--out", str(out)]) == 3
+    rep = VerificationReport.from_json(out.read_text())
+    assert rep.verdict == "incomplete" and rep.total == rep.passed == 63
 
 
 def test_verify_text_format_to_stdout(capsys):

@@ -629,6 +629,13 @@ def test_parse_zero_subspace_of_a_huge_shape_is_fast():
     assert space.dim == 0 and space.codim == 10**10
 
 
+def test_parse_refuses_a_dim_beyond_the_ambient_dimension_before_reading_rows():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"dim 1000000000 exceeds the ambient dimension n\*p = 0"):
+        parse_subspace_text("field gf 2\nsize 2 0\ndim 1000000000\n")
+    assert time.perf_counter() - start < 0.1
+
+
 def test_parse_subspace_rejects_garbage():
     with pytest.raises(ValueError):
         parse_subspace_text("field gf 2\nsize 2 2\ndim 1\n")

@@ -461,6 +461,26 @@ def test_interrupted_run_with_a_failure_is_failed(monkeypatch):
     assert "verdict      FAILED" in rep.summary_text().splitlines()
 
 
+def test_a_budget_stop_gives_an_incomplete_report_of_the_cases_before_it(monkeypatch):
+    # Each of the 63 codim-1 cases walks at most 2^5 members; the first
+    # codim-0 case would walk 2^6, over the budget of 32.
+    spec = _spec(codims=(1, 0), rank_range=(1,), element_budget=32)
+    reps = [run_campaign(dataclasses.replace(spec, workers=w)) for w in (1, 2, 3)]
+    assert len({rep.signature() for rep in reps}) == 1
+    rep = reps[0]
+    assert rep.verdict == "incomplete" and rep.total == rep.passed == 63
+    h = hashlib.sha256()
+    for _idx, codim, space, r in islice(_case_stream(spec), 63):
+        h.update(hashlib.sha256(f"{codim}|{r}|{space.to_text()}".encode()).digest())
+    assert rep.case_order_hash == h.hexdigest()
+    # A failure before the stop still refutes the claim.
+    monkeypatch.setattr(verify, "transport",
+                        lambda space, P, Q: from_generators(space.shape, []))
+    rep = run_campaign(dataclasses.replace(spec, random_conjugates=1))
+    assert rep.incomplete and rep.total == 63 and rep.failures
+    assert rep.verdict == "failed"
+
+
 def test_the_fold_streams(monkeypatch):
     # 200,000 synthetic cases, made lazily: the run keeps no per-case result.
     def judge(spec, lo=0, hi=None):
