@@ -6,15 +6,20 @@ p x p minors of A + tN.  Either way, the rank of A + t0*N drops below p
 exactly at the roots of that polynomial, which turns the full-rank-line
 question into root analysis.
 
-Over GF(p) and Q alike both are computed in integers.  The line is
-evaluated once, as the integer matrices a + tb at t = 0..k for k columns;
-the determinants there (closed forms up to 4 x 4, integer Bareiss beyond)
-give the coefficients by exact Newton interpolation.  A tall line takes
-each maximal minor's values from row subsets of the same points.  Over
-GF(p) the result is reduced mod p, a ring map, so it needs no k + 1 field
-points.  Minors are folded by a primitive remainder sequence over Q and,
-once reduced, by the Euclidean gcd over GF(p) (von zur Gathen & Gerhard,
-*Modern Computer Algebra*, ch. 5-6).
+Over GF(q) and Q alike both are computed in integers, from rows a and b
+of A and N, with the denominators of each rational row pair cleared and
+each GF(q) entry lifted to its centred representative.  Where the integer
+determinant kernel has a closed form (p <= 4 columns), a minor is one
+determinant of the packed rows a + 2^k*b, whose balanced base-2^k digits
+are its coefficients (Kronecker substitution, von zur Gathen & Gerhard,
+*Modern Computer Algebra*, ch. 8; k comes from Hadamard's inequality).
+Larger minors, which the kernel runs by Bareiss and whose intermediates
+the packing would inflate, evaluate the line once at t = 0..p and
+interpolate each minor's values, taken from row subsets of those points,
+by exact Newton division.  Over GF(q) the result is reduced mod q, a ring
+map, so it needs no p + 1 field points.  Minors are folded by a primitive
+remainder sequence over Q and, once reduced, by the Euclidean gcd over
+GF(q) (ibid., ch. 5-6).
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import isqrt
+from operator import mul
 
 from .fields import Scalar, clear_denominators
 from .matrices import Matrix, _check_tall, _det_bareiss_int, check_shape
@@ -57,14 +63,14 @@ class PencilAnalysis:
         return self.classification in (CONSTANT_NONZERO, NONCONSTANT_NO_ROOT)
 
 
-def _line_points(rows: list[list[int]], p: int) -> list[list[list[int]]]:
-    """The integer matrices a + t*b for t = 0..p, for rows [a_i | b_i] of width 2p.
+def _line_points(a: list[list[int]], b: list[list[int]]) -> list[list[list[int]]]:
+    """The integer matrices a + t*b for t = 0..p, where p is the width of the rows.
 
     Each point is the previous one plus b.
     """
-    point, b = [r[:p] for r in rows], [r[p:] for r in rows]
+    point = a
     points = [point]
-    for _ in range(p):
+    for _ in range(len(a[0])):
         point = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(point, b)]
         points.append(point)
     return points
@@ -90,16 +96,69 @@ def _interpolate(values: list[int]) -> list[int]:
     return _strip(poly)
 
 
-def _int_rows(A: Matrix, N: Matrix) -> tuple[list[list[int]], int]:
-    """Integer rows [a_i | b_i] of the pair and the product of their row multipliers.
+def _int_rows(A: Matrix, N: Matrix) -> tuple[list[list[int]], list[list[int]], int]:
+    """Integer rows a and b of the pair, and the product of their row multipliers.
 
-    GF(p) values are integers already (multiplier 1).  Over Q, row i of A and
-    of N share one multiplier m_i, so det(A + tN) = det(a + tb) / prod m_i.
+    GF(q) values become their centred representatives in (-q/2, q/2]
+    (multiplier 1), which keeps the packed determinants small.  Over Q, row
+    i of A and of N share one multiplier m_i, so det(A + tN) = det(a + tb) /
+    prod m_i.
     """
-    if A.field.is_finite:
-        return [ra + rb for ra, rb in zip(A.rows, N.rows)], 1
-    rows = [clear_denominators(ra + rb) for ra, rb in zip(A.rows, N.rows)]
-    return [r for r, _ in rows], prod(m for _, m in rows)
+    f = A.field
+    if f.is_finite:
+        q = f.modulus
+        half = q // 2
+        return ([[v - q if v > half else v for v in row] for row in A.rows],
+                [[v - q if v > half else v for v in row] for row in N.rows], 1)
+    a, b, scale, p = [], [], 1, A.ncols
+    for ra, rb in zip(A.rows, N.rows):
+        row, m = clear_denominators(ra + rb)
+        a.append(row[:p])
+        b.append(row[p:])
+        scale *= m
+    return a, b, scale
+
+
+def _packed(a: list[list[int]], b: list[list[int]]) -> tuple[list[list[int]], int]:
+    """The rows a_i + 2^k * b_i and the digit width k.
+
+    On |t| = 1, |det(a + tb)| <= prod_i (|a_i| + |b_i|) (Hadamard), and by
+    Cauchy's estimate that bounds every coefficient.  Each factor below is
+    larger than |a_i| + |b_i| and at least 1, so the product bounds the
+    coefficients of every row-subset minor too; with one guard bit each is
+    a single balanced base-2^k digit.
+    """
+    bound = 1
+    for ra, rb in zip(a, b):
+        bound *= isqrt(sum(map(mul, ra, ra))) + isqrt(sum(map(mul, rb, rb))) + 2
+    k = bound.bit_length() + 1
+    return [[x + (y << k) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], k
+
+
+def _digits(v: int, k: int) -> list[int]:
+    """Balanced base-2^k digits of v, each in [-2^(k-1), 2^(k-1)), lowest
+    first, without trailing zeros."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while v:
+        d = ((v + half) & mask) - half
+        out.append(d)
+        v = (v - d) >> k
+    return out
+
+
+def _minors(a: list[list[int]], b: list[list[int]], p: int):
+    """Each maximal minor of a + tb, for the row subsets in ``combinations`` order,
+    as ascending integer coefficients without trailing zeros."""
+    subsets = combinations(range(len(a)), p)
+    if p <= 4:  # the kernel's closed forms: one packed determinant per minor
+        packed, k = _packed(a, b)
+        for sub in subsets:
+            yield _digits(_det_bareiss_int([packed[i] for i in sub]), k)
+    else:  # Bareiss: p + 1 points determine each minor of degree <= p
+        points = _line_points(a, b)
+        for sub in subsets:
+            yield _interpolate([_det_bareiss_int([point[i] for i in sub]) for point in points])
 
 
 def det_pencil(A: Matrix, N: Matrix) -> Poly:
@@ -107,10 +166,12 @@ def det_pencil(A: Matrix, N: Matrix) -> Poly:
     check_shape(N, A.field, A.nrows, A.ncols)
     if not A.is_square:
         raise ValueError(f"pencil determinant requires square matrices, got {A.nrows}x{A.ncols}")
-    rows, scale = _int_rows(A, N)
-    coeffs = _interpolate([_det_bareiss_int(point) for point in _line_points(rows, A.ncols)])
+    a, b, scale = _int_rows(A, N)
+    coeffs = next(_minors(a, b, A.ncols))  # the one maximal minor
     if A.field.is_finite:
         return Poly.from_coeffs(A.field, coeffs)  # reduces mod p, which is a ring map
+    if scale == 1:
+        return Poly(A.field, tuple(Fraction(c) for c in coeffs))
     return Poly(A.field, tuple(Fraction(c, scale) for c in coeffs))
 
 
@@ -119,11 +180,9 @@ def minor_gcd(A: Matrix, N: Matrix) -> Poly:
     check_shape(N, A.field, A.nrows, A.ncols)
     _check_tall(A.nrows, A.ncols)
     f = A.field
-    rows, _ = _int_rows(A, N)  # a row multiplier scales every minor by a unit, so it drops out
-    points = _line_points(rows, A.ncols)  # p + 1 points determine each minor of degree <= p
+    a, b, _ = _int_rows(A, N)  # a row multiplier scales every minor by a unit, so it drops out
     g: list = []  # ascending coefficients of the gcd so far; [] is the zero polynomial
-    for sub in combinations(range(A.nrows), A.ncols):
-        minor = _interpolate([_det_bareiss_int([point[i] for i in sub]) for point in points])
+    for minor in _minors(a, b, A.ncols):
         if f.is_finite:
             # Reduce each minor before the gcd: a gcd over Z, reduced afterwards, is wrong.
             g = _gcd_modp(g, minor, f.modulus)

@@ -136,16 +136,23 @@ def _gcd_modp(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _squarefree_mod(f: list[int], p: int) -> bool:
-    """True iff f mod p keeps its degree and has no repeated factor."""
-    return f[-1] % p != 0 and len(_gcd_modp(f, _derivative(f), p)) == 1
-
-
 def _horner(ints: list[int], x: int, m: int) -> int:
     acc = 0
     for c in reversed(ints):
         acc = (acc * x + c) % m
     return acc
+
+
+def _simple_root_prime(f: list[int], primes) -> tuple[int, list[int]] | None:
+    """The first p in primes with p !| lc(f) at which every root of f mod p
+    is simple (f' does not vanish there), with those roots; None if none is."""
+    df = _derivative(f)
+    for p in primes:
+        if f[-1] % p:
+            roots = [x for x in range(p) if _horner(f, x, p) == 0]
+            if all(_horner(df, x, p) for x in roots):
+                return p, roots
+    return None
 
 
 def _odd_primes():
@@ -196,17 +203,18 @@ def rational_roots(poly: Poly) -> list[Fraction]:
     section 5.10), in time polynomial in the coefficients' bit size:
 
     1. the factor t^k is removed, giving the root 0;
-    2. f is made primitive; if one of the first 8 odd primes p does not
-       divide its leading coefficient and leaves f mod p squarefree, then f
-       is squarefree and that smallest p is used;
-    3. otherwise f becomes the squarefree part f / gcd(f, f') and p is the
-       smallest odd prime not dividing its leading coefficient for which
-       f mod p stays squarefree;
-    4. the roots of f mod p are found by evaluating every residue;
-    5. each is Newton (Hensel) lifted until p^k > 2 * |f_0| * |f_d|;
-    6. a/b is recovered by rational reconstruction with |a| <= |f_0| and
+    2. f is made primitive, and p is the smallest of the first 8 odd
+       primes that does not divide its leading coefficient and at which
+       every root of f mod p, found by evaluating every residue, is simple
+       (f' does not vanish there).  A rational root a/b has b | lc(f), so
+       it maps to a root mod p, and a simple root mod p has exactly one
+       p-adic lift, so f itself need not be squarefree;
+    3. if no such prime is among them, f becomes the squarefree part
+       f / gcd(f, f') and p is the smallest such odd prime for it;
+    4. each root mod p is Newton (Hensel) lifted until p^k > 2 * |f_0| * |f_d|;
+    5. a/b is recovered by rational reconstruction with |a| <= |f_0| and
        0 < b <= |f_d|, which bound every rational root of f;
-    7. a candidate is kept only if the integer homogeneous form
+    6. a candidate is kept only if the integer homogeneous form
        sum_k f_k * a^k * b^(d-k) is exactly 0.
     """
     if poly.field.kind != "rat":
@@ -220,19 +228,17 @@ def rational_roots(poly: Poly) -> list[Fraction]:
         coeffs.pop(0)
     if len(coeffs) > 1:
         f = _primitive(clear_denominators(coeffs)[0])
-        # A prime p with p !| lc(f) and f mod p squarefree proves f squarefree:
-        # f = g^2 * h with deg g >= 1 would give p !| lc(g), so g^2 divides f mod p.
-        p = next((q for q in islice(_odd_primes(), 8) if _squarefree_mod(f, q)), None)
-        if p is None:
+        found = _simple_root_prime(f, islice(_odd_primes(), 8))
+        if found is None:
             g = _int_gcd_poly(f, _derivative(f))
             if len(g) > 1:
                 f = _int_exact_div(f, g)
-            p = next(q for q in _odd_primes() if _squarefree_mod(f, q))
+            # A squarefree f has simple roots modulo all but finitely many primes.
+            found = _simple_root_prime(f, _odd_primes())
+        p, residues = found
         df = _derivative(f)
         bound = abs(f[0])  # |a| of every root a/b; b <= f[-1]
-        for x in range(p):
-            if _horner(f, x, p):
-                continue
+        for x in residues:
             m = p
             while m <= 2 * bound * f[-1]:
                 m *= m

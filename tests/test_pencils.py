@@ -295,8 +295,9 @@ def test_minor_gcd_roots_are_exactly_the_rank_drops():
 
 @pytest.mark.parametrize("field", [RATIONALS, F3], ids=str)
 def test_minor_gcd_shares_line_points_across_minors(field):
-    # minor_gcd evaluates the line once per point and takes each minor's
-    # values from row subsets of those points; Laplace per minor is the oracle.
+    # minor_gcd lifts the line once, as the packed rows a + 2^k*b here (p <= 4)
+    # or the points a + t*b at t = 0..p beyond, and takes each minor from row
+    # subsets of those shared rows; Laplace per minor is the oracle.
     rng = random.Random(61)
     t2_plus_1 = Poly.from_coeffs(field, (1, 0, 1))
     folded_past_zero = False
@@ -330,6 +331,72 @@ def test_minor_gcd_shares_line_points_across_minors(field):
             assert g == minor_gcd_laplace(A, N)
             assert not g.is_zero and poly_rem(g, t2_plus_1).is_zero
     assert folded_past_zero
+
+
+def test_closed_form_pencils_take_one_determinant_per_minor(monkeypatch):
+    # With p <= 4 columns, where the integer kernel has closed forms, each
+    # minor is one determinant of the packed rows a + 2^k*b; wider minors,
+    # which the kernel runs by Bareiss, take one per point t = 0..p.
+    calls = []
+    kernel = pencils._det_bareiss_int
+    monkeypatch.setattr(pencils, "_det_bareiss_int",
+                        lambda m: calls.append(len(m)) or kernel(m))
+    rng = random.Random(89)
+    for field in (RATIONALS, GF(65521)):
+        for n in range(6):
+            A, N = (Matrix.from_rows(field, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+                    for _ in range(2))
+            calls.clear()
+            assert det_pencil(A, N) == _det_cofactor(_pencil_entries(A, N), field)
+            assert calls == ([n] if n <= 4 else [n] * (n + 1))
+
+        # A = B - N with B's last column the sum of the others: every 3 x 3
+        # minor vanishes at t = 1, so the gcd never reaches 1 and all four
+        # minors are taken.
+        b = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(4)]
+        b = [row + [row[0] + row[1]] for row in b]
+        n_rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(4)]
+        A = Matrix.from_rows(field, [[x - y for x, y in zip(rb, rn)] for rb, rn in zip(b, n_rows)])
+        N = Matrix.from_rows(field, n_rows)
+        calls.clear()
+        g = minor_gcd(A, N)
+        assert g == minor_gcd_laplace(A, N) and g(1) == 0
+        assert calls == [3] * 4
+
+
+def _width_bound_lines():
+    """Lines whose packed coefficients sit near the Hadamard width, p <= 4, n <= 6.
+
+    A = 0 with N = +-M*I, and A = N = M*I (the n x p matrix with M on the
+    diagonal, so tall shapes have zero rows), for M = 2^j - 1, 2^j, 2^j + 1;
+    over GF(65521) also every entry q - 1, which centres to -1, beside N = I.
+    """
+    shapes = ((1, 1), (2, 2), (3, 3), (4, 4), (3, 2), (4, 3), (6, 4), (6, 1))
+    for field in (RATIONALS, GF(65521)):
+        for n, p in shapes:
+            def diag(m):
+                return Matrix.from_rows(field, [[m if i == j else 0 for j in range(p)]
+                                                for i in range(n)])
+            zero = Matrix.zeros(field, n, p)
+            for j in (1, 2, 3, 15, 16, 17, 31, 32, 40):
+                for M in (2 ** j - 1, 2 ** j, 2 ** j + 1):
+                    yield zero, diag(M)
+                    yield zero, diag(-M)
+                    yield diag(M), diag(M)
+            if field.is_finite:
+                top = Matrix.from_rows(field, [[field.modulus - 1] * p] * n)
+                yield top, top
+                yield top, diag(1)
+                yield diag(field.modulus - 1), diag(field.modulus - 1)
+
+
+def test_packed_pencils_match_the_laplace_oracles_at_the_width_bound():
+    # Leaving N's rows out of the width, or packing the uncentred GF(q) values
+    # under a width taken from the centred ones, makes these lines disagree.
+    for A, N in _width_bound_lines():
+        if A.is_square:
+            assert det_pencil(A, N) == _det_cofactor(_pencil_entries(A, N), A.field)
+        assert minor_gcd(A, N) == minor_gcd_laplace(A, N)
 
 
 # --------------------------------------------------------------- classify_line

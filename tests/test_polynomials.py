@@ -313,8 +313,10 @@ def test_rational_roots_large_constant_terms():
 
 
 def test_squarefree_certificate_by_a_prime(monkeypatch):
-    # A squarefree f mod p with p !| lc(f) proves f squarefree, so the integer
-    # gcd(f, f') runs only when no such prime is among the first 8 odd primes.
+    # A prime p !| lc(f) at which every root of f mod p is simple lifts each
+    # rational root uniquely, so the integer gcd(f, f') runs only when no such
+    # prime is among the first 8 odd primes; (t^2 + 1)^2 (2t - 3) is squarefree
+    # mod no prime, but its one root mod 3 is simple.
     calls = []
     gcd_poly = polynomials._int_gcd_poly
     monkeypatch.setattr(polynomials, "_int_gcd_poly", lambda a, b: calls.append(1) or gcd_poly(a, b))
@@ -322,7 +324,8 @@ def test_squarefree_certificate_by_a_prime(monkeypatch):
     for factors, gcd_calls, roots in (
             (((-1, 1), (2, 1), (-3, 2)), 0, [1, -2, Fraction(3, 2)]),
             (((-1, 1), (-1, 1), (2, 1)), 1, [1, -2]),
-            (((-1, 1), (-D, 0, 1)), 1, [1])):
+            (((-1, 1), (-D, 0, 1)), 1, [1]),
+            (((1, 0, 1), (1, 0, 1), (-3, 2)), 0, [Fraction(3, 2)])):
         p = _product(*(_poly(RATIONALS, *c) for c in factors))
         calls.clear()
         assert rational_roots(p) == roots == _rational_roots_trial(p), str(p)
