@@ -167,7 +167,7 @@ RATIONALS = FieldDesc("rat")
 
 def clear_denominators(values) -> tuple[list[int], int]:
     """(m * v for v in values, m) where m is the lcm of the rationals' denominators."""
-    m = lcm(*[v.denominator for v in values])
+    m = lcm(*(v.denominator for v in values))
     if m == 1:
         return [v.numerator for v in values], 1
     return [v.numerator * (m // v.denominator) for v in values], m

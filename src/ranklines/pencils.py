@@ -8,16 +8,12 @@ question into root analysis.
 
 Over GF(q) and Q alike both are computed in integers, from rows a and b
 of A and N, with the denominators of each rational row pair cleared and
-each GF(q) entry lifted to its centred representative.  Where the integer
-determinant kernel has a closed form (p <= 4 columns), a minor is one
-determinant of the packed rows a + 2^k*b, whose balanced base-2^k digits
-are its coefficients (Kronecker substitution, von zur Gathen & Gerhard,
-*Modern Computer Algebra*, ch. 8; k comes from Hadamard's inequality).
-Larger minors, which the kernel runs by Bareiss and whose intermediates
-the packing would inflate, evaluate the line once at t = 0..p and
-interpolate each minor's values, taken from row subsets of those points,
-by exact Newton division.  Over GF(q) the result is reduced mod q, a ring
-map, so it needs no p + 1 field points.  Minors are folded by a primitive
+each GF(q) entry lifted to its centred representative.  Each minor is one
+integer determinant of the packed rows a + 2^k*b, whose balanced base-2^k
+digits are its coefficients (Kronecker substitution, von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 8; k comes from Hadamard's
+inequality).  Over GF(q) the result is reduced mod q, a ring map, so it
+needs no p + 1 field points.  Minors are folded by a primitive
 remainder sequence over Q and, once reduced, by the Euclidean gcd over
 GF(q) (ibid., ch. 5-6).
 """
@@ -35,7 +31,7 @@ from .matrices import Matrix, _check_tall, _det_bareiss_int, check_shape
 
 # rank_rows is unused here; bench/trace.py wraps pencils.rank_rows by name.
 from .matrices import rank_rows  # noqa: F401
-from .polynomials import Poly, _gcd_modp, _horner, _int_gcd_poly, _primitive, _strip, rational_roots
+from .polynomials import Poly, _gcd_modp, _horner, _int_gcd_poly, _primitive, rational_roots
 
 IDENTICALLY_ZERO = "identically-zero"
 CONSTANT_NONZERO = "constant-nonzero"
@@ -61,39 +57,6 @@ class PencilAnalysis:
     def full_rank(self) -> bool:
         """True iff every matrix of the line has full column rank."""
         return self.classification in (CONSTANT_NONZERO, NONCONSTANT_NO_ROOT)
-
-
-def _line_points(a: list[list[int]], b: list[list[int]]) -> list[list[list[int]]]:
-    """The integer matrices a + t*b for t = 0..p, where p is the width of the rows.
-
-    Each point is the previous one plus b.
-    """
-    point = a
-    points = [point]
-    for _ in range(len(a[0])):
-        point = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(point, b)]
-        points.append(point)
-    return points
-
-
-def _interpolate(values: list[int]) -> list[int]:
-    """Ascending coefficients, without trailing zeros, of the f in Z[t] with
-    deg f < len(values) and f(t) = values[t]; values is overwritten.
-
-    For f in Z[t], Delta^k f(j) is divisible by k!, so every division in the
-    Newton table of divided differences is exact; its diagonal c gives
-    f = c_0 + t*(c_1 + (t-1)*(c_2 + ...)), expanded from the inside out.
-    """
-    c = values
-    n = len(c) - 1
-    for k in range(1, n + 1):
-        for i in range(n, k - 1, -1):
-            c[i], rem = divmod(c[i] - c[i - 1], k)
-            assert rem == 0, "Newton division must be exact"
-    poly = [c[n]]
-    for k in range(n - 1, -1, -1):  # poly <- poly * (t - k) + c_k
-        poly = [c[k] - k * poly[0]] + [lo - k * hi for lo, hi in zip(poly, poly[1:])] + poly[-1:]
-    return _strip(poly)
 
 
 def _int_rows(A: Matrix, N: Matrix) -> tuple[list[list[int]], list[list[int]], int]:
@@ -149,16 +112,11 @@ def _digits(v: int, k: int) -> list[int]:
 
 def _minors(a: list[list[int]], b: list[list[int]], p: int):
     """Each maximal minor of a + tb, for the row subsets in ``combinations`` order,
-    as ascending integer coefficients without trailing zeros."""
-    subsets = combinations(range(len(a)), p)
-    if p <= 4:  # the kernel's closed forms: one packed determinant per minor
-        packed, k = _packed(a, b)
-        for sub in subsets:
-            yield _digits(_det_bareiss_int([packed[i] for i in sub]), k)
-    else:  # Bareiss: p + 1 points determine each minor of degree <= p
-        points = _line_points(a, b)
-        for sub in subsets:
-            yield _interpolate([_det_bareiss_int([point[i] for i in sub]) for point in points])
+    as ascending integer coefficients without trailing zeros: one determinant
+    of the packed rows per minor."""
+    packed, k = _packed(a, b)
+    for sub in combinations(range(len(a)), p):
+        yield _digits(_det_bareiss_int([packed[i] for i in sub]), k)
 
 
 def det_pencil(A: Matrix, N: Matrix) -> Poly:
@@ -170,8 +128,6 @@ def det_pencil(A: Matrix, N: Matrix) -> Poly:
     coeffs = next(_minors(a, b, A.ncols))  # the one maximal minor
     if A.field.is_finite:
         return Poly.from_coeffs(A.field, coeffs)  # reduces mod p, which is a ring map
-    if scale == 1:
-        return Poly(A.field, tuple(Fraction(c) for c in coeffs))
     return Poly(A.field, tuple(Fraction(c, scale) for c in coeffs))
 
 

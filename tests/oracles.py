@@ -10,7 +10,7 @@ serve them and nothing under ``src/``.
 ``_det_cofactor`` expands its determinant by Laplace over K[t], and
 ``minor_gcd_laplace`` folds ``poly_gcd`` over those expansions of the
 maximal minors.  They are the slow oracles for ``det_pencil`` and
-``minor_gcd``, which interpolate integer determinants over both GF(p)
+``minor_gcd``, which take packed integer determinants over both GF(p)
 and Q instead.  ``poly_add``, ``poly_sub``, ``poly_mul``, ``poly_rem`` and
 ``poly_gcd`` are the K[t] arithmetic the Laplace oracles need: plain
 functions on ``Poly`` values over the field's own operations, sharing

@@ -94,7 +94,8 @@ def test_det_pencil_degree_bounded_by_rank_of_direction():
 
 def test_bareiss_poly_path_matches_cofactor_expansion():
     # Laplace expansion over K[t] is the independent slow oracle for the
-    # integer interpolation at n = 5, over GF(p) and over Q.
+    # packed determinant at n = 5, where the integer kernel runs Bareiss,
+    # over GF(p) and over Q.
     for field in (F3, RATIONALS):
         rng = random.Random(43)
         for _ in range(6):
@@ -153,7 +154,7 @@ def _rational_lines(rng: random.Random):
 
 
 def test_rational_pencils_match_the_laplace_oracles(monkeypatch):
-    # det_pencil and minor_gcd interpolate integer determinants over Q;
+    # det_pencil and minor_gcd take packed integer determinants over Q;
     # Laplace over Q[t], and the oracle's poly_gcd fold, are the oracles.
     lines = list(_rational_lines(random.Random(73)))
     assert any(A.is_square and A.nrows == 6 and det_pencil(A, N).degree == 6 for A, N in lines)
@@ -201,7 +202,7 @@ def _finite_lines(rng: random.Random):
 
 
 def test_finite_pencils_match_the_laplace_oracles(monkeypatch):
-    # Over GF(q), det_pencil and minor_gcd interpolate the integer lift and
+    # Over GF(q), det_pencil and minor_gcd pack the centred integer lift and
     # reduce mod q, also where q <= n leaves too few points to interpolate
     # in the field itself; Laplace over GF(q)[t] is the oracle.  classify_line
     # is compared over the small fields, where the lines are cheap to expand.
@@ -295,9 +296,9 @@ def test_minor_gcd_roots_are_exactly_the_rank_drops():
 
 @pytest.mark.parametrize("field", [RATIONALS, F3], ids=str)
 def test_minor_gcd_shares_line_points_across_minors(field):
-    # minor_gcd lifts the line once, as the packed rows a + 2^k*b here (p <= 4)
-    # or the points a + t*b at t = 0..p beyond, and takes each minor from row
-    # subsets of those shared rows; Laplace per minor is the oracle.
+    # minor_gcd lifts the line once, as the packed rows a + 2^k*b, and takes
+    # each minor from a row subset of those shared rows; Laplace per minor is
+    # the oracle.
     rng = random.Random(61)
     t2_plus_1 = Poly.from_coeffs(field, (1, 0, 1))
     folded_past_zero = False
@@ -333,22 +334,21 @@ def test_minor_gcd_shares_line_points_across_minors(field):
     assert folded_past_zero
 
 
-def test_closed_form_pencils_take_one_determinant_per_minor(monkeypatch):
-    # With p <= 4 columns, where the integer kernel has closed forms, each
-    # minor is one determinant of the packed rows a + 2^k*b; wider minors,
-    # which the kernel runs by Bareiss, take one per point t = 0..p.
+def test_pencils_take_one_determinant_per_minor(monkeypatch):
+    # Each minor is one determinant of the packed rows a + 2^k*b, both where
+    # the integer kernel has closed forms (p <= 4) and where it runs Bareiss.
     calls = []
     kernel = pencils._det_bareiss_int
     monkeypatch.setattr(pencils, "_det_bareiss_int",
                         lambda m: calls.append(len(m)) or kernel(m))
     rng = random.Random(89)
     for field in (RATIONALS, GF(65521)):
-        for n in range(6):
+        for n in range(7):
             A, N = (Matrix.from_rows(field, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
                     for _ in range(2))
             calls.clear()
             assert det_pencil(A, N) == _det_cofactor(_pencil_entries(A, N), field)
-            assert calls == ([n] if n <= 4 else [n] * (n + 1))
+            assert calls == [n]
 
         # A = B - N with B's last column the sum of the others: every 3 x 3
         # minor vanishes at t = 1, so the gcd never reaches 1 and all four
@@ -365,13 +365,13 @@ def test_closed_form_pencils_take_one_determinant_per_minor(monkeypatch):
 
 
 def _width_bound_lines():
-    """Lines whose packed coefficients sit near the Hadamard width, p <= 4, n <= 6.
+    """Lines whose packed coefficients sit near the Hadamard width, n <= 7.
 
     A = 0 with N = +-M*I, and A = N = M*I (the n x p matrix with M on the
     diagonal, so tall shapes have zero rows), for M = 2^j - 1, 2^j, 2^j + 1;
     over GF(65521) also every entry q - 1, which centres to -1, beside N = I.
     """
-    shapes = ((1, 1), (2, 2), (3, 3), (4, 4), (3, 2), (4, 3), (6, 4), (6, 1))
+    shapes = ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (3, 2), (4, 3), (6, 4), (6, 1), (7, 5))
     for field in (RATIONALS, GF(65521)):
         for n, p in shapes:
             def diag(m):
