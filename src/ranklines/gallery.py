@@ -31,12 +31,11 @@ def lemma1_witness(n: int, p: int, r: int, field: FieldDesc) -> Matrix:
         raise ValueError(f"need n >= p >= 1, got n={n}, p={p}")
     if not 0 <= r < p:
         raise ValueError(f"direction rank {r} must satisfy 0 <= r < p = {p}")
-    A = Matrix.zeros(field, n, p)
-    for j in range(p if n > p else n - 1):
-        A = A + Matrix.unit(field, n, p, j + 1, j)
+    z, o = field.zero, field.one
+    rows = [[o if i == j + 1 else z for j in range(p)] for i in range(n)]
     if n == p:
-        A = A + Matrix.unit(field, n, p, 0, n - 1)
-    return A
+        rows[0][n - 1] = o
+    return Matrix(field, n, p, tuple(map(tuple, rows)))
 
 
 def sharpness_example(n: int, p: int, field: FieldDesc) -> tuple[LinearMatrixSubspace, Matrix]:

@@ -13,7 +13,7 @@ import json
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache, partial, reduce
 from operator import and_, mul, xor
 from typing import ClassVar, NamedTuple
 
@@ -234,13 +234,27 @@ def witness_search(space, N: Matrix, strategy: str = EXHAUSTIVE,
     the element count (default 2^24) and overrunning it raises.  Random
     strategy draws ``budget`` seeded uniform samples (default 10,000) and
     never claims nonexistence.  A budget below 1 raises ValueError.
+
+    On a square shape over GF(2) or GF(3) the exhaustive scan tests a
+    block of members at a time (see _first_in_coset): a member passes iff
+    det(A + tN) != 0 at every t in the field.  Tall shapes have no
+    determinant and larger fields no planes, so there each member's ranks
+    are taken in turn.  Both give the member-by-member walk's witness and
+    ``cases_examined``.
     """
-    _direction_plan(space.shape, N)
+    plan = _direction_plan(space.shape, N)
     _check_budget(budget)
     shape = space.shape
     f, n, p = shape.field, shape.n, shape.p
     if strategy == EXHAUSTIVE:
-        members = space.elements(budget=DEFAULT_ELEMENT_BUDGET if budget is None else budget)
+        cap = DEFAULT_ELEMENT_BUDGET if budget is None else budget
+        if n == p and f.is_finite and f.order <= 3:
+            canonical_rows = canonical_N(f, n, n, plan.rank).rows
+            return _first_in_coset(space, N, plan, cap,
+                                   partial(_full_rank_mask, r=plan.rank),
+                                   lambda rows: _first_rank_drop(f, rows, canonical_rows, n) is None,
+                                   "full-rank")
+        members = space.elements(budget=cap)
         miss = EXHAUSTED_NO_WITNESS
     elif strategy == RANDOM:
         rng = random.Random(seed)
@@ -265,16 +279,9 @@ def constant_det_witness_search(space, N: Matrix,
     the determinant polynomial must be constant as a formal polynomial,
     not merely root-free.  The scan is exhaustive over the space's member
     order; a budget below 1 raises ValueError, and more than ``budget``
-    members raise BudgetExceededError before any is examined.
-
-    For a direction other than canonical_N, the basis and base are mapped
-    once by (P, Q) = to_rank_normal_form(N), which keeps the member order
-    and, as det P * det Q != 0, constancy; (P, Q) is taken once per
-    direction, with its checks, by _direction_plan.  Over GF(2) and GF(3) the coset
-    is tested a block of members at a time (_bitsliced_first) and the
-    member found is tested once more by the scalar _constant_det; over
-    larger fields each member is tested in turn.  ``cases_examined`` counts
-    the members up to the witness, or all q^d of them.
+    members raise BudgetExceededError before any is examined.  The coset
+    is walked as _first_in_coset describes, with the raw-row test
+    _constant_det, bitsliced over GF(2) and GF(3) (_block_mask).
     """
     shape = space.shape
     if shape.n != shape.p:
@@ -283,31 +290,50 @@ def constant_det_witness_search(space, N: Matrix,
     if plan.rank != shape.n - 1:
         raise ValueError(f"direction rank must be n-1 = {shape.n - 1}, got {plan.rank}")
     _check_budget(budget)
+    last, pm = shape.n - 1, shape.field.modulus
+    return _first_in_coset(space, N, plan, DEFAULT_ELEMENT_BUDGET if budget is None else budget,
+                           _block_mask, lambda rows: _constant_det(rows, last, pm),
+                           "constant-determinant")
+
+
+def _first_in_coset(space, N: Matrix, plan: _DirectionPlan, budget: int,
+                    lane_mask: Callable, passes: Callable, test: str) -> SearchOutcome:
+    """The first member of a square space, in its own order, whose line with
+    N passes a test written for canonical N; q^d members over ``budget``
+    raise BudgetExceededError before any table is built.
+
+    A non-canonical N is moved to canonical form by mapping the basis and
+    base once by the plan's (P, Q), which keeps the member order and each
+    member's verdict: P (A + tN) Q has the rank of A + tN and determinant
+    det P * det Q * det(A + tN).  Over GF(2) and GF(3) lane_mask tests a
+    block of members at a time (_bitsliced_first); over larger fields
+    passes(rows) tests each member in turn.  The member found is rebuilt
+    from its coset digits and tested once more by passes, an independent
+    check of the kernel; unless N was moved, it is also the witness A.
+    ``cases_examined`` counts the members up to the witness, or all q^d.
+    """
+    shape = space.shape
     f, n = shape.field, shape.n
     own_basis, own_base = space.basis, space.offset
     d = len(own_basis)
-    total = _coset_size(shape, d, DEFAULT_ELEMENT_BUDGET if budget is None else budget)
-    pm = f.modulus
-    last = n - 1
+    total = _coset_size(shape, d, budget)
     basis, base = own_basis, own_base
     # A flag, not `basis is own_basis`: every empty basis is the same ().
     moved = not plan.canonical
     if moved:
         basis, base = transport_rows(space, *plan.normal_form)
+    pm = f.modulus
     if pm <= 3:
-        s = _bitsliced_first(shape, basis, base)
+        s = _bitsliced_first(shape, basis, base, lane_mask)
     else:
         s = next((s for s, a_rows in enumerate(_iter_coset(shape, basis, base, None))
-                  if _constant_det(a_rows, last, pm)), None)
+                  if passes(a_rows)), None)
     if s is None:
         return SearchOutcome(EXHAUSTED_NO_WITNESS, None, total)
     digits = _odometer_digits(s, pm, d)
-    # One scalar test of the found member, rebuilt from its coset digits:
-    # an independent check of the bitsliced kernel.  Unless N was moved,
-    # that member is also the witness A.
     a_rows = _member(shape, basis, base, digits)
-    if not _constant_det(a_rows, last, pm):
-        raise RuntimeError(f"coset member {digits} fails the constant-determinant test")
+    if not passes(a_rows):
+        raise RuntimeError(f"coset member {digits} fails the {test} test")
     if moved:
         a_rows = _member(shape, own_basis, own_base, digits)
     return SearchOutcome(WITNESS_FOUND, (Matrix(f, n, n, a_rows), N), s + 1)
@@ -338,7 +364,7 @@ def _constant_det(rows, last: int, pm: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# bitsliced constant-determinant test over GF(2) and GF(3)
+# bitsliced member tests over GF(2) and GF(3)
 #
 # A table holds one field value per lane, lane s being member s of a block
 # of the coset.  Over GF(2) it is one int whose bit s is the value; over
@@ -347,11 +373,12 @@ def _constant_det(rows, last: int, pm: int) -> bool:
 # (T. Boothby and R. Bradshaw, arXiv:0901.1413).  None stands for a table
 # that is zero in every lane, so products with it are skipped.
 
-# Fast digits per block, so q^b lanes; when the corner moves with those
-# digits, a q-th of the lanes have a zero corner.  3^6 lanes ran
-# sample-remark2-gf3 faster than 3^5 or 3^7, and 2^12 ran the exhaustive
-# GF(2), n = 4, codim 0,1 remark2-conjecture campaign faster than 2^11 or
-# 2^13.
+# Fast digits per block, so q^b lanes, for both searches; when the corner
+# moves with those digits, a q-th of the lanes have a zero corner.  3^6
+# lanes ran sample-remark2-gf3 faster than 3^5 or 3^7, and 2^12 ran the
+# exhaustive GF(2), n = 4, codim 0,1 remark2-conjecture campaign faster
+# than 2^11 or 2^13.  A full-rank search whose witness lies early in a
+# block still tests the whole block.
 _LANE_DIGITS = {2: 12, 3: 6}
 
 
@@ -373,11 +400,12 @@ class _Planes(NamedTuple):
     neg: Callable
     nonzero: Callable  # table -> int mask of its nonzero lanes
     spread: Callable  # (value, all lanes) -> the value in every lane
+    order: int
 
 
-_GF2 = _Planes(xor, and_, lambda a: a, lambda a: a, lambda v, ones: ones if v else 0)
+_GF2 = _Planes(xor, and_, lambda a: a, lambda a: a, lambda v, ones: ones if v else 0, 2)
 _GF3 = _Planes(_add3, _mul3, lambda a: (a[1], a[0]), lambda a: a[0] | a[1],
-               lambda v, ones: ((0, 0), (ones, 0), (0, ones))[v])
+               lambda v, ones: ((0, 0), (ones, 0), (0, ones))[v], 3)
 
 
 @cache
@@ -405,11 +433,16 @@ def _dot(ops: _Planes, xs, ys):
     return reduce(ops.add, terms) if terms else None
 
 
-def _det_table(ops: _Planes, T):
-    """det of the n x n matrix of tables T, by Laplace along the last row of
-    each leading row set, the minors of one row set reused by the next."""
-    minors = {1 << j: a for j, a in enumerate(T[0]) if a is not None}
-    for row in T[1:]:
+def _minors(ops: _Planes, rows, minors: dict | None = None) -> dict:
+    """The minors of all rows of a matrix of tables, keyed by column bit set
+    and missing where zero, by Laplace along each row in turn.  ``minors``
+    holds those of the rows above ``rows`` (None: ``rows`` are the first),
+    and each row set's minors serve the next; for n rows, key 2^n - 1 is
+    the determinant."""
+    if minors is None:
+        first, *rows = rows
+        minors = {1 << j: a for j, a in enumerate(first) if a is not None}
+    for row in rows:
         grown: dict = {}
         for cols, m in minors.items():
             for j, a in enumerate(row):
@@ -421,7 +454,7 @@ def _det_table(ops: _Planes, T):
                 key = cols | 1 << j
                 grown[key] = ops.add(grown[key], term) if key in grown else term
         minors = grown
-    return minors.get((1 << len(T)) - 1)
+    return minors
 
 
 def _block_mask(ops: _Planes, T, ones: int) -> int:
@@ -446,13 +479,33 @@ def _block_mask(ops: _Planes, T, ones: int) -> int:
                 mask &= ~ops.nonzero(markov)
                 if not mask:
                     return 0
-    det = _det_table(ops, T)
+    det = _minors(ops, T).get((1 << len(T)) - 1)
     return mask & ops.nonzero(det) if det is not None else 0
 
 
-def _bitsliced_first(shape, basis, base) -> int | None:
+def _full_rank_mask(ops: _Planes, T, ones: int, r: int) -> int:
+    """Lanes whose A + t * canonical_N(n, n, r) is invertible at every t.
+
+    Row order does not change whether a determinant is zero, so the minors
+    of rows r..n-1, which no t moves, are taken once, and each t only adds
+    its rows 0..r-1 (t on the diagonal) below them.
+    """
+    full = (1 << len(T)) - 1
+    fixed = _minors(ops, T[r:])
+    mask = ones
+    for t in range(ops.order if r else 1):
+        moved = [[*row[:i], _entry(ops, t, row[i], ones), *row[i + 1:]]
+                 for i, row in enumerate(T[:r])]
+        det = _minors(ops, moved, fixed).get(full)
+        mask &= ops.nonzero(det) if det is not None else 0
+        if not mask:
+            return 0
+    return mask
+
+
+def _bitsliced_first(shape, basis, base, lane_mask: Callable) -> int | None:
     """Number of the first member of base + span(basis), in odometer order,
-    that passes _constant_det's test, or None; q = 2 or 3.
+    whose lane lane_mask(ops, T, ones) passes, or None; q = 2 or 3.
 
     The last digits, q^b of them to a block, are the lanes of one table per
     entry: its slow-digit value in every lane plus c * X_k for each fast
@@ -478,7 +531,7 @@ def _bitsliced_first(shape, basis, base) -> int | None:
     for block, rows in enumerate(_iter_coset(shape, basis[:d - b], base, None)):
         T = [[_entry(ops, v, varying[i * n + j], ones) for j, v in enumerate(row)]
              for i, row in enumerate(rows)]
-        mask = _block_mask(ops, T, ones)
+        mask = lane_mask(ops, T, ones)
         if mask:
             return block * q ** b + (mask & -mask).bit_length() - 1
     return None

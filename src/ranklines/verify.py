@@ -358,9 +358,25 @@ def _judge(spec: CampaignSpec, lo: int = 0, hi: int | None = None):
         yield idx, codim, r, verdict, record, digest
 
 
-def _judge_chunk(spec: CampaignSpec, lo: int, hi: int) -> list:
-    """A worker's share of a parallel run: cases lo..hi-1, judged."""
-    return list(_judge(spec, lo, hi))
+def _judge_chunk(spec: CampaignSpec, lo: int, hi: int):
+    """A worker's share of a parallel run, cases lo..hi-1, judged and packed
+    for the trip back: (kinds, digests, records).
+
+    kinds[i] is case lo + i's (codim, r, verdict), one shared tuple per
+    distinct value, so a chunk pickles and unpickles each value once;
+    digests joins the cases' 32-byte digests, and records holds the
+    CaseRecords by index.  A STOPPED case ends kinds and has no digest.
+    """
+    shared: dict = {}
+    kinds, digests, records = [], bytearray(), {}
+    for idx, codim, r, verdict, record, digest in _judge(spec, lo, hi):
+        kind = (codim, r, verdict)
+        kinds.append(shared.setdefault(kind, kind))
+        if digest is not None:
+            digests += digest
+        if record is not None:
+            records[idx] = record
+    return kinds, bytes(digests), records
 
 
 def _available_cpus() -> int:
@@ -380,8 +396,11 @@ def _judge_in_pool(spec: CampaignSpec):
     bounds = [round(i * total / w) for i in range(w + 1)]
     with ProcessPoolExecutor(max_workers=w) as pool:
         # map cancels the chunks not yet started if iteration stops early.
-        for chunk in pool.map(_judge_chunk, [spec] * w, bounds, bounds[1:]):
-            yield from chunk
+        for lo, (kinds, digests, records) in zip(
+                bounds, pool.map(_judge_chunk, [spec] * w, bounds, bounds[1:])):
+            for i, (codim, r, verdict) in enumerate(kinds):
+                digest = digests[32 * i:32 * i + 32] or None  # None: STOPPED
+                yield lo + i, codim, r, verdict, records.get(lo + i), digest
 
 
 # ---------------------------------------------------------------------------

@@ -344,3 +344,20 @@ def constant_det_search_full_walk(space, N: Matrix) -> SearchOutcome:
         if det_pencil(A, N).degree == 0:
             return SearchOutcome(WITNESS_FOUND, (A, N), cases)
     return SearchOutcome(EXHAUSTED_NO_WITNESS, None, cases)
+
+
+def witness_search_full_walk(space, N: Matrix) -> SearchOutcome:
+    """The exhaustive witness_search by testing every member in order.
+
+    A member is a witness when classify_line_by_ranks finds its line
+    full-rank: the rank of A + tN at every t, with no block or transport.
+    """
+    shape = space.shape
+    f, n, p = shape.field, shape.n, shape.p
+    cases = 0
+    for a_rows in space.elements(budget=DEFAULT_ELEMENT_BUDGET):
+        cases += 1
+        A = Matrix(f, n, p, a_rows)
+        if classify_line_by_ranks(A, N).full_rank:
+            return SearchOutcome(WITNESS_FOUND, (A, N), cases)
+    return SearchOutcome(EXHAUSTED_NO_WITNESS, None, cases)

@@ -51,6 +51,22 @@ def test_lemma1_witness_square_case_layout():
     assert A.rows == ((0, 0, 1), (1, 0, 0), (0, 1, 0))
 
 
+def test_lemma1_witness_rows_are_the_shifted_identity():
+    # The rows are built directly; the sum of unit matrices is the reference.
+    for field in (F2, F5, RATIONALS):
+        for n in range(1, 6):
+            for p in range(1, n + 1):
+                units = [(j + 1, j) for j in range(p) if j + 1 < n]
+                if n == p:
+                    units.append((0, n - 1))
+                want = Matrix.zeros(field, n, p)
+                for i, j in units:
+                    want = want + Matrix.unit(field, n, p, i, j)
+                A = lemma1_witness(n, p, 0, field)
+                assert (A.nrows, A.ncols, A.rows) == (n, p, want.rows), (field, n, p)
+                assert A == want
+
+
 def test_lemma1_witness_gives_full_rank_line():
     for field in (F2, F3, F5, RATIONALS):
         for n in range(1, 5):

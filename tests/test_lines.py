@@ -12,7 +12,7 @@ import pytest
 
 from ranklines import lines
 from ranklines.fields import GF, RATIONALS, FieldMismatchError, Scalar
-from ranklines.gallery import lemma1_witness, remark2_f2_example
+from ranklines.gallery import lemma1_witness, remark2_f2_example, sharpness_example
 from ranklines.lines import (
     BUDGET_EXHAUSTED,
     DEFAULT_RANDOM_BUDGET,
@@ -54,6 +54,7 @@ from oracles import (
     constant_det_search_full_walk,
     ker_coker_noninjective,
     maps_ker_into_im,
+    witness_search_full_walk,
 )
 
 F2 = GF(2)
@@ -945,3 +946,159 @@ def test_constant_det_search_pins_the_corner_edge_cases():
     with pytest.raises(BudgetExceededError, match="81 elements exceed the budget of 30"):
         constant_det_witness_search(space, N, budget=30)
     assert constant_det_witness_search(space, N, budget=81).found
+
+
+# ------------------------------------------------- bitsliced full-rank search
+
+
+def _moved(N, rng):
+    """N conjugated by seeded invertible matrices: the same rank, rarely canonical."""
+    f, n = N.field, N.nrows
+    return random_invertible(f, n, rng) @ N @ random_invertible(f, n, rng)
+
+
+@pytest.mark.parametrize("field, n", [(F2, 2), (F2, 3), (F3, 2), (F3, 3)],
+                         ids=["gf 2, n 2", "gf 2, n 3", "gf 3, n 2", "gf 3, n 3"])
+def test_full_rank_lanes_match_the_scalar_rank_test(field, n):
+    # One block holds every n x n matrix (n = 3 over GF(3): a seeded
+    # sample), member s in lane s; at every rank r < n the lane mask must
+    # be the scalar test, lane by lane.
+    q = field.order
+    members = [tuple(tuple(v[i * n:(i + 1) * n]) for i in range(n))
+               for v in itertools.product(range(q), repeat=n * n)]
+    if len(members) > 1000:
+        members = random.Random(f"full-rank-lanes:{n}").sample(members, 1000)
+    ops = lines._GF2 if q == 2 else lines._GF3
+    T = _lane_tables(field, members, n)
+    ones = (1 << len(members)) - 1
+    for r in range(n):
+        N = canonical_N(field, n, n, r)
+        want = [lines._first_rank_drop(field, rows, N.rows, n) is None for rows in members]
+        mask = lines._full_rank_mask(ops, T, ones, r)
+        assert [bool(mask >> s & 1) for s in range(len(members))] == want, r
+        assert 0 < sum(want) < len(members)
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=str)
+def test_square_witness_search_matches_the_full_walk_oracle(field):
+    # Random cosets and subspaces at every direction rank, canonical and
+    # moved: status, witness and count must equal the member-by-member
+    # walk of the space's own order.
+    rng = random.Random(f"full-rank-oracle:{field}")
+    max_dim = {2: 8, 3: 5}[field.order]
+    found = {False: 0, True: 0}
+    ranks = set()
+    for n in (1, 2, 3):
+        shape = MatrixSpaceShape(field, n, n)
+        m = n * n
+        for k in range(24):
+            codim = m - rng.randint(0, min(m, max_dim))
+            space = (random_affine(shape, codim, rng) if k % 3 else
+                     random_subspace(shape, codim, rng))
+            N0 = canonical_N(field, n, n, k % n)
+            for N in (N0, _moved(N0, rng)):
+                out = witness_search(space, N)
+                assert out == witness_search_full_walk(space, N), (space, N)
+                found[out.found] += 1
+                ranks.add((n, k % n, out.found))
+    assert min(found.values()) > 20, found
+    assert {(n, r) for n, r, hit in ranks if hit} == {(1, 0), (2, 0), (2, 1),
+                                                      (3, 0), (3, 1), (3, 2)}
+
+
+def test_square_witness_search_pins_the_small_cases():
+    # n = p = 1: N = 0, so the witness is the first nonzero member; the zero
+    # space has none.  The sharpness spaces have no witness at all, and all
+    # of their q^d members are counted.
+    for field in (F2, F3):
+        N = canonical_N(field, 1, 1, 0)
+        line = from_generators(MatrixSpaceShape(field, 1, 1), [Matrix.from_rows(field, [[1]])])
+        out = witness_search(line, N)
+        assert out.cases_examined == 2 and out.certificate.A.rows == ((1,),)
+        assert out == witness_search_full_walk(line, N)
+        zero = from_generators(MatrixSpaceShape(field, 1, 1), [])
+        out = witness_search(zero, N)
+        assert (out.status, out.cases_examined) == (EXHAUSTED_NO_WITNESS, 1)
+        rng = random.Random(f"sharpness:{field}")
+        for n in (2, 3):
+            space, N = sharpness_example(n, n, field)
+            out = witness_search(space, N)
+            assert (out.status, out.cases_examined) == (EXHAUSTED_NO_WITNESS,
+                                                        field.order ** space.dim)
+            assert out == witness_search_full_walk(space, N)
+            # Sharp for N only: a moved direction may find a witness.
+            moved = _moved(N, rng)
+            assert witness_search(space, moved) == witness_search_full_walk(space, moved)
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=str)
+def test_square_witness_search_finds_witnesses_at_block_edges(field, monkeypatch):
+    # With q^2 lanes to a block, seeded cosets put first witnesses in the
+    # last lane of a block and in the first lane of the next.  Over GF(3)
+    # at rank 0 a last-lane witness is rare (det A must vanish on the eight
+    # lanes before it), so each rank must reach an edge and some rank both.
+    q = field.order
+    monkeypatch.setattr(lines, "_LANE_DIGITS", {q: 2})
+    lanes = q * q
+    rng = random.Random(f"full-rank-edges:{field}")
+    shape = MatrixSpaceShape(field, 3, 3)
+    edges = set()
+    for r in range(3):
+        N = canonical_N(field, 3, 3, r)
+        for _ in range(400):
+            space = random_affine(shape, 9 - (6 if q == 2 else 4), rng)
+            out = witness_search(space, N)
+            assert out == witness_search_full_walk(space, N), space
+            s = out.cases_examined - 1
+            if out.found and s >= lanes - 1 and s % lanes in (0, lanes - 1):
+                edges.add((r, s % lanes))
+            if (r, 0) in edges and (r, lanes - 1) in edges:
+                break
+    assert {r for r, _ in edges} == {0, 1, 2}, edges
+    assert {r for r, lane in edges if lane} & {r for r, lane in edges if not lane}, edges
+
+
+def test_bitsliced_full_rank_witness_is_tested_again(monkeypatch):
+    # A full-rank kernel that passed every lane would return coset member
+    # 0, the zero matrix here, at every rank; the scalar re-test refuses it.
+    monkeypatch.setattr(lines, "_full_rank_mask", lambda ops, T, ones, r: ones)
+    for field in (F2, F3):
+        for r in range(3):
+            with pytest.raises(RuntimeError, match="fails the full-rank test"):
+                witness_search(_full_space(field, 3, 3), canonical_N(field, 3, 3, r))
+
+
+def test_full_rank_search_checks_the_budget_before_any_table(monkeypatch):
+    # The same error as the member walk's, raised before a digit table.
+    def refuse(*args):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(lines, "_digit_tables", refuse)
+    for field in (F2, F3):
+        space, N = _full_space(field, 3, 3), canonical_N(field, 3, 3, 1)
+        budget = field.order ** 9 - 1
+        with pytest.raises(BudgetExceededError) as walk:
+            next(space.elements(budget=budget))
+        with pytest.raises(BudgetExceededError) as search:
+            witness_search(space, N, budget=budget)
+        assert str(search.value) == str(walk.value)
+        with pytest.raises(AssertionError, match="a table was built"):
+            witness_search(space, N, budget=budget + 1)
+
+
+def test_only_square_small_field_searches_skip_the_member_walk(monkeypatch):
+    # A square GF(2) search takes one scalar rank test, of its witness,
+    # however deep; tall and GF(5) searches test each member in turn.
+    calls = []
+    real = lines._first_rank_drop
+    monkeypatch.setattr(lines, "_first_rank_drop", lambda *a: calls.append(1) or real(*a))
+    out = witness_search(_full_space(F2, 4, 4), canonical_N(F2, 4, 4, 3))
+    assert out.cases_examined > 1 << lines._LANE_DIGITS[2] and calls == [1]
+    calls.clear()
+    space, N = sharpness_example(3, 3, F2)
+    assert not witness_search(space, N).found and calls == []
+    for space, N in ((_full_space(F2, 3, 2), canonical_N(F2, 3, 2, 1)),
+                     (_full_space(F5, 2, 2), canonical_N(F5, 2, 2, 1)),
+                     (sharpness_example(3, 2, F3))):
+        calls.clear()
+        out = witness_search(space, N)
+        assert len(calls) == out.cases_examined > 1, (space, N)

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import random
 import resource
 import tracemalloc
@@ -479,6 +480,45 @@ def test_a_budget_stop_gives_an_incomplete_report_of_the_cases_before_it(monkeyp
     rep = run_campaign(dataclasses.replace(spec, random_conjugates=1))
     assert rep.incomplete and rep.total == 63 and rep.failures
     assert rep.verdict == "failed"
+
+
+def test_worker_chunks_come_back_packed(monkeypatch):
+    # A chunk is (kinds, digests, records): one shared tuple per distinct
+    # (codim, r, verdict), the digests joined, and the records by index; it
+    # ends at a budget stop, which has no digest.  Unpacked in the pool's
+    # order it is the serial stream.  Unpickled, a chunk of 126 passed
+    # cases holds two kinds and one bytes, not a tuple and a digest per case.
+    kinds, digests, records = pickle.loads(pickle.dumps(verify._judge_chunk(_spec(), 0, 126)))
+    assert len({id(kind) for kind in kinds}) == 2 and len(kinds) == 126
+    assert type(digests) is bytes and len(digests) == 32 * 126 and records == {}
+    spec = _spec(codims=(1, 0), rank_range=(1,), element_budget=32, random_conjugates=1)
+    monkeypatch.setattr(verify, "transport",
+                        lambda space, P, Q: from_generators(space.shape, []))
+    cases = list(verify._judge(spec, 10, 70))
+    kinds, digests, records = verify._judge_chunk(spec, 10, 70)
+    assert kinds == [(codim, r, verdict) for _i, codim, r, verdict, _rec, _d in cases]
+    assert kinds[-1][2] == verify.STOPPED and len(kinds) == 54
+    assert len({id(kind) for kind in kinds}) == len(set(kinds))
+    assert digests == b"".join(case[5] for case in cases[:-1])
+    assert records and records == {case[0]: case[4] for case in cases if case[4] is not None}
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify, "_available_cpus", lambda: 3)
+    pooled = list(verify._judge_in_pool(dataclasses.replace(spec, workers=3)))
+    assert pooled == list(verify._judge(spec))
 
 
 def test_the_fold_streams(monkeypatch):
