@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations, product
 
 from .fields import FieldDesc, RawValue
@@ -366,34 +365,30 @@ def enumerate_affine(shape: MatrixSpaceShape, codim: int):
 # seeded random sampling (uniform over subspaces of the given codimension)
 
 
-@cache
-def _cell_tails(m: int, codim: int, q: int):
-    """tail[i][lo]: the sum, over pivots of rows i..d-1 from column lo on, of
-    the product of those rows' cell-size factors; tail[0][0] is
-    count_subspaces(m, codim, q)."""
-    d = m - codim
-    tail = [[0] * (m + 2) for _ in range(d)] + [[1] * (m + 2)]
-    for i in range(d - 1, -1, -1):
-        for lo in range(m - d + i, -1, -1):
-            tail[i][lo] = q ** (codim + i - lo) * tail[i + 1][lo + 1] + tail[i][lo + 1]
-    return tuple(map(tuple, tail))
-
-
 def _random_cell(shape: MatrixSpaceShape, codim: int, rng: random.Random):
     """A random_subspace draw and its non-pivot columns, the free columns
     of its canonical coset base; each row is filled in place."""
     m, q = _ambient(shape, codim), shape.field.order
     d = m - codim
-    tail = _cell_tails(m, codim, q)
-    x = rng.randrange(tail[0][0])
+    left = count_subspaces(m, codim, q)
+    x = rng.randrange(left)
     prof = []
     pc = 0
     for i in range(d):
-        while x >= (run := q ** (codim + i - pc) * tail[i + 1][pc + 1]):
+        # left = [m - pc, d - i]_q counts the profiles of rows i..d-1 that
+        # pivot from column pc on.  Row i at pc owns a run of q^(codim + i - pc)
+        # fills times rest = [m - pc - 1, d - i - 1]_q, the later rows' count;
+        # the others (q-Pascal) pivot from pc + 1 on.  As [N, k]_q equals
+        # [N - 1, k - 1]_q (q^N - 1) / (q^k - 1), rest is left times
+        # (q^(d-i) - 1) / (q^(m-pc) - 1), and the floor division is exact.
+        while x >= (run := q ** (codim + i - pc)
+                    * (rest := left * (q ** (d - i) - 1) // (q ** (m - pc) - 1))):
             x -= run
+            left -= run
             pc += 1
         # Row i's fills split pc's run evenly among the later rows' profiles.
         x //= q ** (codim + i - pc)
+        left = rest
         prof.append(pc)
         pc += 1
     prof = tuple(prof)
@@ -415,8 +410,9 @@ def random_subspace(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> 
     One draw below count_subspaces picks the profile: in lexicographic
     order, each profile owns a run of integers as long as its cell.  Row i
     of a cell has codim + i - prof[i] free columns (_free_columns), so the
-    size factorises by row and the draw is unranked a pivot at a time
-    against the sums of _cell_tails, built once per (m, codim, q).
+    size factorises by row and the draw is unranked a pivot at a time:
+    each step's count is the last one times a ratio of q-powers, so a draw
+    holds a few integers and nothing is cached per (m, codim, q).
     """
     return _random_cell(shape, codim, rng)[0]
 

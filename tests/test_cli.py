@@ -540,3 +540,23 @@ def test_python_m_ranklines_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "ranklines", "frobnicate"], cwd=root, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
+
+
+def test_a_huge_sampled_case_ends_incomplete_within_its_limits():
+    # Drawing a GF(2) 50x50 case is cheap; its coset's 2^2500 members exceed
+    # the element budget, so the run stops at once with an incomplete report.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = ["verify", "--theorem", "main", "--q", "2", "--n", "50", "--codim", "0",
+            "--mode", "sample", "--samples", "1"]
+    proc = subprocess.run([sys.executable, "-m", "ranklines", *argv], cwd=root, env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["incomplete"] is True and rep["counts"]["total"] == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+import tracemalloc
 from itertools import combinations, islice
 
 import pytest
@@ -239,10 +240,10 @@ def test_affine_enumeration_matches_the_oracle_coset_by_coset(field, n, p, codim
     assert len(got) == (29_523 if q == 3 else 43_180)
 
 
-@pytest.mark.parametrize("field", [F2, F3, GF(5)], ids=str)
+@pytest.mark.parametrize("field", [F2, F3, GF(5), GF(7)], ids=str)
 def test_samplers_keep_the_oracle_stream_draw_by_draw(field):
     shape = _shape(field, 3, 3)
-    for codim in range(5):
+    for codim in range(10):
         rng, ref = random.Random(f"{field}:{codim}"), random.Random(f"{field}:{codim}")
         for i in range(80):
             affine = i % 2 == 1
@@ -267,6 +268,19 @@ def test_samplers_keep_the_oracle_stream_where_profiles_are_many():
             base = vectorize(space.base) if affine else None
             assert (lin.basis, lin.pivots, base) == sample_rref(25, codim, 2, ref, affine)
         assert rng.random() == ref.random()
+
+
+def test_a_large_draw_keeps_no_table_of_counts():
+    # GF(2) 20x20 at codim 0: a draw holds a few integers; a table of every
+    # suffix count of the profile would take over 100 MiB.
+    tracemalloc.start()
+    try:
+        space = random_subspace(_shape(F2, 20, 20), 0, random.Random("large"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert space.pivots == tuple(range(400))
 
 
 def test_free_columns_are_the_suffix_of_the_non_pivots():
