@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import gcd as int_gcd
 
-from .fields import FieldDesc, RawValue, clear_denominators
+from .fields import FieldDesc, RawValue, _is_prime, clear_denominators
 
 NEG_INF = float("-inf")
 
@@ -155,16 +155,6 @@ def _simple_root_prime(f: list[int], primes) -> tuple[int, list[int]] | None:
     return None
 
 
-def _odd_primes():
-    found: list[int] = []
-    p = 3
-    while True:
-        if all(p % q for q in found):
-            found.append(p)
-            yield p
-        p += 2
-
-
 def _rational_reconstruction(u: int, m: int, bound: int) -> tuple[int, int]:
     """Extended Euclid on (m, u), stopped at the first remainder <= bound.
 
@@ -228,13 +218,13 @@ def rational_roots(poly: Poly) -> list[Fraction]:
         coeffs.pop(0)
     if len(coeffs) > 1:
         f = _primitive(clear_denominators(coeffs)[0])
-        found = _simple_root_prime(f, islice(_odd_primes(), 8))
+        found = _simple_root_prime(f, islice(filter(_is_prime, count(3, 2)), 8))
         if found is None:
             g = _int_gcd_poly(f, _derivative(f))
             if len(g) > 1:
                 f = _int_exact_div(f, g)
             # A squarefree f has simple roots modulo all but finitely many primes.
-            found = _simple_root_prime(f, _odd_primes())
+            found = _simple_root_prime(f, filter(_is_prime, count(3, 2)))
         p, residues = found
         df = _derivative(f)
         bound = abs(f[0])  # |a| of every root a/b; b <= f[-1]

@@ -18,10 +18,13 @@ import hashlib
 import json
 import os
 import random
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, fields
 from itertools import islice
+from multiprocessing import Pipe, Process
+from multiprocessing.connection import wait
 
 from .fields import FieldDesc, parse_field
 from .lines import _direction_plan, constant_det_witness_search, witness_search
@@ -53,7 +56,6 @@ PASSED = "passed"
 FILTERED = "filtered"
 FAILED = "failed"
 FINDING = "finding"
-STOPPED = "stopped"  # not a case verdict: see _judge
 
 
 class CampaignSpecError(ValueError):
@@ -344,38 +346,36 @@ def _judge(spec: CampaignSpec, lo: int = 0, hi: int | None = None):
     """Yield (index, codim, r, verdict, CaseRecord | None, digest) for cases lo..hi-1.
 
     The cases of one space come together, one per rank, and share its text.
-    A case over the element budget ends it with (index, codim, r, STOPPED, None, None).
+    A case whose walk would exceed the element budget raises BudgetExceededError.
     """
     text_of = None
     for idx, codim, space, r in islice(_case_stream(spec), lo, hi):
         if space is not text_of:
             text_of, space_text = space, space.to_text()
-        try:
-            verdict, record, digest = _process_case(spec, idx, codim, space, r, space_text)
-        except BudgetExceededError:
-            yield idx, codim, r, STOPPED, None, None
-            return
-        yield idx, codim, r, verdict, record, digest
+        yield idx, codim, r, *_process_case(spec, idx, codim, space, r, space_text)
 
 
-def _judge_chunk(spec: CampaignSpec, lo: int, hi: int):
-    """A worker's share of a parallel run, cases lo..hi-1, judged and packed
-    for the trip back: (kinds, digests, records).
+def _judge_chunk(spec: CampaignSpec, span: tuple[int, int]):
+    """A worker's share of a parallel run, cases lo..hi-1 for span (lo, hi),
+    judged and packed for the trip back: (kinds, digests, records).
 
     kinds[i] is case lo + i's (codim, r, verdict), one shared tuple per
     distinct value, so a chunk pickles and unpickles each value once;
     digests joins the cases' 32-byte digests, and records holds the
-    CaseRecords by index.  A STOPPED case ends kinds and has no digest.
+    CaseRecords by index.  A budget overrun ends the chunk at the cases
+    before it, so a stopped chunk is shorter than its span.
     """
     shared: dict = {}
     kinds, digests, records = [], bytearray(), {}
-    for idx, codim, r, verdict, record, digest in _judge(spec, lo, hi):
-        kind = (codim, r, verdict)
-        kinds.append(shared.setdefault(kind, kind))
-        if digest is not None:
+    try:
+        for idx, codim, r, verdict, record, digest in _judge(spec, *span):
+            kind = (codim, r, verdict)
+            kinds.append(shared.setdefault(kind, kind))
             digests += digest
-        if record is not None:
-            records[idx] = record
+            if record is not None:
+                records[idx] = record
+    except BudgetExceededError:
+        pass
     return kinds, bytes(digests), records
 
 
@@ -386,21 +386,82 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _send_chunk(conn, spec: CampaignSpec, span: tuple[int, int]) -> None:
+    """A worker's body: send its span's chunk, or the error that ended it."""
+    try:
+        conn.send(_judge_chunk(spec, span))
+    except Exception as exc:  # raised again by the parent, in index order
+        conn.send(exc)
+
+
+def _check_exit(proc: Process) -> None:
+    """Join a worker that has ended, or is ending, and raise if it died."""
+    proc.join()
+    if proc.exitcode:
+        raise RuntimeError(f"the worker judging {proc.name} exited with code {proc.exitcode}")
+
+
+def _worker_chunks(spec: CampaignSpec, spans: list[tuple[int, int]]):
+    """Yield _judge_chunk(spec, span) for each span in order, each judged by
+    a worker process of its own; closing the generator terminates them.
+
+    A worker that dies (killed, out of memory) before its chunk is read
+    ends the run at once with a RuntimeError, rather than leaving it
+    waiting for a chunk that never comes.
+    """
+    workers = []
+    try:
+        # Workers inherit this thread's signal mask: SIGINT blocked while
+        # they start leaves Ctrl-C to this process, which gets one sent
+        # meanwhile once the mask is restored.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for lo, hi in spans:
+                recv, send = Pipe(duplex=False)
+                proc = Process(target=_send_chunk, args=(send, spec, (lo, hi)),
+                               name=f"cases {lo}..{hi - 1}", daemon=True)
+                proc.start()
+                send.close()  # the worker holds the only send end: its death reads as EOF
+                workers.append((recv, proc))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        running = {proc.sentinel: proc for _recv, proc in workers}
+        for recv, proc in workers:
+            while not recv.poll():  # wait for this chunk, or for any worker to end
+                for ended in wait([recv, *running]):
+                    if ended is not recv:
+                        _check_exit(running.pop(ended))
+            try:
+                chunk = recv.recv()
+            except EOFError:
+                _check_exit(proc)
+                raise
+            if isinstance(chunk, Exception):
+                raise chunk
+            yield chunk
+    finally:
+        for recv, proc in workers:
+            proc.terminate()
+            proc.join()
+            recv.close()
+
+
 def _judge_in_pool(spec: CampaignSpec):
-    """Yield every case's _judge tuple in index order from a process pool,
-    one contiguous index chunk per worker."""
+    """Yield every case's _judge tuple in index order from worker processes,
+    one contiguous index chunk per worker; a short chunk raises
+    BudgetExceededError after its cases."""
     total = expected_total(spec)
-    # Under fork the pool starts every worker at the first submit; workers
-    # beyond the CPUs only cost processes, and the report ignores the count.
+    # Workers beyond the CPUs only cost processes, and the report ignores the count.
     w = max(1, min(spec.workers, total, _available_cpus()))
     bounds = [round(i * total / w) for i in range(w + 1)]
-    with ProcessPoolExecutor(max_workers=w) as pool:
-        # map cancels the chunks not yet started if iteration stops early.
-        for lo, (kinds, digests, records) in zip(
-                bounds, pool.map(_judge_chunk, [spec] * w, bounds, bounds[1:])):
+    spans = list(zip(bounds, bounds[1:]))
+    with closing(_worker_chunks(spec, spans)) as chunks:
+        for (lo, hi), (kinds, digests, records) in zip(spans, chunks):
             for i, (codim, r, verdict) in enumerate(kinds):
-                digest = digests[32 * i:32 * i + 32] or None  # None: STOPPED
+                digest = digests[32 * i:32 * i + 32]
                 yield lo + i, codim, r, verdict, records.get(lo + i), digest
+            if len(kinds) < hi - lo:
+                raise BudgetExceededError(f"case {lo + len(kinds)} exceeds the element budget")
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +565,9 @@ def run_campaign(spec: CampaignSpec, on_case=None) -> VerificationReport:
     order, once the case is folded, with any worker count; campaigns with
     workers > 1 partition the case index range over processes and merge in
     order.  An interrupt, or a case whose walk would exceed the element
-    budget, gives an ``incomplete`` report of the cases before it in index
-    order, so its ``total`` is the index of the first case not judged.
+    budget, gives an ``incomplete`` report of the cases folded before it in
+    index order, so its ``total`` is the index of the first case not folded.
+    Either stop ends the worker processes at once.
     """
     validate_spec(spec)
     start = time.monotonic()
@@ -517,9 +579,6 @@ def run_campaign(spec: CampaignSpec, on_case=None) -> VerificationReport:
     incomplete = False
     try:
         for idx, codim, r, verdict, record, digest in cases:
-            if verdict == STOPPED:
-                incomplete = True
-                break
             h.update(digest)
             if verdict == PASSED:
                 passed += 1
@@ -529,8 +588,10 @@ def run_campaign(spec: CampaignSpec, on_case=None) -> VerificationReport:
                 (failures if verdict == FAILED else findings).append(record)
             if on_case is not None:
                 on_case(idx, codim, r, verdict)
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, BudgetExceededError):
         incomplete = True
+    finally:
+        cases.close()
     elapsed = int((time.monotonic() - start) * 1000)
     total = passed + filtered + len(failures) + len(findings)
     return VerificationReport(spec, total, passed, filtered, tuple(failures),

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -560,3 +562,52 @@ def test_a_huge_sampled_case_ends_incomplete_within_its_limits():
     assert proc.returncode == 3, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["incomplete"] is True and rep["counts"]["total"] == 0
+
+
+# ``python -m ranklines`` with the case streams wrapped to print "judging"
+# once the campaign starts to judge, inside run_campaign's stop handling.
+_ANNOUNCING_CLI = """
+import sys
+from ranklines import cli, verify
+
+def announced(judge):
+    def judging(spec, *span):
+        print("judging", flush=True)
+        yield from judge(spec, *span)
+    return judging
+
+verify._judge = announced(verify._judge)
+verify._judge_in_pool = announced(verify._judge_in_pool)
+sys.exit(cli.main())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ctrl_c_ends_a_verify_run_with_an_incomplete_report(tmp_path, workers):
+    # Ctrl-C reaches the whole process group, workers included; the run
+    # writes an incomplete report, exits 3 and leaves no process behind.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = tmp_path / "r.json"
+    argv = ["verify", "--theorem", "main", "--q", "2", "--n", "4", "--p", "3",
+            "--codim", "0-2", "--workers", str(workers), "--format", "json", "--out", str(out)]
+    proc = subprocess.Popen([sys.executable, "-c", _ANNOUNCING_CLI, *argv], cwd=root, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        assert select.select([proc.stdout], [], [], 60)[0], "the campaign did not start"
+        assert proc.stdout.readline() == "judging\n"
+        os.killpg(proc.pid, signal.SIGINT)
+        _stdout, stderr = proc.communicate(timeout=10)
+        assert proc.returncode == 3, stderr
+        assert stderr == ""
+        assert VerificationReport.from_json(out.read_text()).verdict == "incomplete"
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()

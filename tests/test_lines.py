@@ -953,8 +953,8 @@ def test_constant_det_search_pins_the_corner_edge_cases():
 
 def _moved(N, rng):
     """N conjugated by seeded invertible matrices: the same rank, rarely canonical."""
-    f, n = N.field, N.nrows
-    return random_invertible(f, n, rng) @ N @ random_invertible(f, n, rng)
+    f = N.field
+    return random_invertible(f, N.nrows, rng) @ N @ random_invertible(f, N.ncols, rng)
 
 
 @pytest.mark.parametrize("field, n", [(F2, 2), (F2, 3), (F3, 2), (F3, 3)],
@@ -979,31 +979,38 @@ def test_full_rank_lanes_match_the_scalar_rank_test(field, n):
         assert 0 < sum(want) < len(members)
 
 
-@pytest.mark.parametrize("field", [F2, F3], ids=str)
-def test_square_witness_search_matches_the_full_walk_oracle(field):
+# The square GF(2)/GF(3) shapes take the bitsliced blocks; the tall shapes
+# and GF(5) walk each member with N's own rows.
+FULL_WALK_SHAPES = {2: [(1, 1), (2, 2), (3, 3), (3, 2), (4, 2), (4, 3)],
+                    3: [(1, 1), (2, 2), (3, 3), (3, 2), (4, 2)],
+                    5: [(2, 2), (3, 3)]}
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5)], ids=str)
+def test_witness_search_matches_the_full_walk_oracle(field):
     # Random cosets and subspaces at every direction rank, canonical and
     # moved: status, witness and count must equal the member-by-member
     # walk of the space's own order.
     rng = random.Random(f"full-rank-oracle:{field}")
-    max_dim = {2: 8, 3: 5}[field.order]
+    max_dim = {2: 8, 3: 5, 5: 4}[field.order]
     found = {False: 0, True: 0}
     ranks = set()
-    for n in (1, 2, 3):
-        shape = MatrixSpaceShape(field, n, n)
-        m = n * n
+    for n, p in FULL_WALK_SHAPES[field.order]:
+        shape = MatrixSpaceShape(field, n, p)
+        m = n * p
         for k in range(24):
             codim = m - rng.randint(0, min(m, max_dim))
             space = (random_affine(shape, codim, rng) if k % 3 else
                      random_subspace(shape, codim, rng))
-            N0 = canonical_N(field, n, n, k % n)
+            N0 = canonical_N(field, n, p, k % p)
             for N in (N0, _moved(N0, rng)):
                 out = witness_search(space, N)
                 assert out == witness_search_full_walk(space, N), (space, N)
                 found[out.found] += 1
-                ranks.add((n, k % n, out.found))
+                ranks.add((n, p, k % p, out.found))
     assert min(found.values()) > 20, found
-    assert {(n, r) for n, r, hit in ranks if hit} == {(1, 0), (2, 0), (2, 1),
-                                                      (3, 0), (3, 1), (3, 2)}
+    assert {(n, p, r) for n, p, r, hit in ranks if hit} == {
+        (n, p, r) for n, p in FULL_WALK_SHAPES[field.order] for r in range(p)}
 
 
 def test_square_witness_search_pins_the_small_cases():

@@ -5,10 +5,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import pickle
 import random
 import resource
+import signal
+import threading
+import time
 import tracemalloc
 from itertools import islice
 
@@ -17,8 +21,9 @@ import pytest
 from ranklines import lines, spaces, verify
 from ranklines.fields import GF, RATIONALS
 from ranklines.matrices import Matrix, canonical_N, random_invertible, rank
-from ranklines.spaces import (LinearMatrixSubspace, MatrixSpaceShape, enumerate_affine,
-                              from_generators, random_affine, random_subspace)
+from ranklines.spaces import (BudgetExceededError, LinearMatrixSubspace, MatrixSpaceShape,
+                              enumerate_affine, from_generators, random_affine,
+                              random_subspace)
 from ranklines.verify import (
     CampaignSpec,
     CampaignSpecError,
@@ -482,43 +487,99 @@ def test_a_budget_stop_gives_an_incomplete_report_of_the_cases_before_it(monkeyp
     assert rep.verdict == "failed"
 
 
+def test_a_pooled_budget_stop_ends_its_workers_at_once():
+    # Case 0 (codim 0, rank 0) walks 2^9 members, over the budget of 300;
+    # the second worker's share is the rest of the ~22,000 cases, which a
+    # stop must not wait for.
+    spec = _spec(n=3, p=3, codims=(0, 1, 2), rank_range=(0, 1, 2),
+                 allow_out_of_hypothesis=True, element_budget=300)
+    serial = run_campaign(spec)
+    start = time.monotonic()
+    pooled = run_campaign(dataclasses.replace(spec, workers=2))
+    assert time.monotonic() - start < 1.0
+    assert multiprocessing.active_children() == []
+    assert pooled.verdict == "incomplete" and pooled.total == 0
+    assert pooled.signature() == serial.signature()
+
+
+def test_a_dead_worker_ends_a_pooled_run_at_once():
+    # A worker killed mid-share, as by the OOM killer, never sends its chunk;
+    # the run ends with an error within seconds instead of waiting for it.
+    # Each share is about 4.2M cases, minutes of work, and the later worker
+    # is killed while the run waits on the first one's chunk.
+    spec = _spec(n=4, p=3, codims=(0, 1, 2), rank_range=(0, 1, 2), workers=2)
+    killed = []
+
+    def kill_the_later_worker():
+        deadline = time.monotonic() + 10
+        while len(workers := multiprocessing.active_children()) < 2:
+            if time.monotonic() > deadline:
+                return
+            time.sleep(0.01)
+        victim = max(workers, key=lambda proc: proc.pid)
+        os.kill(victim.pid, signal.SIGKILL)
+        killed.append(victim.name)
+
+    killer = threading.Thread(target=kill_the_later_worker, daemon=True)
+    killer.start()
+    start = time.monotonic()
+    with pytest.raises(RuntimeError) as err:
+        run_campaign(spec)
+    assert time.monotonic() - start < 10
+    killer.join(timeout=10)
+    assert not killer.is_alive() and killed
+    assert str(err.value) == f"the worker judging {killed[0]} exited with code -9"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the workers must inherit the patched function")
+def test_a_worker_error_reaches_the_caller(monkeypatch):
+    # A worker sends its error back, and the parent raises it with its type.
+    def broken(*args):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(verify, "_process_case", broken)
+    with pytest.raises(ZeroDivisionError, match="planted"):
+        run_campaign(_spec(codims=(1,), workers=2))
+    assert multiprocessing.active_children() == []
+
+
 def test_worker_chunks_come_back_packed(monkeypatch):
     # A chunk is (kinds, digests, records): one shared tuple per distinct
-    # (codim, r, verdict), the digests joined, and the records by index; it
-    # ends at a budget stop, which has no digest.  Unpacked in the pool's
-    # order it is the serial stream.  Unpickled, a chunk of 126 passed
+    # (codim, r, verdict), the digests joined, and the records by index; a
+    # budget stop ends it at the cases before the overrun, so it is shorter
+    # than its span.  Unpacked in the pool's order it is the serial stream,
+    # up to the same BudgetExceededError.  Unpickled, a chunk of 126 passed
     # cases holds two kinds and one bytes, not a tuple and a digest per case.
-    kinds, digests, records = pickle.loads(pickle.dumps(verify._judge_chunk(_spec(), 0, 126)))
+    kinds, digests, records = pickle.loads(pickle.dumps(verify._judge_chunk(_spec(), (0, 126))))
     assert len({id(kind) for kind in kinds}) == 2 and len(kinds) == 126
     assert type(digests) is bytes and len(digests) == 32 * 126 and records == {}
     spec = _spec(codims=(1, 0), rank_range=(1,), element_budget=32, random_conjugates=1)
     monkeypatch.setattr(verify, "transport",
                         lambda space, P, Q: from_generators(space.shape, []))
-    cases = list(verify._judge(spec, 10, 70))
-    kinds, digests, records = verify._judge_chunk(spec, 10, 70)
+
+    def until_the_stop(stream):
+        cases = []
+        with pytest.raises(BudgetExceededError):
+            for case in stream:
+                cases.append(case)
+        return cases
+
+    cases = until_the_stop(verify._judge(spec, 10, 70))
+    kinds, digests, records = verify._judge_chunk(spec, (10, 70))
     assert kinds == [(codim, r, verdict) for _i, codim, r, verdict, _rec, _d in cases]
-    assert kinds[-1][2] == verify.STOPPED and len(kinds) == 54
+    assert len(kinds) == 53 < 70 - 10
     assert len({id(kind) for kind in kinds}) == len(set(kinds))
-    assert digests == b"".join(case[5] for case in cases[:-1])
+    assert digests == b"".join(case[5] for case in cases)
+    assert all(len(case[5]) == 32 for case in cases)
     assert records and records == {case[0]: case[4] for case in cases if case[4] is not None}
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify, "_worker_chunks",
+                        lambda spec, spans: (verify._judge_chunk(spec, span) for span in spans))
     monkeypatch.setattr(verify, "_available_cpus", lambda: 3)
-    pooled = list(verify._judge_in_pool(dataclasses.replace(spec, workers=3)))
-    assert pooled == list(verify._judge(spec))
+    pooled = until_the_stop(verify._judge_in_pool(dataclasses.replace(spec, workers=3)))
+    assert pooled == until_the_stop(verify._judge(spec))
 
 
 def test_the_fold_streams(monkeypatch):
@@ -577,24 +638,15 @@ def test_parallel_sample_mode_matches_serial():
 
 
 def test_pool_is_capped_at_the_available_cpus(monkeypatch):
-    # The fake pool records its size and judges the chunks in-process, so
-    # no worker process starts, whatever the requested count.
+    # The fake records the worker count and judges the chunks in-process,
+    # so no worker process starts, whatever the requested count.
     sizes = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def inline_chunks(spec, spans):
+        sizes.append(len(spans))
+        return (verify._judge_chunk(spec, span) for span in spans)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify, "_worker_chunks", inline_chunks)
     spec = _spec(codims=(1,))
     serial = run_campaign(spec).signature()
     assert run_campaign(dataclasses.replace(spec, workers=30_000)).signature() == serial
