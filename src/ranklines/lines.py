@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial, reduce
+from itertools import repeat
 from operator import and_, mul, xor
+from types import MappingProxyType
 from typing import ClassVar, NamedTuple
 
 from .fields import FieldDesc, RawValue, Scalar
@@ -374,11 +376,13 @@ def _constant_det(rows, last: int, pm: int) -> bool:
 # that is zero in every lane, so products with it are skipped.
 
 # Fast digits per block, so q^b lanes, for both searches; when the corner
-# moves with those digits, a q-th of the lanes have a zero corner.  3^6
-# lanes ran sample-remark2-gf3 faster than 3^5 or 3^7, and 2^12 ran the
-# exhaustive GF(2), n = 4, codim 0,1 remark2-conjecture campaign faster
-# than 2^11 or 2^13.  A full-rank search whose witness lies early in a
-# block still tests the whole block.
+# moves with those digits, a q-th of the lanes have a zero corner.  With
+# the lane memos, 3^6 lanes ran sample-remark2-gf3 at a median 11,150
+# ops/s against 9,170 for 3^5 and 10,250 for 3^7, which also peaked 1.4
+# MiB higher (10 runs each, 30 s, 2 vCPUs).  2^12 ran the exhaustive
+# GF(2), n = 4, codim 0,1 remark2-conjecture campaign faster than 2^11 or
+# 2^13, measured before the memos.  A full-rank search whose witness lies
+# early in a block still tests the whole block.
 _LANE_DIGITS = {2: 12, 3: 6}
 
 
@@ -406,6 +410,7 @@ class _Planes(NamedTuple):
 _GF2 = _Planes(xor, and_, lambda a: a, lambda a: a, lambda v, ones: ones if v else 0, 2)
 _GF3 = _Planes(_add3, _mul3, lambda a: (a[1], a[0]), lambda a: a[0] | a[1],
                lambda v, ones: ((0, 0), (ones, 0), (0, ones))[v], 3)
+_PLANES = {2: _GF2, 3: _GF3}
 
 
 @cache
@@ -428,17 +433,39 @@ def _digit_tables(q: int, b: int):
     return ones, tuple(tables)
 
 
+# Two memos serve both lane tests and both searches: _lane_table and
+# _head_minors.  Each is keyed by the field and the pattern of one entry or
+# of a block's fixed rows alone, never by a case, so cosets that share a
+# pattern share its memo entry, within a search and across cases.  Their
+# bounds are entry counts: a lane table is at most q^b bits a plane (2^12
+# bits over GF(2)), and a minors dict holds at most C(n, k) tables.
+
+
+@lru_cache(maxsize=4096)
+def _lane_table(q: int, value: int, column: tuple):
+    """One entry's table over a block of q^b lanes, b = len(column): its
+    slow-digit value in every lane plus c_k * X_k for each fast basis row k
+    with coefficient c_k = column[k] there; None when that is zero in every
+    lane, which happens only when value and column are all 0."""
+    ops = _PLANES[q]
+    ones, X = _digit_tables(q, len(column))
+    terms = [x if c == 1 else ops.neg(x) for x, c in zip(X, column) if c]
+    if value:
+        terms.append(ops.spread(value, ones))
+    return reduce(ops.add, terms) if terms else None
+
+
 def _dot(ops: _Planes, xs, ys):
     terms = [ops.mul(x, y) for x, y in zip(xs, ys) if x is not None and y is not None]
     return reduce(ops.add, terms) if terms else None
 
 
-def _minors(ops: _Planes, rows, minors: dict | None = None) -> dict:
+def _minors(ops: _Planes, rows, minors: Mapping | None = None) -> Mapping:
     """The minors of all rows of a matrix of tables, keyed by column bit set
     and missing where zero, by Laplace along each row in turn.  ``minors``
     holds those of the rows above ``rows`` (None: ``rows`` are the first),
-    and each row set's minors serve the next; for n rows, key 2^n - 1 is
-    the determinant."""
+    and each row set's minors serve the next in a new dict, so ``minors``
+    itself is never changed; for n rows, key 2^n - 1 is the determinant."""
     if minors is None:
         first, *rows = rows
         minors = {1 << j: a for j, a in enumerate(first) if a is not None}
@@ -455,6 +482,20 @@ def _minors(ops: _Planes, rows, minors: dict | None = None) -> dict:
                 grown[key] = ops.add(grown[key], term) if key in grown else term
         minors = grown
     return minors
+
+
+@lru_cache(maxsize=512)
+def _head_minors(q: int, head: tuple) -> MappingProxyType:
+    """_minors of the rows ``head`` (a tuple of row tuples of tables), shared
+    read-only by every block whose fixed rows hold the same tables."""
+    return MappingProxyType(_minors(_PLANES[q], head))
+
+
+def _fixed_minors(ops: _Planes, rows) -> MappingProxyType | None:
+    """The memoized minors of the rows of a block that a lane test never
+    changes; None for no rows.  Never the whole block: a test expands at
+    least one row of its own below them."""
+    return _head_minors(ops.order, tuple(map(tuple, rows))) if rows else None
 
 
 def _block_mask(ops: _Planes, T, ones: int) -> int:
@@ -479,7 +520,7 @@ def _block_mask(ops: _Planes, T, ones: int) -> int:
                 mask &= ~ops.nonzero(markov)
                 if not mask:
                     return 0
-    det = _minors(ops, T).get((1 << len(T)) - 1)
+    det = _minors(ops, T[last:], _fixed_minors(ops, T[:last])).get((1 << len(T)) - 1)
     return mask & ops.nonzero(det) if det is not None else 0
 
 
@@ -487,15 +528,21 @@ def _full_rank_mask(ops: _Planes, T, ones: int, r: int) -> int:
     """Lanes whose A + t * canonical_N(n, n, r) is invertible at every t.
 
     Row order does not change whether a determinant is zero, so the minors
-    of rows r..n-1, which no t moves, are taken once, and each t only adds
-    its rows 0..r-1 (t on the diagonal) below them.
+    of rows r..n-1, which no t moves, come from the memo, and each t only
+    adds its rows 0..r-1 (t on the diagonal) below them.  At r = 0 no t
+    moves a row; the memo then holds rows 0..n-2, as for _block_mask, and
+    row n-1 is added, so it never holds a whole block's determinant.
     """
+    if r:
+        head, moving = T[r:], T[:r]
+    else:
+        head, moving = T[:-1], T[-1:]
+    fixed = _fixed_minors(ops, head)
     full = (1 << len(T)) - 1
-    fixed = _minors(ops, T[r:])
     mask = ones
     for t in range(ops.order if r else 1):
-        moved = [[*row[:i], _entry(ops, t, row[i], ones), *row[i + 1:]]
-                 for i, row in enumerate(T[:r])]
+        moved = [[*row[:i], _entry(ops, t, row[i], ones), *row[i + 1:]] if i < r else row
+                 for i, row in enumerate(moving)]
         det = _minors(ops, moved, fixed).get(full)
         mask &= ops.nonzero(det) if det is not None else 0
         if not mask:
@@ -508,36 +555,29 @@ def _bitsliced_first(shape, basis, base, lane_mask: Callable) -> int | None:
     whose lane lane_mask(ops, T, ones) passes, or None; q = 2 or 3.
 
     The last digits, q^b of them to a block, are the lanes of one table per
-    entry: its slow-digit value in every lane plus c * X_k for each fast
-    basis row k with coefficient c there.  Those varying parts are summed
-    once, row by row over each fast row's nonzero entries, and an entry no
-    fast row touches has none.  The slow digits step through the blocks in
-    order, and the first block with a passing lane stops it.
+    entry (_lane_table), looked up by the entry's slow-digit value and its
+    column of coefficients in the b fast basis rows.  The slow digits step
+    through the blocks in order, and the first block with a passing lane
+    stops it.
     """
-    f, n = shape.field, shape.n
-    q = f.order
-    ops = _GF2 if q == 2 else _GF3
+    n, q = shape.n, shape.field.order
+    ops = _PLANES[q]
     d = len(basis)
     b = min(d, _LANE_DIGITS[q])
-    ones, X = _digit_tables(q, b)
-    varying: list = [None] * (n * n)
-    for x, row in zip(X, basis[d - b:]):
-        minus = ops.neg(x)
-        for j, c in enumerate(row):
-            if c:
-                term = x if c == 1 else minus
-                acc = varying[j]
-                varying[j] = term if acc is None else ops.add(acc, term)
+    ones = _digit_tables(q, b)[0]
+    columns = tuple(zip(*basis[d - b:])) if b else ((),) * (n * n)
+    row_columns = [columns[i * n:(i + 1) * n] for i in range(n)]
     for block, rows in enumerate(_iter_coset(shape, basis[:d - b], base, None)):
-        T = [[_entry(ops, v, varying[i * n + j], ones) for j, v in enumerate(row)]
-             for i, row in enumerate(rows)]
+        T = [tuple(map(_lane_table, repeat(q), row, cols)) for row, cols in zip(rows, row_columns)]
         mask = lane_mask(ops, T, ones)
         if mask:
             return block * q ** b + (mask & -mask).bit_length() - 1
     return None
 
 
-def _entry(ops: _Planes, v: int, varying, ones: int):
-    if varying is None:
+def _entry(ops: _Planes, v: int, table, ones: int):
+    """The table v + table; None is a zero table, returned when v = 0 and
+    table is None."""
+    if table is None:
         return ops.spread(v, ones) if v else None
-    return ops.add(ops.spread(v, ones), varying) if v else varying
+    return ops.add(ops.spread(v, ones), table) if v else table

@@ -20,6 +20,7 @@ import os
 import random
 import signal
 import time
+import traceback
 from contextlib import closing
 from dataclasses import dataclass, fields
 from itertools import islice
@@ -386,12 +387,18 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+class _WorkerTraceback(Exception):
+    """The traceback, as text, of an error raised in a worker process: the
+    parent raises that error chained from this one."""
+
+
 def _send_chunk(conn, spec: CampaignSpec, span: tuple[int, int]) -> None:
-    """A worker's body: send its span's chunk, or the error that ended it."""
+    """A worker's body: send its span's chunk, or the pair of the error that
+    ended it and its traceback."""
     try:
         conn.send(_judge_chunk(spec, span))
     except Exception as exc:  # raised again by the parent, in index order
-        conn.send(exc)
+        conn.send((exc, _WorkerTraceback(traceback.format_exc())))
 
 
 def _check_exit(proc: Process) -> None:
@@ -436,8 +443,9 @@ def _worker_chunks(spec: CampaignSpec, spans: list[tuple[int, int]]):
             except EOFError:
                 _check_exit(proc)
                 raise
-            if isinstance(chunk, Exception):
-                raise chunk
+            if isinstance(chunk[0], Exception):
+                exc, cause = chunk
+                raise exc from cause
             yield chunk
     finally:
         for recv, proc in workers:

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ranklines import lines
+from ranklines import lines, verify
 from ranklines.fields import GF, RATIONALS, FieldMismatchError, Scalar
 from ranklines.gallery import lemma1_witness, remark2_f2_example, sharpness_example
 from ranklines.lines import (
@@ -48,6 +51,7 @@ from ranklines.spaces import (
     random_affine,
     random_subspace,
 )
+from ranklines.verify import CampaignSpec, run_campaign
 
 from oracles import (
     classify_line_by_ranks,
@@ -846,7 +850,8 @@ def test_constant_det_search_checks_the_budget_before_any_table(monkeypatch):
 
 
 def test_bitsliced_tables_hold_lane_digits_and_gf3_arithmetic():
-    # Digit tables against the division they avoid, and the GF(3) planes
+    # Digit tables against the division they avoid, memoized entry tables
+    # against v + sum_k c_k * digit_k(s) mod q, and the GF(3) planes
     # against the field's own sum and product, lane by lane.
     for q in (2, 3):
         for b in range(5):
@@ -856,6 +861,23 @@ def test_bitsliced_tables_hold_lane_digits_and_gf3_arithmetic():
                 for k, c in enumerate(_odometer_digits(s, q, b)):
                     planes = (X[k],) if q == 2 else X[k]
                     assert [v >> s & 1 for v in planes] == [int(c == v) for v in range(1, q)]
+    rng = random.Random("lane-tables")
+    for q in (2, 3):
+        for b in range(7):
+            lanes = range(q ** b)
+            digits = [_odometer_digits(s, q, b) for s in lanes]
+            columns = [(0,) * b] + [tuple(rng.randrange(q) for _ in range(b)) for _ in range(4)]
+            for column in columns:
+                for v in range(q):
+                    want = [(v + sum(c * x for c, x in zip(column, ds))) % q for ds in digits]
+                    table = lines._lane_table(q, v, column)
+                    if not any(want):
+                        assert table is None, (q, v, column)
+                        continue
+                    planes = (table,) if q == 2 else table
+                    got = [sum(k * (plane >> s & 1) for k, plane in enumerate(planes, 1))
+                           for s in lanes]
+                    assert got == want, (q, v, column)
     _, (first, second) = lines._digit_tables(3, 2)
 
     def value(a, s):
@@ -865,6 +887,51 @@ def test_bitsliced_tables_hold_lane_digits_and_gf3_arithmetic():
         a, b = value(first, s), value(second, s)
         assert (value(total, s), value(product, s)) == ((a + b) % 3, a * b % 3)
         assert value(lines._GF3.neg(first), s) == -a % 3
+
+
+def _bench_sweep_pin(monkeypatch, n, p):
+    """sha256 of the signature of bench/workloads.py's pinned n x p sweep."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads.SWEEP_PINS[(n, p)][1]
+
+
+def test_lane_memos_are_bounded_and_keep_every_report(monkeypatch):
+    # The lane-table and head-minors memos are keyed by patterns, never by
+    # a case, and bounded: a sampled GF(3) remark2-strong campaign and the
+    # GF(2) 3 x 3 main sweep that the benchmark pins give the same
+    # signatures with both memos cleared before every case as with them
+    # warm, and no search changes a cached minors dict.
+    memos = (lines._lane_table, lines._head_minors)
+    assert all(isinstance(memo.cache_info().maxsize, int) for memo in memos)
+    handed = []
+    real_minors = lines._head_minors
+
+    def recorded(q, head):
+        minors = real_minors(q, head)
+        handed.append((q, head, minors, dict(minors)))
+        return minors
+    monkeypatch.setattr(lines, "_head_minors", recorded)
+    specs = [CampaignSpec(theorem="remark2-strong", field=F3, n=3, p=3, codims=(1,),
+                          rank_range=(2,), mode="sample", samples=300, seed=11),
+             CampaignSpec(theorem="main", field=F2, n=3, p=3, codims=(0, 1),
+                          rank_range=(0, 1, 2))]
+    warm = [run_campaign(spec).signature() for spec in specs]
+    real_case = verify._process_case
+
+    def cold(*args):
+        for memo in memos:
+            memo.cache_clear()
+        return real_case(*args)
+    monkeypatch.setattr(verify, "_process_case", cold)
+    assert [run_campaign(spec).signature() for spec in specs] == warm
+    assert hashlib.sha256(warm[1].encode()).hexdigest() == _bench_sweep_pin(monkeypatch, 3, 3)
+    assert len(handed) > 3000
+    for q, head, minors, at_return in handed:
+        assert minors == at_return == lines._minors(lines._PLANES[q], head)
 
 
 def test_bitsliced_witness_is_tested_again(monkeypatch):

@@ -535,13 +535,18 @@ def test_a_dead_worker_ends_a_pooled_run_at_once():
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the workers must inherit the patched function")
 def test_a_worker_error_reaches_the_caller(monkeypatch):
-    # A worker sends its error back, and the parent raises it with its type.
+    # A worker sends its error back with its traceback, and the parent
+    # raises it with its type, chained from that traceback, which names the
+    # frame in the worker that raised it.
     def broken(*args):
         raise ZeroDivisionError("planted")
 
     monkeypatch.setattr(verify, "_process_case", broken)
-    with pytest.raises(ZeroDivisionError, match="planted"):
+    with pytest.raises(ZeroDivisionError, match="planted") as raised:
         run_campaign(_spec(codims=(1,), workers=2))
+    cause = raised.value.__cause__
+    assert isinstance(cause, verify._WorkerTraceback)
+    assert 'in broken\n    raise ZeroDivisionError("planted")' in str(cause)
     assert multiprocessing.active_children() == []
 
 
