@@ -11,8 +11,9 @@ linear subspace); a coset's ``linear`` is a view of its linear part.
 Enumeration over GF(p) walks pivot-column profiles (Schubert cells) in
 lexicographic order.  ``_free_columns`` is the one cell rule: a cell's
 bases are the product of per-row options (filled row tuples), and the
-samplers draw one value per free column.  This is duplicate-free by
-construction and its counts are cross-checked against Gaussian binomials.
+samplers draw one value per free column, slicing the same suffixes of the
+non-pivot list.  This is duplicate-free by construction and its counts
+are cross-checked against Gaussian binomials.
 
 ``elements()`` yields a coset's members as raw row tuples, the ``rows`` a
 ``Matrix`` would hold; ``Matrix(space.shape.field, n, p, rows)`` wraps
@@ -369,42 +370,63 @@ def enumerate_affine(shape: MatrixSpaceShape, codim: int):
 # seeded random sampling (uniform over subspaces of the given codimension)
 
 
+def _below(bits, n: int) -> int:
+    """A draw below n from bits = rng.getrandbits, by Random.randrange(n)'s
+    rule: n.bit_length() bits, drawn again while they are n or more."""
+    k = n.bit_length()
+    x = bits(k)
+    while x >= n:
+        x = bits(k)
+    return x
+
+
 def _random_cell(shape: MatrixSpaceShape, codim: int, rng: random.Random):
-    """A random_subspace draw and its non-pivot columns, the free columns
-    of its canonical coset base; each row is filled in place."""
+    """The RREF rows and pivots of a random_subspace draw, and its non-pivot
+    columns, the free columns of its canonical coset base."""
     m, q = _ambient(shape, codim), shape.field.order
     d = m - codim
+    bits = rng.getrandbits
     left = count_subspaces(m, codim, q)
-    x = rng.randrange(left)
+    x = _below(bits, left)
     prof = []
+    nonpiv = []
     pc = 0
+    # fills = q^(codim + i - pc), qd = q^(d - i) and qm = q^(m - pc), kept
+    # as i and pc step.
+    fills, qd, qm = q ** codim, q ** d, q ** m
     for i in range(d):
         # left = [m - pc, d - i]_q counts the profiles of rows i..d-1 that
-        # pivot from column pc on.  Row i at pc owns a run of q^(codim + i - pc)
-        # fills times rest = [m - pc - 1, d - i - 1]_q, the later rows' count;
-        # the others (q-Pascal) pivot from pc + 1 on.  As [N, k]_q equals
+        # pivot from column pc on.  Row i at pc owns a run of fills times
+        # rest = [m - pc - 1, d - i - 1]_q, the later rows' count; the others
+        # (q-Pascal) pivot from pc + 1 on.  As [N, k]_q equals
         # [N - 1, k - 1]_q (q^N - 1) / (q^k - 1), rest is left times
-        # (q^(d-i) - 1) / (q^(m-pc) - 1), and the floor division is exact.
-        while x >= (run := q ** (codim + i - pc)
-                    * (rest := left * (q ** (d - i) - 1) // (q ** (m - pc) - 1))):
+        # (qd - 1) / (qm - 1), and the floor division is exact.
+        while x >= (run := fills * (rest := left * (qd - 1) // (qm - 1))):
             x -= run
             left -= run
+            nonpiv.append(pc)
             pc += 1
+            fills //= q
+            qm //= q
         # Row i's fills split pc's run evenly among the later rows' profiles.
-        x //= q ** (codim + i - pc)
+        x //= fills
         left = rest
         prof.append(pc)
         pc += 1
-    prof = tuple(prof)
-    free = _free_columns(prof, m)
+        qd //= q
+        qm //= q
+    nonpiv += range(pc, m)
+    # Row i has i pivots and so prof[i] - i non-pivots left of its pivot;
+    # its free columns are the rest of the non-pivots (_free_columns).
+    zero = [0] * m
     rows = []
-    for pc, cols in zip(prof, free):
-        row = [0] * m
+    for i, pc in enumerate(prof):
+        row = zero.copy()
         row[pc] = 1
-        for j in cols:
-            row[j] = rng.randrange(q)
+        for j in nonpiv[pc - i:]:
+            row[j] = _below(bits, q)
         rows.append(tuple(row))
-    return LinearMatrixSubspace(shape, tuple(rows), prof), free[-1]
+    return tuple(rows), tuple(prof), nonpiv
 
 
 def random_subspace(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> LinearMatrixSubspace:
@@ -416,19 +438,22 @@ def random_subspace(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> 
     of a cell has codim + i - prof[i] free columns (_free_columns), so the
     size factorises by row and the draw is unranked a pivot at a time:
     each step's count is the last one times a ratio of q-powers, so a draw
-    holds a few integers and nothing is cached per (m, codim, q).
+    holds a few integers and nothing is cached per (m, codim, q).  Every
+    draw below n takes n.bit_length() bits of rng.getrandbits and draws
+    again while they reach n, as rng.randrange(n) does, so the stream is
+    the same as by randrange.
     """
-    return _random_cell(shape, codim, rng)[0]
+    return LinearMatrixSubspace(shape, *_random_cell(shape, codim, rng)[:2])
 
 
 def random_affine(shape: MatrixSpaceShape, codim: int, rng: random.Random) -> AffineMatrixSubspace:
     """A random_subspace draw, then one draw per free column of the canonical base."""
-    lin, nonpiv = _random_cell(shape, codim, rng)
-    q = shape.field.order
+    basis, pivots, nonpiv = _random_cell(shape, codim, rng)
+    q, bits = shape.field.order, rng.getrandbits
     vec = [0] * shape.ambient_dim
     for j in nonpiv:
-        vec[j] = rng.randrange(q)
-    return AffineMatrixSubspace(shape, lin.basis, lin.pivots, tuple(vec))
+        vec[j] = _below(bits, q)
+    return AffineMatrixSubspace(shape, basis, pivots, tuple(vec))
 
 
 # ---------------------------------------------------------------------------

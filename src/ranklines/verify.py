@@ -28,7 +28,7 @@ from multiprocessing import Pipe, Process
 from multiprocessing.connection import wait
 
 from .fields import FieldDesc, parse_field
-from .lines import _direction_plan, constant_det_witness_search, witness_search
+from .lines import _DirectionPlan, _plan, constant_det_witness_search, witness_search
 from .matrices import (
     Matrix,
     _det_modp,
@@ -247,8 +247,9 @@ class CaseRecord:
         return parse_subspace_text(self.space_text)
 
 
-def _side_condition_exists(spec: CampaignSpec, space, N: Matrix, r: int) -> bool:
-    """Does some member satisfy the claim family's side condition?
+def _side_condition_exists(spec: CampaignSpec, space, plan: _DirectionPlan, r: int) -> bool:
+    """Does some member satisfy the claim family's side condition, for the
+    direction N that ``plan`` (lines._plan of space's shape and N) plans?
 
     pencil/remark2 ask for a member mapping Ker N into im N; square asks
     for a member whose induced kernel-to-cokernel map is non-injective.
@@ -260,19 +261,23 @@ def _side_condition_exists(spec: CampaignSpec, space, N: Matrix, r: int) -> bool
     vanishes somewhere on the coset iff it is zero on the base or nonzero
     on a basis row, so only its nonzero weights are read.  For smaller r
     the blocks of a coset form a coset of blocks, which is walked.  (P, Q)
-    and the corner's weights come from lines._direction_plan, which a
-    campaign computes once for its direction, not once per case.
+    and the corner's weights come from the plan, which a campaign takes
+    once per direction, not once per case.
     """
     n, f = spec.n, spec.field
-    plan = _direction_plan(space.shape, N)
     pm = f.modulus
     if r == n - 1:
-        weights = plan.corner
-        basis, base = space.basis, space.offset
-
-        def corner(vec):
-            return sum(c * vec[i] for i, c in weights) % pm
-        return base is None or not corner(base) or any(map(corner, basis))
+        base = space.offset
+        if base is None:
+            return True
+        # The corner is 0 on the base (first) or nonzero on a basis row.
+        for vec in (base, *space.basis):
+            value = 0
+            for i, c in plan.corner:
+                value += c * vec[i]
+            if (value % pm == 0) is (vec is base):
+                return True
+        return False
     # The lower-right block of P @ M @ Q is P[r:, :] @ M @ Q[:, r:].
     P, Q = plan.normal_form
     blocks = transport(space, Matrix(f, n - r, n, P.rows[r:]),
@@ -281,7 +286,11 @@ def _side_condition_exists(spec: CampaignSpec, space, N: Matrix, r: int) -> bool
 
 
 def _judge_core(spec: CampaignSpec, space, N: Matrix | None, r: int) -> tuple[str, str | None]:
-    """(PASSED, FILTERED or FAILED, detail); the detail is None unless FAILED."""
+    """(PASSED, FILTERED or FAILED, detail); the detail is None unless FAILED.
+
+    N is None for flanders; the searches and the side condition find its
+    plan by lines._plan, so the cases of a direction hash no Matrix.
+    """
     if spec.theorem == "flanders":
         if space.dim <= spec.n * r:
             return FILTERED, None
@@ -292,7 +301,8 @@ def _judge_core(spec: CampaignSpec, space, N: Matrix | None, r: int) -> tuple[st
                 return PASSED, None
         return FAILED, f"all {count} members have rank <= {r}"
     # The affine claim families (all but main) check a side condition first.
-    if spec.theorem != "main" and not _side_condition_exists(spec, space, N, r):
+    if spec.theorem != "main" and not _side_condition_exists(spec, space,
+                                                              _plan(space.shape, N), r):
         return FILTERED, None
     if spec.theorem in ("remark2-strong", "remark2-conjecture"):
         outcome = constant_det_witness_search(space, N, budget=spec.element_budget)
@@ -321,12 +331,17 @@ def _conjugates_agree(spec: CampaignSpec, index: int, space, N: Matrix | None,
     return None
 
 
-def _process_case(spec: CampaignSpec, index: int, codim: int, space, r: int, space_text: str):
+def _direction(spec: CampaignSpec, r: int) -> Matrix | None:
+    """The direction of a rank-r case, canonical_N(r); None for flanders."""
+    return None if spec.theorem == "flanders" else canonical_N(spec.field, spec.n, spec.p, r)
+
+
+def _process_case(spec: CampaignSpec, index: int, codim: int, space, r: int, space_text: str,
+                  N: Matrix | None):
     """Returns (verdict, CaseRecord | None, digest bytes) for one case;
-    space_text is space.to_text()."""
+    space_text is space.to_text() and N is _direction(spec, r)."""
     key = f"{codim}|{r}|{space_text}"
     digest = hashlib.sha256(key.encode()).digest()
-    N = None if spec.theorem == "flanders" else canonical_N(spec.field, spec.n, spec.p, r)
     verdict, detail = _judge_core(spec, space, N, r)
     mismatch = None
     if spec.random_conjugates:
@@ -346,14 +361,17 @@ def _process_case(spec: CampaignSpec, index: int, codim: int, space, r: int, spa
 def _judge(spec: CampaignSpec, lo: int = 0, hi: int | None = None):
     """Yield (index, codim, r, verdict, CaseRecord | None, digest) for cases lo..hi-1.
 
-    The cases of one space come together, one per rank, and share its text.
-    A case whose walk would exceed the element budget raises BudgetExceededError.
+    The cases of one space come together, one per rank, and share its text;
+    the cases of one rank share its direction, taken once.  A case whose
+    walk would exceed the element budget raises BudgetExceededError.
     """
+    directions = {r: _direction(spec, r) for r in spec.rank_range}
     text_of = None
     for idx, codim, space, r in islice(_case_stream(spec), lo, hi):
         if space is not text_of:
             text_of, space_text = space, space.to_text()
-        yield idx, codim, r, *_process_case(spec, idx, codim, space, r, space_text)
+        yield idx, codim, r, *_process_case(spec, idx, codim, space, r, space_text,
+                                            directions[r])
 
 
 def _judge_chunk(spec: CampaignSpec, span: tuple[int, int]):
@@ -610,5 +628,6 @@ def replay_failure(record: CaseRecord, spec: CampaignSpec) -> bool:
     """True iff re-judging the recorded case as the campaign does (the same
     conjugates, drawn by index) gives a failure or a finding again."""
     verdict, _record, _digest = _process_case(spec, record.index, record.codim, record.space(),
-                                              record.r, record.space_text)
+                                              record.r, record.space_text,
+                                              _direction(spec, record.r))
     return verdict in (FAILED, FINDING)

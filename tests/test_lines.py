@@ -929,7 +929,7 @@ def test_lane_memos_are_bounded_and_keep_every_report(monkeypatch):
     monkeypatch.setattr(verify, "_process_case", cold)
     assert [run_campaign(spec).signature() for spec in specs] == warm
     assert hashlib.sha256(warm[1].encode()).hexdigest() == _bench_sweep_pin(monkeypatch, 3, 3)
-    assert len(handed) > 3000
+    assert len(handed) > 1500  # the remark2 blocks, and the sweep at r = 0
     for q, head, minors, at_return in handed:
         assert minors == at_return == lines._minors(lines._PLANES[q], head)
 

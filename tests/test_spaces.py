@@ -240,19 +240,25 @@ def test_affine_enumeration_matches_the_oracle_coset_by_coset(field, n, p, codim
     assert len(got) == (29_523 if q == 3 else 43_180)
 
 
-@pytest.mark.parametrize("field", [F2, F3, GF(5), GF(7)], ids=str)
-def test_samplers_keep_the_oracle_stream_draw_by_draw(field):
-    shape = _shape(field, 3, 3)
-    for codim in range(10):
-        rng, ref = random.Random(f"{field}:{codim}"), random.Random(f"{field}:{codim}")
-        for i in range(80):
+@pytest.mark.parametrize("field, n, p, draws",
+                         [(F2, 3, 3, 80), (F3, 3, 3, 80), (GF(5), 3, 3, 80), (GF(7), 3, 3, 80),
+                          (F2, 4, 2, 40), (F3, 4, 2, 40), (GF(65521), 3, 3, 16)],
+                         ids=["gf 2", "gf 3", "gf 5", "gf 7", "gf 2-4x2", "gf 3-4x2", "gf 65521"])
+def test_samplers_keep_the_oracle_stream_draw_by_draw(field, n, p, draws):
+    # The samplers draw by rng.getrandbits and the oracle by rng.randrange:
+    # the draws agree, and so does the rng's state after them, at every codim.
+    shape, m = _shape(field, n, p), n * p
+    for codim in range(m + 1):
+        seed = f"{field}:{codim}" if (n, p) == (3, 3) else f"{field}:{n}x{p}:{codim}"
+        rng, ref = random.Random(seed), random.Random(seed)
+        for i in range(draws):
             affine = i % 2 == 1
             draw = random_affine if affine else random_subspace
             space = draw(shape, codim, rng)
             lin = space.linear if affine else space
             base = vectorize(space.base) if affine else None
-            assert (lin.basis, lin.pivots, base) == sample_rref(9, codim, field.order, ref, affine)
-        assert rng.random() == ref.random()  # same number of draws
+            assert (lin.basis, lin.pivots, base) == sample_rref(m, codim, field.order, ref, affine)
+        assert rng.getstate() == ref.getstate(), codim
 
 
 def test_samplers_keep_the_oracle_stream_where_profiles_are_many():
@@ -271,16 +277,21 @@ def test_samplers_keep_the_oracle_stream_where_profiles_are_many():
 
 
 def test_a_large_draw_keeps_no_table_of_counts():
-    # GF(2) 20x20 at codim 0: a draw holds a few integers; a table of every
-    # suffix count of the profile would take over 100 MiB.
-    tracemalloc.start()
-    try:
-        space = random_subspace(_shape(F2, 20, 20), 0, random.Random("large"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 << 20, peak
-    assert space.pivots == tuple(range(400))
+    # GF(2) 20x20: a draw holds a few integers; a table of every suffix count
+    # of the profile would take over 100 MiB at codim 0, and one per profile
+    # or per power of q would grow with the draw too.
+    shape = _shape(F2, 20, 20)
+    for draw, codim in ((random_subspace, 0), (random_subspace, 200), (random_affine, 200)):
+        tracemalloc.start()
+        try:
+            space = draw(shape, codim, random.Random("large"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, (draw.__name__, codim, peak)
+        assert space.codim == codim
+        if codim == 0:
+            assert space.pivots == tuple(range(400))
 
 
 def test_free_columns_are_the_suffix_of_the_non_pivots():

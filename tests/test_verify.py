@@ -189,7 +189,8 @@ def test_side_condition_matches_the_member_walk_predicates(field):
                     want = any(ker_coker_noninjective(M, N) for M in members)
                     if r == n - 1:
                         assert want == any(maps_ker_into_im(M, N) for M in members)
-                    assert _side_condition_exists(spec, space, N, r) == want, (space, N)
+                    plan = lines._plan(shape, N)
+                    assert _side_condition_exists(spec, space, plan, r) == want, (space, N)
                     outcomes[want] += 1
     assert min(outcomes.values()) > 100, outcomes
 
@@ -214,7 +215,8 @@ def test_corank_one_side_condition_matches_the_block_walk(field):
                 moved = random_invertible(field, n, rng) @ N0 @ random_invertible(field, n, rng)
                 for N in (N0, moved):
                     want = side_condition_block_walk(space, N, n - 1)
-                    assert _side_condition_exists(spec, space, N, n - 1) == want, (space, N)
+                    plan = lines._plan(shape, N)
+                    assert _side_condition_exists(spec, space, plan, n - 1) == want, (space, N)
                     outcomes[want] += 1
     assert min(outcomes.values()) > 40, outcomes
 
@@ -243,7 +245,8 @@ def test_side_condition_plan_matches_the_per_case_route(field):
                     moved = random_invertible(field, n, rng) @ N0 @ random_invertible(field, n, rng)
                     for N in (N0, moved):
                         want = side_condition_per_case(spec, space, N, r)
-                        assert _side_condition_exists(spec, space, N, r) == want, (space, N)
+                        plan = lines._plan(shape, N)
+                        assert _side_condition_exists(spec, space, plan, r) == want, (space, N)
                         outcomes[want] += 1
     assert min(outcomes.values()) > 100, outcomes
 
@@ -263,6 +266,25 @@ def test_a_campaign_checks_each_direction_once(monkeypatch):
         rep = run_campaign(spec)
         assert rep.verified and rep.total >= 100
         assert len(calls) == len(set(calls)) <= len(spec.rank_range), spec
+
+
+def test_a_warm_campaign_hashes_no_matrix_per_case(monkeypatch):
+    # The cases of a rank share one canonical_N object, whose plan the side
+    # condition and the search find by its identity: once warm, a campaign
+    # hashes at most one Matrix per rank, never one per case.
+    hashed = []
+    real = Matrix.__hash__
+    sampled = CampaignSpec(theorem="remark2-strong", field=F3, n=3, p=3, codims=(1,),
+                           rank_range=(2,), mode="sample", samples=400, seed=7)
+    sweep = _spec(codims=(0, 1))
+    for spec in (sampled, sweep):
+        run_campaign(spec)
+        hashed.clear()
+        monkeypatch.setattr(Matrix, "__hash__", lambda M: hashed.append(M) or real(M))
+        rep = run_campaign(spec)
+        monkeypatch.undo()
+        assert rep.verified and rep.total >= 100
+        assert len(hashed) <= len(spec.rank_range), (spec, len(hashed))
 
 
 def test_a_campaign_converts_no_coset_and_builds_a_matrix_only_for_a_witness(monkeypatch):
