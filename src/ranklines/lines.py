@@ -13,7 +13,7 @@ import json
 import random
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial, reduce
+from functools import cache, lru_cache, reduce
 from itertools import repeat
 from operator import and_, mul, xor
 from types import MappingProxyType
@@ -181,46 +181,55 @@ class _DirectionPlan(NamedTuple):
 
     rank: int
     canonical: bool  # N is canonical_N of its rank
-    # On a square shape, (P, Q) with P @ N @ Q canonical: (I_n, I_n) when N
-    # is; None on other shapes, where nothing transports.
-    normal_form: tuple[Matrix, Matrix] | None
+    normal_form: tuple[Matrix, Matrix]  # (P, Q), P @ N @ Q canonical; (I_n, I_p) when N is
     # At rank n-1 on a square shape, the corner of P @ M @ Q, u @ M @ w with u
     # the last row of P and w the last column of Q, as the (index, weight)
     # pairs of its nonzero weights on row-major vec(M); otherwise None.
     corner: tuple[tuple[int, RawValue], ...] | None
+    # The searches' member tests for canonical N of this rank, each (name,
+    # lane_mask, passes): lane_mask(ops, T, ones) tests a block of members
+    # on a square shape over GF(2) or GF(3) and is None elsewhere;
+    # passes(rows) tests one member's raw rows.  constant_det is None unless
+    # the shape is square and the rank n-1.
+    full_rank: tuple
+    constant_det: tuple | None
 
 
-@lru_cache(maxsize=64)
 def _direction_plan(shape, N: Matrix) -> _DirectionPlan:
-    """Check a search's direction against its space's shape and plan for it.
-
-    Cached on (shape, N): a campaign searches every case with the same N,
-    so it checks and plans each direction once.  A check that fails raises
-    on every call, as exceptions are not cached.
-    """
+    """Check a search's direction against its space's shape and plan for it;
+    the tests look up the kernels they call when they run, not here."""
     f, n, p = shape.field, shape.n, shape.p
     check_shape(N, f, n, p)
     _check_tall(n, p)
     rk = rank(N)
     if rk >= p:
         raise ValueError(f"direction rank {rk} is not below p = {p}")
-    canonical = N == canonical_N(f, n, p, rk)
-    if n != p:
-        return _DirectionPlan(rk, canonical, None, None)
-    P, Q = (canonical_N(f, n, n, n),) * 2 if canonical else to_rank_normal_form(N)
-    corner = None
-    if rk == n - 1:
-        w = [row[rk] for row in Q.rows]
-        weights = (a * b for a in P.rows[rk] for b in w)
-        corner = tuple((i, c) for i, c in enumerate(weights) if c)
-    return _DirectionPlan(rk, canonical, (P, Q), corner)
+    canonical_rows = canonical_N(f, n, p, rk).rows
+    canonical = N.rows == canonical_rows
+    P, Q = ((canonical_N(f, n, n, n), canonical_N(f, p, p, p)) if canonical else
+            to_rank_normal_form(N))
+    lanes = n == p and f.is_finite and f.order <= 3
+    full_rank = ("full-rank",
+                 (lambda ops, T, ones: _full_rank_mask(ops, T, ones, rk)) if lanes else None,
+                 lambda rows: _first_rank_drop(f, rows, canonical_rows, p) is None)
+    if n != p or rk != n - 1:
+        return _DirectionPlan(rk, canonical, (P, Q), None, full_rank, None)
+    w = [row[rk] for row in Q.rows]
+    weights = (a * b for a in P.rows[rk] for b in w)
+    corner = tuple((i, c) for i, c in enumerate(weights) if c)
+    pm = f.modulus
+    constant_det = ("constant-determinant",
+                    (lambda ops, T, ones: _block_mask(ops, T, ones)) if lanes else None,
+                    lambda rows: _constant_det(rows, rk, pm))
+    return _DirectionPlan(rk, canonical, (P, Q), corner, full_rank, constant_det)
 
 
-# The plans last asked for, by the identity of the direction: a campaign
-# hands every case of a rank the same N object, so each case finds its plan
-# without hashing N, which _direction_plan's key would (about 1.1 us on
-# 3x3).  Entries hold N, so an id is never reused while it is here; at 64
-# entries the table starts again.
+# The one plan cache, by the identity of the direction: a campaign hands
+# every case of a rank the same canonical_N object, so it checks and plans
+# each direction once, and each case finds its plan without hashing N
+# (about 1.1 us on 3x3).  Entries hold N, so an id is never reused while
+# it is here; at 64 entries the table starts again.  A check that fails
+# raises on every call, as nothing is stored for it.
 _PLANS_BY_ID: dict[int, tuple] = {}
 
 
@@ -237,12 +246,6 @@ def _plan(shape, N: Matrix) -> _DirectionPlan:
     return plan
 
 
-def _random_member(space, rng: random.Random):
-    """Raw rows of a uniform member: base plus uniformly weighted basis combination."""
-    q = space.shape.field.order
-    return _member(space.shape, space.basis, space.offset, [rng.randrange(q) for _ in space.basis])
-
-
 def _check_budget(budget: int | None) -> None:
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
@@ -254,44 +257,28 @@ def witness_search(space, N: Matrix, strategy: str = EXHAUSTIVE,
 
     Exhaustive strategy scans the deterministic element order and its
     negative verdict is complete (every member was tried); ``budget`` caps
-    the element count (default 2^24) and overrunning it raises.  Random
-    strategy draws ``budget`` seeded uniform samples (default 10,000) and
-    never claims nonexistence.  A budget below 1 raises ValueError.
-
-    On a square shape over GF(2) or GF(3) the exhaustive scan tests a
-    block of members at a time (see _first_in_coset): a member passes iff
-    det(A + tN) != 0 at every t in the field.  Tall shapes have no
-    determinant and larger fields no planes, so there each member's ranks
-    are taken in turn.  Both give the member-by-member walk's witness and
-    ``cases_examined``.
+    the element count (default 2^24) and overrunning it raises.  It is
+    _first_in_coset with the full-rank test: a member passes iff
+    rank(A + tN) = p at every t in the field.  Random strategy draws
+    ``budget`` seeded uniform samples (default 10,000) and never claims
+    nonexistence.  A budget below 1 raises ValueError.
     """
     plan = _plan(space.shape, N)
     _check_budget(budget)
+    if strategy == EXHAUSTIVE:
+        return _first_in_coset(space, N, plan,
+                               DEFAULT_ELEMENT_BUDGET if budget is None else budget, plan.full_rank)
+    if strategy != RANDOM:
+        raise ValueError(f"unknown strategy {strategy!r}")
     shape = space.shape
     f, n, p = shape.field, shape.n, shape.p
-    if strategy == EXHAUSTIVE:
-        cap = DEFAULT_ELEMENT_BUDGET if budget is None else budget
-        if n == p and f.is_finite and f.order <= 3:
-            canonical_rows = canonical_N(f, n, n, plan.rank).rows
-            return _first_in_coset(space, N, plan, cap,
-                                   partial(_full_rank_mask, r=plan.rank),
-                                   lambda rows: _first_rank_drop(f, rows, canonical_rows, n) is None,
-                                   "full-rank")
-        members = space.elements(budget=cap)
-        miss = EXHAUSTED_NO_WITNESS
-    elif strategy == RANDOM:
-        rng = random.Random(seed)
-        members = (_random_member(space, rng)
-                   for _ in range(DEFAULT_RANDOM_BUDGET if budget is None else budget))
-        miss = BUDGET_EXHAUSTED
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    cases = 0
-    for a_rows in members:
-        cases += 1
+    q, rng = f.order, random.Random(seed)
+    draws = DEFAULT_RANDOM_BUDGET if budget is None else budget
+    for cases in range(1, draws + 1):  # uniform members: uniform digits
+        a_rows = _member(shape, space.basis, space.offset, [rng.randrange(q) for _ in space.basis])
         if _first_rank_drop(f, a_rows, N.rows, p) is None:
             return SearchOutcome(WITNESS_FOUND, (Matrix(f, n, p, a_rows), N), cases)
-    return SearchOutcome(miss, None, cases)
+    return SearchOutcome(BUDGET_EXHAUSTED, None, draws)
 
 
 def constant_det_witness_search(space, N: Matrix,
@@ -302,9 +289,9 @@ def constant_det_witness_search(space, N: Matrix,
     the determinant polynomial must be constant as a formal polynomial,
     not merely root-free.  The scan is exhaustive over the space's member
     order; a budget below 1 raises ValueError, and more than ``budget``
-    members raise BudgetExceededError before any is examined.  The coset
-    is walked as _first_in_coset describes, with the raw-row test
-    _constant_det, bitsliced over GF(2) and GF(3) (_block_mask).
+    members raise BudgetExceededError before any is examined.  It is
+    _first_in_coset with the raw-row test _constant_det, bitsliced over
+    GF(2) and GF(3) (_block_mask).
     """
     shape = space.shape
     if shape.n != shape.p:
@@ -313,53 +300,59 @@ def constant_det_witness_search(space, N: Matrix,
     if plan.rank != shape.n - 1:
         raise ValueError(f"direction rank must be n-1 = {shape.n - 1}, got {plan.rank}")
     _check_budget(budget)
-    last, pm = shape.n - 1, shape.field.modulus
     return _first_in_coset(space, N, plan, DEFAULT_ELEMENT_BUDGET if budget is None else budget,
-                           _block_mask, lambda rows: _constant_det(rows, last, pm),
-                           "constant-determinant")
+                           plan.constant_det)
 
 
 def _first_in_coset(space, N: Matrix, plan: _DirectionPlan, budget: int,
-                    lane_mask: Callable, passes: Callable, test: str) -> SearchOutcome:
-    """The first member of a square space, in its own order, whose line with
-    N passes a test written for canonical N; q^d members over ``budget``
-    raise BudgetExceededError before any table is built.
+                    test: tuple) -> SearchOutcome:
+    """The first member of a space, in its own order, whose line with N
+    passes a test of the plan (see _DirectionPlan); q^d members over
+    ``budget`` raise BudgetExceededError before any member or table is
+    made.  Every exhaustive search, of any shape and field, is this walk.
 
     A non-canonical N is moved to canonical form by mapping the basis and
     base once by the plan's (P, Q), which keeps the member order and each
-    member's verdict: P (A + tN) Q has the rank of A + tN and determinant
-    det P * det Q * det(A + tN).  Over GF(2) and GF(3) lane_mask tests a
-    block of members at a time (_bitsliced_first); over larger fields
-    passes(rows) tests each member in turn.  The member found is rebuilt
-    from its coset digits and tested once more by passes, an independent
-    check of the kernel; unless N was moved, it is also the witness A.
+    member's verdict: P (A + tN) Q has the rank of A + tN and, when square,
+    determinant det P * det Q * det(A + tN).  With a lane test, a block of
+    members is tested at a time (_bitsliced_first), and the member found
+    is rebuilt from its coset digits and tested once more by passes, an
+    independent check of the kernel.  Otherwise passes tests each member
+    of space.elements, or of the moved coset, and the member that passes
+    is the witness as it stands.  A member found with N moved is rebuilt
+    from its digits in the space's own basis and base.
     ``cases_examined`` counts the members up to the witness, or all q^d.
     """
     shape = space.shape
-    f, n = shape.field, shape.n
-    own_basis, own_base = space.basis, space.offset
-    d = len(own_basis)
-    total = _coset_size(shape, d, budget)
-    basis, base = own_basis, own_base
-    # A flag, not `basis is own_basis`: every empty basis is the same ().
+    name, lane_mask, passes = test
+    # A flag, not `basis is space.basis`: every empty basis is the same ().
     moved = not plan.canonical
-    if moved:
-        basis, base = transport_rows(space, *plan.normal_form)
-    pm = f.modulus
-    if pm <= 3:
-        s = _bitsliced_first(shape, basis, base, lane_mask)
+    if moved or lane_mask is not None:
+        basis, base = space.basis, space.offset
+        _coset_size(shape, len(basis), budget)
+        if moved:
+            basis, base = transport_rows(space, *plan.normal_form)
+    if lane_mask is None:
+        # space.elements checks the budget at the first member.
+        for s, a_rows in enumerate(_iter_coset(shape, basis, base, None) if moved else
+                                   space.elements(budget)):
+            if passes(a_rows):
+                break
+        else:
+            s = None
     else:
-        s = next((s for s, a_rows in enumerate(_iter_coset(shape, basis, base, None))
-                  if passes(a_rows)), None)
+        s = _bitsliced_first(shape, basis, base, lane_mask)
+        if s is not None:
+            digits = _odometer_digits(s, shape.field.modulus, len(basis))
+            a_rows = _member(shape, basis, base, digits)
+            if not passes(a_rows):
+                raise RuntimeError(f"coset member {digits} fails the {name} test")
+    f, d = shape.field, len(space.basis)
     if s is None:
-        return SearchOutcome(EXHAUSTED_NO_WITNESS, None, total)
-    digits = _odometer_digits(s, pm, d)
-    a_rows = _member(shape, basis, base, digits)
-    if not passes(a_rows):
-        raise RuntimeError(f"coset member {digits} fails the {test} test")
+        return SearchOutcome(EXHAUSTED_NO_WITNESS, None, f.modulus ** d)
     if moved:
-        a_rows = _member(shape, own_basis, own_base, digits)
-    return SearchOutcome(WITNESS_FOUND, (Matrix(f, n, n, a_rows), N), s + 1)
+        a_rows = _member(shape, space.basis, space.offset, _odometer_digits(s, f.modulus, d))
+    return SearchOutcome(WITNESS_FOUND, (Matrix(f, shape.n, shape.p, a_rows), N), s + 1)
 
 
 def _constant_det(rows, last: int, pm: int) -> bool:

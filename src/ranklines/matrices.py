@@ -97,8 +97,8 @@ class Matrix:
 
     @classmethod
     def from_text(cls, text: str) -> "Matrix":
-        field, n, p, body = _read_header(text)
-        return cls(field, n, p, _read_rows(field, body, n, p, "rows"))
+        field, n, p, body, raw = _read_header(text)
+        return cls(field, n, p, _read_rows(field, body, n, p, "rows", raw))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -151,13 +151,14 @@ def _write_text(field: FieldDesc, n: int, p: int, *sections) -> str:
 
 
 def _read_header(text: str):
-    """(field, n, p, the remaining non-blank lines) of the text format."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    """(field, n, p, the remaining non-blank lines, the text's line count)."""
+    raw = text.splitlines()
+    lines = [ln for ln in map(str.strip, raw) if ln]
     if len(lines) < 2 or not lines[0].startswith("field ") or not lines[1].startswith("size "):
         raise ValueError("text must start with 'field ...' and 'size n p' lines")
     field = parse_field(lines[0][len("field "):])
     n, p = _read_counts(lines[1], 2, "two non-negative integers")
-    return field, n, p, lines[2:]
+    return field, n, p, lines[2:], len(raw)
 
 
 def _read_counts(line: str, count: int, expected: str) -> list[int]:
@@ -168,13 +169,16 @@ def _read_counts(line: str, count: int, expected: str) -> list[int]:
     return [int(t) for t in tokens]
 
 
-def _read_rows(field: FieldDesc, lines, count: int, width: int, what: str):
+def _read_rows(field: FieldDesc, lines, count: int, width: int, what: str, raw: int):
     """Exactly ``count`` lines of ``width`` entries each, parsed into raw row tuples.
 
     Rows of width 0 are written as blank lines, which _read_header drops,
-    so at width 0 there are no lines to read and the rows are ``count`` ().
+    so at width 0 there are no lines to read and the rows are ``count`` ();
+    a count above the text's ``raw`` lines is refused before any is made.
     """
     if not width:
+        if count > raw:
+            raise ValueError(f"{count} empty {what} need {count} blank lines, the text has {raw}")
         if lines:
             raise ValueError(f"expected no lines for {count} empty {what}, found {len(lines)}")
         return ((),) * count

@@ -466,14 +466,14 @@ def parse_subspace_text(text: str):
     Layout: the matrix header (field/size), a ``dim d`` line, d vectorized
     basis rows, and optionally a ``base`` line followed by an n x p block.
     """
-    field, n, p, body = _read_header(text)
+    field, n, p, body, raw = _read_header(text)
     if not body or body[0].split()[0] != "dim":
         raise ValueError("expected a 'dim <d>' line after the size line")
     (d,) = _read_counts(body[0], 1, "one non-negative integer")
     if d > n * p:  # refused before any row is read
         raise ValueError(f"dim {d} exceeds the ambient dimension n*p = {n * p}")
     shape = MatrixSpaceShape(field, n, p)
-    lin = _span(shape, _read_rows(field, body[1:d + 1], d, shape.ambient_dim, "basis rows"))
+    lin = _span(shape, _read_rows(field, body[1:d + 1], d, shape.ambient_dim, "basis rows", raw))
     if lin.dim != d:
         raise ValueError(f"basis rows span dimension {lin.dim}, not the declared {d}")
     rest = body[d + 1:]
@@ -481,5 +481,5 @@ def parse_subspace_text(text: str):
         return lin
     if rest[0] != "base":
         raise ValueError(f"unexpected line {rest[0]!r} after basis rows")
-    base = _read_rows(field, rest[1:], n, p, "base rows")
+    base = _read_rows(field, rest[1:], n, p, "base rows", raw)
     return affine_from_point(lin, Matrix(field, n, p, base))

@@ -79,3 +79,47 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for module in modules:
                 assert module.split(".")[0] in sys.stdlib_module_names, (path.name, module)
+
+
+def _private_definitions(tree: ast.Module):
+    """The module-level private names a module defines: functions, classes
+    and assignment targets starting with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_name_is_used():
+    # A private function, class or constant that no code under the package
+    # loads, by name or as an attribute, is dead: a refactor left it behind.
+    # A name counts as loaded in its own module and in a module that
+    # imports it from there, so two modules' same-named helpers are told apart.
+    paths = sorted(Path(ranklines.__file__).parent.glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in paths}
+    loaded = {module: set() for module in trees}
+    imported = {module: set() for module in trees}  # (module, name) pairs it imports
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded[module].add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded[module].add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported[module].update((node.module, alias.name) for alias in node.names)
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+
+    def used(module, name):
+        return (name in loaded[module] or name in attributes
+                or any((module, name) in imported[m] and name in loaded[m] for m in trees))
+    defined = [(module, name) for module, tree in trees.items()
+               for name in _private_definitions(tree)]
+    assert len(defined) > 80
+    assert [pair for pair in defined if not used(*pair)] == []

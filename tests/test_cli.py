@@ -9,6 +9,7 @@ import select
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,24 @@ def test_check_line_negative_size_exits_two(workdir, capsys):
     M = _write(workdir / "M.txt", "field gf 2\nsize 0 -3\n")
     assert main(["check-line", M, M]) == 2
     assert "bad size line" in capsys.readouterr().err
+
+
+def test_a_huge_row_count_with_no_columns_is_refused_before_any_row(workdir, capsys):
+    # An n x 0 matrix is written as n blank lines, so a text of k lines
+    # holds at most k empty rows; "size 10000000 0" alone once made ten
+    # million of them (76 MiB).
+    for n in (3, 10_000_000, 1_000_000_000):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{n} empty rows need {n} blank lines"):
+                Matrix.from_text(f"field gf 2\nsize {n} 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (n, peak)
+    M = _write(workdir / "M.txt", "field gf 2\nsize 1000000000 0\n")
+    assert main(["check-line", M, M]) == 2
+    assert "1000000000 empty rows need 1000000000 blank lines" in capsys.readouterr().err
 
 
 def test_check_line_zero_denominator_exits_two(workdir, capsys):

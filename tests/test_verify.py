@@ -257,7 +257,7 @@ def test_a_campaign_checks_each_direction_once(monkeypatch):
     calls = []
     real = lines.rank
     monkeypatch.setattr(lines, "rank", lambda M: calls.append(M) or real(M))
-    lines._direction_plan.cache_clear()
+    lines._PLANS_BY_ID.clear()
     sampled = CampaignSpec(theorem="remark2-strong", field=F3, n=3, p=3, codims=(1,),
                            rank_range=(2,), mode="sample", samples=400, seed=7)
     sweep = _spec(codims=(0, 1))
