@@ -12,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Iterator, Union
 
 RawValue = Union[int, Fraction]
+
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 MAX_MODULUS = 1 << 16
 
@@ -167,9 +170,9 @@ RATIONALS = FieldDesc("rat")
 
 def clear_denominators(values) -> tuple[list[int], int]:
     """(m * v for v in values, m) where m is the lcm of the rationals' denominators."""
-    m = lcm(*(v.denominator for v in values))
+    m = lcm(*map(_denominator, values))
     if m == 1:
-        return [v.numerator for v in values], 1
+        return list(map(_numerator, values)), 1
     return [v.numerator * (m // v.denominator) for v in values], m
 
 

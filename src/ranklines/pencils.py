@@ -6,16 +6,17 @@ p x p minors of A + tN.  Either way, the rank of A + t0*N drops below p
 exactly at the roots of that polynomial, which turns the full-rank-line
 question into root analysis.
 
-Over GF(q) and Q alike both are computed in integers, from rows a and b
-of A and N, with the denominators of each rational row pair cleared and
-each GF(q) entry lifted to its centred representative.  Each minor is one
-integer determinant of the packed rows a + 2^k*b, whose balanced base-2^k
-digits are its coefficients (Kronecker substitution, von zur Gathen &
-Gerhard, *Modern Computer Algebra*, ch. 8; k comes from Hadamard's
-inequality).  Over GF(q) the result is reduced mod q, a ring map, so it
-needs no p + 1 field points.  Minors are folded by a primitive
-remainder sequence over Q and, once reduced, by the Euclidean gcd over
-GF(q) (ibid., ch. 5-6).
+Over GF(q) and Q alike both are computed in integers: one pass over the
+rows clears the denominators of each rational row pair of A and N, or
+lifts each GF(q) entry to its centred representative, and packs the
+rows a + 2^k*b.  Each minor is one integer determinant of them, whose
+balanced base-2^k digits are its coefficients (Kronecker substitution,
+von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 8); 2^k exceeds
+Hadamard's bound taken with each row's L1 norm, which bounds every
+coefficient.  Over GF(q) the result is reduced mod q, a ring map, so it
+needs no p + 1 field points.  Minors are folded by a primitive remainder
+sequence over Q and, once reduced, by the Euclidean gcd over GF(q)
+(ibid., ch. 5-6).
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
-from operator import mul
 
 from .fields import Scalar, clear_denominators
 from .matrices import Matrix, _check_tall, _det_bareiss_int, check_shape
@@ -59,43 +58,30 @@ class PencilAnalysis:
         return self.classification in (CONSTANT_NONZERO, NONCONSTANT_NO_ROOT)
 
 
-def _int_rows(A: Matrix, N: Matrix) -> tuple[list[list[int]], list[list[int]], int]:
-    """Integer rows a and b of the pair, and the product of their row multipliers.
+def _packed_rows(A: Matrix, N: Matrix) -> tuple[list[list[int]], int, int]:
+    """The integer rows a_i + 2^k * b_i, the digit width k, and prod m_i.
 
-    GF(q) values become their centred representatives in (-q/2, q/2]
-    (multiplier 1), which keeps the packed determinants small.  Over Q, row
-    i of A and of N share one multiplier m_i, so det(A + tN) = det(a + tb) /
-    prod m_i.
+    Over Q, row i of A and of N is scaled by one lcm m_i, so det(A + tN) =
+    det(a + tb) / prod m_i; a GF(q) entry becomes its centred representative
+    in (-q/2, q/2] (m_i = 1), which keeps the determinants small.  On
+    |t| = 1, Hadamard gives |det(a + tb)| <= prod_i |a_i + t*b_i|_2 <= prod_i
+    |(a_i, b_i)|_1, the L1 norms of the concatenated rows, and by Cauchy's
+    estimate that bounds every coefficient.  Each factor |(a_i, b_i)|_1 + 1
+    is at least 1, so the product bounds every row-subset minor too, and
+    with one guard bit each coefficient is one balanced base-2^k digit.
     """
-    f = A.field
-    if f.is_finite:
-        q = f.modulus
-        half = q // 2
-        return ([[v - q if v > half else v for v in row] for row in A.rows],
-                [[v - q if v > half else v for v in row] for row in N.rows], 1)
-    a, b, scale, p = [], [], 1, A.ncols
+    p, q = A.ncols, A.field.modulus  # q is None over Q
+    rows, bound, scale = [], 1, 1
     for ra, rb in zip(A.rows, N.rows):
-        row, m = clear_denominators(ra + rb)
-        a.append(row[:p])
-        b.append(row[p:])
-        scale *= m
-    return a, b, scale
-
-
-def _packed(a: list[list[int]], b: list[list[int]]) -> tuple[list[list[int]], int]:
-    """The rows a_i + 2^k * b_i and the digit width k.
-
-    On |t| = 1, |det(a + tb)| <= prod_i (|a_i| + |b_i|) (Hadamard), and by
-    Cauchy's estimate that bounds every coefficient.  Each factor below is
-    larger than |a_i| + |b_i| and at least 1, so the product bounds the
-    coefficients of every row-subset minor too; with one guard bit each is
-    a single balanced base-2^k digit.
-    """
-    bound = 1
-    for ra, rb in zip(a, b):
-        bound *= isqrt(sum(map(mul, ra, ra))) + isqrt(sum(map(mul, rb, rb))) + 2
+        if q is None:
+            row, m = clear_denominators(ra + rb)
+            scale *= m
+        else:
+            row = [v - q if 2 * v > q else v for v in ra + rb]
+        bound *= sum(map(abs, row)) + 1
+        rows.append(row)
     k = bound.bit_length() + 1
-    return [[x + (y << k) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], k
+    return [[x + (y << k) for x, y in zip(row[:p], row[p:])] for row in rows], k, scale
 
 
 def _digits(v: int, k: int) -> list[int]:
@@ -110,25 +96,16 @@ def _digits(v: int, k: int) -> list[int]:
     return out
 
 
-def _minors(a: list[list[int]], b: list[list[int]], p: int):
-    """Each maximal minor of a + tb, for the row subsets in ``combinations`` order,
-    as ascending integer coefficients without trailing zeros: one determinant
-    of the packed rows per minor."""
-    packed, k = _packed(a, b)
-    for sub in combinations(range(len(a)), p):
-        yield _digits(_det_bareiss_int([packed[i] for i in sub]), k)
-
-
 def det_pencil(A: Matrix, N: Matrix) -> Poly:
     """The exact polynomial det(A + t*N); degree at most rank(N)."""
     check_shape(N, A.field, A.nrows, A.ncols)
     if not A.is_square:
         raise ValueError(f"pencil determinant requires square matrices, got {A.nrows}x{A.ncols}")
-    a, b, scale = _int_rows(A, N)
-    coeffs = next(_minors(a, b, A.ncols))  # the one maximal minor
+    packed, k, scale = _packed_rows(A, N)
+    coeffs = _digits(_det_bareiss_int(packed), k)
     if A.field.is_finite:
         return Poly.from_coeffs(A.field, coeffs)  # reduces mod p, which is a ring map
-    return Poly(A.field, tuple(Fraction(c, scale) for c in coeffs))
+    return Poly(A.field, _boxed(coeffs, scale))
 
 
 def minor_gcd(A: Matrix, N: Matrix) -> Poly:
@@ -136,9 +113,10 @@ def minor_gcd(A: Matrix, N: Matrix) -> Poly:
     check_shape(N, A.field, A.nrows, A.ncols)
     _check_tall(A.nrows, A.ncols)
     f = A.field
-    a, b, _ = _int_rows(A, N)  # a row multiplier scales every minor by a unit, so it drops out
+    packed, k, _ = _packed_rows(A, N)  # a row multiplier scales every minor by a unit, so it drops out
     g: list = []  # ascending coefficients of the gcd so far; [] is the zero polynomial
-    for minor in _minors(a, b, A.ncols):
+    for sub in combinations(range(A.nrows), A.ncols):  # one packed determinant per minor
+        minor = _digits(_det_bareiss_int([packed[i] for i in sub]), k)
         if f.is_finite:
             # Reduce each minor before the gcd: a gcd over Z, reduced afterwards, is wrong.
             g = _gcd_modp(g, minor, f.modulus)
@@ -146,9 +124,16 @@ def minor_gcd(A: Matrix, N: Matrix) -> Poly:
             g = _int_gcd_poly(g, minor) if g else _primitive(minor)
         if len(g) == 1:
             break  # gcd is already the unit polynomial
-    if f.is_finite:
+    if f.is_finite or not g:
         return Poly(f, tuple(g))
-    return Poly(f, tuple(Fraction(c, g[-1]) for c in g))
+    return Poly(f, _boxed(g, g[-1]))
+
+
+def _boxed(ints: list[int], den: int) -> tuple[Fraction, ...]:
+    """The rationals c / den, reduced by a gcd only where den is not 1."""
+    if den == 1:
+        return tuple(map(Fraction, ints))
+    return tuple(Fraction(c, den) for c in ints)
 
 
 def _classify_formal(poly: Poly) -> str:

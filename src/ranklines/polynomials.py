@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from math import gcd as int_gcd
 
 from .fields import FieldDesc, RawValue, _is_prime, clear_denominators
 
 NEG_INF = float("-inf")
+
+# The primes a rational root search tries before it takes a squarefree part.
+_SCAN_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
 
 @dataclass(frozen=True)
@@ -137,10 +140,11 @@ def _gcd_modp(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _horner(ints: list[int], x: int, m: int) -> int:
+    """f(x) mod m, evaluated in exact integers and reduced once."""
     acc = 0
     for c in reversed(ints):
-        acc = (acc * x + c) % m
-    return acc
+        acc = acc * x + c
+    return acc % m
 
 
 def _simple_root_prime(f: list[int], primes) -> tuple[int, list[int]] | None:
@@ -149,8 +153,9 @@ def _simple_root_prime(f: list[int], primes) -> tuple[int, list[int]] | None:
     df = _derivative(f)
     for p in primes:
         if f[-1] % p:
-            roots = [x for x in range(p) if _horner(f, x, p) == 0]
-            if all(_horner(df, x, p) for x in roots):
+            fp, dfp = [c % p for c in f], [c % p for c in df]
+            roots = [x for x in range(p) if _horner(fp, x, p) == 0]
+            if all(_horner(dfp, x, p) for x in roots):
                 return p, roots
     return None
 
@@ -193,15 +198,18 @@ def rational_roots(poly: Poly) -> list[Fraction]:
     section 5.10), in time polynomial in the coefficients' bit size:
 
     1. the factor t^k is removed, giving the root 0;
-    2. f is made primitive, and p is the smallest of the first 8 odd
-       primes that does not divide its leading coefficient and at which
-       every root of f mod p, found by evaluating every residue, is simple
+    2. f is made primitive, and p is the smallest of the odd primes 3 to
+       23 that does not divide its leading coefficient and at which every
+       root of f mod p, found by evaluating every residue, is simple
        (f' does not vanish there).  A rational root a/b has b | lc(f), so
        it maps to a root mod p, and a simple root mod p has exactly one
        p-adic lift, so f itself need not be squarefree;
     3. if no such prime is among them, f becomes the squarefree part
        f / gcd(f, f') and p is the smallest such odd prime for it;
-    4. each root mod p is Newton (Hensel) lifted until p^k > 2 * |f_0| * |f_d|;
+    4. each root x mod p is Newton (Hensel) lifted, squaring the modulus m
+       each step, until m > 2 * |f_0| * |f_d|.  The inverse s of f'(x) is
+       lifted alongside x, as s <- s * (2 - f'(x) * s) mod m, so one
+       modular inverse (mod p) serves every step (ibid., ch. 9);
     5. a/b is recovered by rational reconstruction with |a| <= |f_0| and
        0 < b <= |f_d|, which bound every rational root of f;
     6. a candidate is kept only if the integer homogeneous form
@@ -211,14 +219,14 @@ def rational_roots(poly: Poly) -> list[Fraction]:
         raise ValueError("rational root search requires the rational field")
     if poly.is_zero:
         raise ValueError("the zero polynomial has every rational root")
-    coeffs = list(poly.coeffs)
+    f = clear_denominators(poly.coeffs)[0]
     # Strip the t^k factor: 0 is a root iff the constant term vanishes.
-    roots: list[Fraction] = [Fraction(0)] if coeffs[0] == 0 else []
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-    if len(coeffs) > 1:
-        f = _primitive(clear_denominators(coeffs)[0])
-        found = _simple_root_prime(f, islice(filter(_is_prime, count(3, 2)), 8))
+    roots: list[Fraction] = [Fraction(0)] if f[0] == 0 else []
+    while f[0] == 0:
+        f.pop(0)
+    if len(f) > 1:
+        f = _primitive(f)
+        found = _simple_root_prime(f, _SCAN_PRIMES)
         if found is None:
             g = _int_gcd_poly(f, _derivative(f))
             if len(g) > 1:
@@ -228,11 +236,15 @@ def rational_roots(poly: Poly) -> list[Fraction]:
         p, residues = found
         df = _derivative(f)
         bound = abs(f[0])  # |a| of every root a/b; b <= f[-1]
+        limit = 2 * bound * f[-1]
         for x in residues:
-            m = p
-            while m <= 2 * bound * f[-1]:
+            # s = 1/f'(x) mod m on entry to each step, which keeps it quadratic.
+            m, s = p, pow(_horner(df, x, p), -1, p)
+            while m <= limit:
                 m *= m
-                x = (x - _horner(f, x, m) * pow(_horner(df, x, m), -1, m)) % m
+                x = (x - _horner(f, x, m) * s) % m
+                if m <= limit:
+                    s = s * (2 - _horner(df, x, m) * s) % m
             a, b = _rational_reconstruction(x, m, bound)
             if _homogeneous_value(f, a, b) == 0:
                 roots.append(Fraction(a, b))

@@ -172,6 +172,37 @@ def test_line_full_rank_matches_brute_force():
         assert sum(classify_line(A, N).poly.is_zero for A, N in pairs) >= 2, field
 
 
+def _large_field_lines(rng):
+    """3 x 3 and 3 x 2 lines over GF(65521) whose only rank drop is t0, for
+    t0 above 60,000 and next to q/2, and one 3 x 3 line that never drops.
+
+    Each is P*(A0 + t*N0)*Q for random invertible P and Q, which keeps the
+    rank at every t.  A0 + t*N0 is diag([[t, -c], [1, t]], t - t0) when
+    square, and has rows (t - t0, 0), (0, 1), (0, 5) when tall; -c is a
+    non-square mod q, so t^2 + c has no root.
+    """
+    field = GF(65521)
+    q = field.order
+    c = next(c for c in range(2, q) if pow(-c % q, (q - 1) // 2, q) == q - 1)
+    square_N = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    cases = [([[0, -c, 0], [1, 0, 0], [0, 0, -t0]], square_N, t0) for t0 in (60013, q // 2 + 1)]
+    cases += [([[-t0, 0], [0, 1], [0, 5]], [[1, 0], [0, 0], [0, 0]], t0) for t0 in (65519, q // 2)]
+    cases.append(([[0, -c, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 0]], None))
+    for A0, N0, t0 in cases:
+        P, Q = random_invertible(field, 3, rng), random_invertible(field, len(A0[0]), rng)
+        yield P @ Matrix.from_rows(field, A0) @ Q, P @ Matrix.from_rows(field, N0) @ Q, t0
+
+
+def test_large_field_classification_matches_the_rank_at_every_t():
+    # Over GF(65521) classify_line finds the smallest root by Horner's rule
+    # at t = 0, 1, ...; the oracle takes the rank of A + tN at all 65,521 t.
+    for A, N, t0 in _large_field_lines(random.Random(79)):
+        res = classify_line(A, N)
+        assert res == classify_line_by_ranks(A, N)
+        assert res.witness == (None if t0 is None else Scalar(A.field, t0))
+        assert res.full_rank == (t0 is None)
+
+
 # --------------------------------------------------------------- certificates
 
 

@@ -21,7 +21,7 @@ from ranklines.pencils import (
     det_pencil,
     minor_gcd,
 )
-from ranklines.polynomials import Poly
+from ranklines.polynomials import Poly, rational_roots
 
 from oracles import (
     _det_cofactor,
@@ -173,6 +173,61 @@ def _assert_pencils_match_the_laplace_oracles(lines, classified, monkeypatch):
                         lambda A, N: _det_cofactor(_pencil_entries(A, N), A.field))
     monkeypatch.setattr(pencils, "minor_gcd", minor_gcd_laplace)
     assert [classify_line(A, N) for A, N in classified] == fast
+
+
+def _traffic_lines(rng: random.Random, count: int):
+    """Seeded rational (A, N, t0) lines of the kinds a classification run sees.
+
+    Shapes cycle through 3 x 3, 4 x 4, 4 x 3, 3 x 2 and 2 x 2, and kinds
+    through a generic A and N; N of rank p - 1; and a planted drop
+    A = B - t0*N with B singular and t0 a rational u/v, v <= 6, given as
+    the third item (None for the other kinds).  Entries are 5-bit
+    numerators, and each row of B (or A) and of N, drawn apart, is divided
+    by 1, 2, 3 or 35, by 1 half the time.
+    """
+    shapes = ((3, 3), (4, 4), (4, 3), (3, 2), (2, 2))
+
+    def ints(n, p, lim):
+        return [[rng.randint(-lim, lim) for _ in range(p)] for _ in range(n)]
+
+    def over_denominators(rows):
+        return [[Fraction(x, d) for x in row] for row, d in
+                zip(rows, (rng.choice((1, 1, 1, 2, 3, 35)) for _ in rows))]
+
+    for i in range(count):
+        n, p = shapes[i % len(shapes)]
+        kind = ("generic", "low-rank-N", "planted")[(i // len(shapes)) % 3]
+        N = ints(n, p, 15)
+        if kind == "low-rank-N":
+            U, V = ints(n, p - 1, 3), ints(p - 1, p, 3)
+            N = [[sum(U[r][k] * V[k][c] for k in range(p - 1)) for c in range(p)] for r in range(n)]
+        B = ints(n, p, 15)
+        t0 = None
+        if kind == "planted":
+            coef = [rng.randint(-2, 2) for _ in range(p - 1)]
+            for row in B:
+                row[-1] = sum(c * v for c, v in zip(coef, row))
+            t0 = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        B, N = over_denominators(B), over_denominators(N)
+        A = B if t0 is None else [[b - t0 * v for b, v in zip(rb, rn)] for rb, rn in zip(B, N)]
+        yield Matrix.from_rows(RATIONALS, A), Matrix.from_rows(RATIONALS, N), t0
+
+
+def test_classification_traffic_matches_the_laplace_oracles(monkeypatch):
+    # The benchmark's kinds of line, with rational drops and row denominators:
+    # both polynomials and every classification against the Laplace oracles,
+    # and every planted t0 among the rank drops.
+    traffic = list(_traffic_lines(random.Random(97), 150))
+    lines = [(A, N) for A, N, _ in traffic]
+    drops = []
+    for A, N, t0 in traffic:
+        res = classify_line(A, N)
+        if t0 is not None:
+            assert not res.full_rank
+            assert res.poly.is_zero or rational_roots(res.poly).count(t0) == 1
+            drops.append(res.witness)
+    assert any(w is not None and w.value.denominator > 1 for w in drops)
+    _assert_pencils_match_the_laplace_oracles(lines, lines, monkeypatch)
 
 
 def _finite_lines(rng: random.Random):
@@ -364,30 +419,46 @@ def test_pencils_take_one_determinant_per_minor(monkeypatch):
         assert calls == [3] * 4
 
 
+def _sylvester(order: int) -> list[list[int]]:
+    """The +-1 Hadamard matrix of Sylvester's construction, order a power of 2."""
+    H = [[1]]
+    while len(H) < order:
+        H = [row + row for row in H] + [row + [-x for x in row] for row in H]
+    return H
+
+
 def _width_bound_lines():
     """Lines whose packed coefficients sit near the Hadamard width, n <= 7.
 
-    A = 0 with N = +-M*I, and A = N = M*I (the n x p matrix with M on the
-    diagonal, so tall shapes have zero rows), for M = 2^j - 1, 2^j, 2^j + 1;
-    over GF(65521) also every entry q - 1, which centres to -1, beside N = I.
+    A = 0 with N = +-M*X, and A = N = M*X, for M = 2^j - 1, 2^j, 2^j + 1,
+    where X is the n x p matrix with 1 on the diagonal (so tall shapes have
+    zero rows) or the first p columns of a Sylvester +-1 matrix of order
+    1, 2 or 4.  A Sylvester matrix's |det| is the product of its rows' L2
+    norms, Hadamard's bound itself, while a diagonal row has one nonzero
+    entry, so its L2 norm is also its largest |entry|.  Over GF(65521) also
+    every entry q - 1, which centres to -1, beside N = I.
     """
     shapes = ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (3, 2), (4, 3), (6, 4), (6, 1), (7, 5))
+    diagonals = [[[int(i == j) for j in range(p)] for i in range(n)] for n, p in shapes]
+    sylvester = [_sylvester(order) for order in (1, 2, 4)]
+    sylvester += [[row[:p] for row in _sylvester(4)] for p in (3, 2)]
     for field in (RATIONALS, GF(65521)):
-        for n, p in shapes:
-            def diag(m):
-                return Matrix.from_rows(field, [[m if i == j else 0 for j in range(p)]
-                                                for i in range(n)])
-            zero = Matrix.zeros(field, n, p)
+        def scaled(m, X):
+            return Matrix.from_rows(field, [[m * x for x in row] for row in X])
+        for X in diagonals + sylvester:
+            zero = Matrix.zeros(field, len(X), len(X[0]))
             for j in (1, 2, 3, 15, 16, 17, 31, 32, 40):
                 for M in (2 ** j - 1, 2 ** j, 2 ** j + 1):
-                    yield zero, diag(M)
-                    yield zero, diag(-M)
-                    yield diag(M), diag(M)
-            if field.is_finite:
-                top = Matrix.from_rows(field, [[field.modulus - 1] * p] * n)
-                yield top, top
-                yield top, diag(1)
-                yield diag(field.modulus - 1), diag(field.modulus - 1)
+                    yield zero, scaled(M, X)
+                    yield zero, scaled(-M, X)
+                    yield scaled(M, X), scaled(M, X)
+        if field.is_finite:
+            top = field.modulus - 1
+            for X in diagonals:
+                ones = [[1] * len(X[0]) for _ in X]
+                yield scaled(top, ones), scaled(top, ones)
+                yield scaled(top, ones), scaled(1, X)
+                yield scaled(top, X), scaled(top, X)
 
 
 def test_packed_pencils_match_the_laplace_oracles_at_the_width_bound():

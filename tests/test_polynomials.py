@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -285,6 +285,50 @@ def test_rational_roots_match_trial_division_oracle():
     # Equal lists: same roots, each once, in the documented order.
     for p in _oracle_inputs(seed=2024, count=500, max_root=6):
         assert rational_roots(p) == _rational_roots_trial(p), str(p)
+
+
+def _lift_inputs(seed: int, count: int) -> list[Poly]:
+    """Seeded products of factors (b*t - a), |a| <= 2^10 and 0 < b <= 35, times t^2 - D.
+
+    Even inputs have one factor (105*t - a) with a prime to 105, so 3, 5 and
+    7 divide the leading coefficient and the prime scan starts at 11 or
+    later; odd inputs have two factors (b*t - a).  D is a prime that is a
+    nonzero square modulo the first scan prime p !| lc, so t^2 - D,
+    irreducible over Q, has two roots mod p whose lifts are no rational root.
+    """
+    rng = random.Random(seed)
+    prime_to_105 = [a for a in range(-1024, 1025) if gcd(a, 105) == 1]
+    out = []
+    for i in range(count):
+        if i % 2 == 0:
+            factors = [(-rng.choice(prime_to_105), 105)]
+        else:
+            factors = [(-rng.randint(-1024, 1024), rng.randint(1, 35)) for _ in range(2)]
+        lead = prod(b for _, b in factors)
+        p = next(p for p in polynomials._SCAN_PRIMES if lead % p)
+        D = rng.choice([d for d in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+                        if d != p and pow(d, (p - 1) // 2, p) == 1])
+        out.append(_product(_poly(RATIONALS, -D, 0, 1), *(_poly(RATIONALS, *c) for c in factors)))
+    return out
+
+
+def test_lifted_roots_match_trial_division_past_spurious_residues():
+    # Each Newton step needs 1/f'(x) to the modulus it lifts from, so the
+    # inverse is lifted with x; one kept at its mod-p value loses quadratic
+    # convergence after the first step, and most of these roots come out wrong.
+    polys = _lift_inputs(seed=1507, count=500)
+    late_scans = spurious = 0
+    for poly in polys:
+        roots = rational_roots(poly)
+        assert roots == _rational_roots_trial(poly), str(poly)
+        ints = [c.numerator for c in poly.coeffs]
+        while ints[0] == 0:
+            ints.pop(0)
+        p, residues = polynomials._simple_root_prime(polynomials._primitive(ints),
+                                                     polynomials._SCAN_PRIMES)
+        late_scans += p >= 11
+        spurious += len(residues) > len([r for r in roots if r])
+    assert late_scans >= 250 and spurious >= 250
 
 
 def test_rational_roots_match_sympy():
