@@ -14,8 +14,8 @@ import random
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
-from itertools import repeat
-from operator import and_, mul, xor
+from itertools import chain, count, islice, repeat
+from operator import and_, itemgetter, mul, xor
 from types import MappingProxyType
 from typing import ClassVar, NamedTuple
 
@@ -315,12 +315,12 @@ def _first_in_coset(space, N: Matrix, plan: _DirectionPlan, budget: int,
     base once by the plan's (P, Q), which keeps the member order and each
     member's verdict: P (A + tN) Q has the rank of A + tN and, when square,
     determinant det P * det Q * det(A + tN).  With a lane test, a block of
-    members is tested at a time (_bitsliced_first), and the member found
-    is rebuilt from its coset digits and tested once more by passes, an
-    independent check of the kernel.  Otherwise passes tests each member
-    of space.elements, or of the moved coset, and the member that passes
-    is the witness as it stands.  A member found with N moved is rebuilt
-    from its digits in the space's own basis and base.
+    members is tested at a time (_bitsliced_first; block 0 from the base
+    alone), and the member found is rebuilt from its coset digits and
+    tested once more by passes, an independent check of the kernel.
+    Otherwise passes tests each member of space.elements, or of the moved
+    coset, and the one that passes is the witness as it stands; found with
+    N moved, it is rebuilt from its digits in the space's basis and base.
     ``cases_examined`` counts the members up to the witness, or all q^d.
     """
     shape = space.shape
@@ -391,9 +391,10 @@ def _constant_det(rows, last: int, pm: int) -> bool:
 
 # Fast digits per block, so q^b lanes, for both searches; when the corner
 # moves with those digits, a q-th of the lanes have a zero corner.  With
-# the lane memos, 3^6 lanes ran sample-remark2-gf3 at a median 11,150
-# ops/s against 9,170 for 3^5 and 10,250 for 3^7, which also peaked 1.4
-# MiB higher (10 runs each, 30 s, 2 vCPUs).  2^12 ran the exhaustive
+# block 0 built from the base, 3^6 lanes ran sample-remark2-gf3 at a
+# median 15,000-15,180 ops/s against 11,260 for 3^5 and 14,050 for 3^7,
+# which also peaked 1.5 MiB higher (10 pairs each, 10 s, seed 1, 2
+# vCPUs; 3^6 won every pair).  2^12 ran the exhaustive
 # GF(2), n = 4, codim 0,1 remark2-conjecture campaign faster than 2^11 or
 # 2^13, measured before the memos.  A full-rank search whose witness lies
 # early in a block still tests the whole block.
@@ -471,8 +472,13 @@ def _lane_table(q: int, value: int, column: tuple):
 
 
 def _dot(ops: _Planes, xs, ys):
-    terms = [ops.mul(x, y) for x, y in zip(xs, ys) if x is not None and y is not None]
-    return reduce(ops.add, terms) if terms else None
+    """The sum of x * y over the pairs of xs and ys, up to the shorter."""
+    total = None
+    for x, y in zip(xs, ys):
+        if x is not None and y is not None:
+            term = ops.mul(x, y)
+            total = term if total is None else ops.add(total, term)
+    return total
 
 
 def _minors(ops: _Planes, rows, minors: Mapping | None = None) -> Mapping:
@@ -506,14 +512,14 @@ def _head_minors(q: int, head: tuple) -> MappingProxyType:
     return MappingProxyType(_minors(_PLANES[q], head))
 
 
-def _fixed_minors(ops: _Planes, rows) -> MappingProxyType | None:
+def _fixed_minors(ops: _Planes, rows: tuple) -> MappingProxyType | None:
     """The memoized minors of the rows of a block that a lane test never
-    changes; None for no rows.  Never the whole block: a test expands at
-    least one row of its own below them."""
-    return _head_minors(ops.order, tuple(map(tuple, rows))) if rows else None
+    changes, a tuple of row tuples; None for no rows.  Never the whole
+    block: a test expands at least one row of its own below them."""
+    return _head_minors(ops.order, rows) if rows else None
 
 
-def _block_mask(ops: _Planes, T, ones: int) -> int:
+def _block_mask(ops: _Planes, T: tuple, ones: int) -> int:
     """Lanes whose A passes _constant_det's test."""
     last = len(T) - 1
     mask = ones
@@ -524,13 +530,12 @@ def _block_mask(ops: _Planes, T, ones: int) -> int:
             if not mask:
                 return 0
     if last > 1:
-        head = [row[:last] for row in T[:last]]
-        v = T[last][:last]
-        w = [row[last] for row in T[:last]]
+        head = T[:last]  # B and v are these rows and T[last] up to len(w)
+        w = list(map(itemgetter(last), head))
         for k in range(last - 1):  # v B^k u for k = 0..n-3
             if k:
                 w = [_dot(ops, row, w) for row in head]
-            markov = _dot(ops, v, w)
+            markov = _dot(ops, T[last], w)
             if markov is not None:
                 mask &= ~ops.nonzero(markov)
                 if not mask:
@@ -574,7 +579,8 @@ def _bitsliced_first(shape, basis, base, lane_mask: Callable) -> int | None:
     entry (_lane_table), looked up by the entry's slow-digit value and its
     column of coefficients in the b fast basis rows.  The slow digits step
     through the blocks in order, and the first block with a passing lane
-    stops it.
+    stops it.  Block 0 holds the base's own values (its slow digits are
+    0); the _iter_coset walk starts only when none of its lanes passes.
     """
     n, q = shape.n, shape.field.order
     ops = _PLANES[q]
@@ -582,13 +588,18 @@ def _bitsliced_first(shape, basis, base, lane_mask: Callable) -> int | None:
     b = min(d, _LANE_DIGITS[q])
     ones = _digit_tables(q, b)[0]
     columns = tuple(zip(*basis[d - b:])) if b else ((),) * (n * n)
-    row_columns = [columns[i * n:(i + 1) * n] for i in range(n)]
-    for block, rows in enumerate(_iter_coset(shape, basis[:d - b], base, None)):
-        T = [tuple(map(_lane_table, repeat(q), row, cols)) for row, cols in zip(rows, row_columns)]
+    values, blocks = base if base is not None else repeat(0), None
+    for block in count():
+        # n tables at a time from one iterator: the rows of the block.
+        T = tuple(zip(*[map(_lane_table, repeat(q), values, columns)] * n))
         mask = lane_mask(ops, T, ones)
         if mask:
             return block * q ** b + (mask & -mask).bit_length() - 1
-    return None
+        if blocks is None:
+            blocks = islice(_iter_coset(shape, basis[:d - b], base, None), 1, None)
+        if (rows := next(blocks, None)) is None:
+            return None
+        values = chain.from_iterable(rows)
 
 
 def _entry(ops: _Planes, v: int, table, ones: int):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ranklines import lines, verify
+from ranklines import lines, matrices, spaces, verify
 from ranklines.fields import GF, RATIONALS, FieldMismatchError, Scalar
 from ranklines.gallery import lemma1_witness, remark2_f2_example, sharpness_example
 from ranklines.lines import (
@@ -646,7 +646,8 @@ def test_constant_det_test_matches_det_pencil_on_seeded_members(field):
 
 
 def _lane_tables(field, members, n):
-    """The bitsliced tables of members, member s in lane s."""
+    """The bitsliced tables of members, member s in lane s, as a tuple of
+    row tuples."""
     q = field.order
     T = []
     for i in range(n):
@@ -655,7 +656,7 @@ def _lane_tables(field, members, n):
             planes = [sum(1 << s for s, A in enumerate(members) if A[i][j] == v)
                       for v in range(1, q)]
             T[i].append(None if not any(planes) else planes[0] if q == 2 else tuple(planes))
-    return T
+    return tuple(map(tuple, T))
 
 
 @pytest.mark.parametrize("field, n", [(F2, 2), (F2, 3), (F3, 2), (F3, 3)],
@@ -964,6 +965,60 @@ def test_lane_memos_are_bounded_and_keep_every_report(monkeypatch):
     assert len(handed) > 1500  # the remark2 blocks, and the sweep at r = 0
     for q, head, minors, at_return in handed:
         assert minors == at_return == lines._minors(lines._PLANES[q], head)
+
+
+def test_row_text_memo_is_bounded_and_keeps_every_report(monkeypatch):
+    # The case hash reads each space's text, whose rows the row-text memo
+    # looks up by content: a sampled GF(3) remark2-strong campaign and the
+    # GF(2) 3 x 3 main sweep that the benchmark pins give the same
+    # signatures with the memo cleared before every text as with it warm.
+    memo = matrices._row_text
+    assert isinstance(memo.cache_info().maxsize, int)
+    specs = [CampaignSpec(theorem="remark2-strong", field=F3, n=3, p=3, codims=(1,),
+                          rank_range=(2,), mode="sample", samples=300, seed=11),
+             CampaignSpec(theorem="main", field=F2, n=3, p=3, codims=(0, 1),
+                          rank_range=(0, 1, 2))]
+    memo.cache_clear()
+    warm = [run_campaign(spec).signature() for spec in specs]
+    assert memo.cache_info().hits > memo.cache_info().misses
+    real_write = matrices._write_text
+    cleared = []
+
+    def cold(*args):
+        memo.cache_clear()
+        cleared.append(1)
+        return real_write(*args)
+    monkeypatch.setattr(matrices, "_write_text", cold)
+    monkeypatch.setattr(spaces, "_write_text", cold)
+    assert [run_campaign(spec).signature() for spec in specs] == warm
+    assert len(cleared) > 300
+    assert hashlib.sha256(warm[1].encode()).hexdigest() == _bench_sweep_pin(monkeypatch, 3, 3)
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=str)
+def test_bitsliced_search_walks_the_slow_digits_only_past_block_zero(field, monkeypatch):
+    # Block 0 is the base's own values: a search whose witness lies in it
+    # starts no _iter_coset walk, and every other search starts one.  With
+    # q^2 lanes to a block, seeded witnesses fall in and past block 0.
+    walks = []
+    real = lines._iter_coset
+    monkeypatch.setattr(lines, "_iter_coset", lambda *a: walks.append(a) or real(*a))
+    q = field.order
+    monkeypatch.setattr(lines, "_LANE_DIGITS", {q: 2})
+    shape = MatrixSpaceShape(field, 3, 3)
+    rng = random.Random(f"block-zero:{field}")
+    seen = set()
+    for _ in range(100):
+        space = random_affine(shape, rng.choice((4, 6)), rng)
+        r = rng.randrange(3)
+        for search, N in ((constant_det_witness_search, canonical_N(field, 3, 3, 2)),
+                          (witness_search, canonical_N(field, 3, 3, r))):
+            walks.clear()
+            out = search(space, N)
+            in_block_zero = out.found and out.cases_examined <= q * q
+            assert len(walks) == (not in_block_zero), (space, N, out)
+            seen.add((search, in_block_zero))
+    assert len(seen) == 4, seen
 
 
 def test_bitsliced_witness_is_tested_again(monkeypatch):

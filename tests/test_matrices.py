@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from ranklines.matrices import (
     _det_bareiss_int,
     _det_modp,
     _rank_modp,
+    _row_text,
     _rref_raw,
     canonical_N,
     det,
@@ -414,6 +417,34 @@ def test_from_text_rejects_malformed_input():
 def test_from_text_ignores_blank_lines_and_comments():
     text = "field gf 2\nsize 2 2\n\n1 0\n0 1\n"
     assert Matrix.from_text(text) == Matrix.identity(F2, 2)
+
+
+def test_row_text_memo_pins_bounded_bytes():
+    # Thousands of distinct rows leave under 1 MiB in the row-text memo:
+    # rows at its width bound over GF(5) fill it, and wide rows, rows over
+    # GF(65521) and large rationals are written without it.
+    rng = random.Random("row-text-memo")
+    kinds = [(F5, 64, 2000), (F2, 400, 500), (GF(65521), 400, 500), (RATIONALS, 50, 200)]
+    _row_text.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for field, width, count in kinds:
+            for _ in range(count):
+                if field == RATIONALS:
+                    row = tuple(Fraction(rng.getrandbits(200) - (1 << 199), rng.getrandbits(100) | 1)
+                                for _ in range(width))
+                else:
+                    row = tuple(rng.choices(range(field.modulus), k=width))
+                text = Matrix(field, 1, width, (row,)).to_text()
+                assert text.splitlines()[2] == " ".join(map(field.format, row))
+        del row, text
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert _row_text.cache_info().currsize == _row_text.cache_info().maxsize
+    assert kept < 1 << 20, kept
 
 
 # --------------------------------------------------------------------- random
