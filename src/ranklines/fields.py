@@ -18,6 +18,8 @@ from typing import Iterator, Union
 RawValue = Union[int, Fraction]
 
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+# A Fraction's own slots, read at C speed; the properties above are Python calls.
+_fraction_num, _fraction_den = attrgetter("_numerator"), attrgetter("_denominator")
 
 MAX_MODULUS = 1 << 16
 
@@ -174,6 +176,20 @@ def clear_denominators(values) -> tuple[list[int], int]:
     if m == 1:
         return list(map(_numerator, values)), 1
     return [v.numerator * (m // v.denominator) for v in values], m
+
+
+def _clear_fractions(values) -> tuple[list[int], int]:
+    """clear_denominators for rationals, reading each Fraction's numerator
+    and denominator once; a value that is not a Fraction (an int entry of a
+    Matrix built directly) sends the whole list to clear_denominators."""
+    try:
+        nums, dens = list(map(_fraction_num, values)), list(map(_fraction_den, values))
+    except AttributeError:
+        return clear_denominators(values)
+    m = lcm(*dens)
+    if m == 1:
+        return nums, 1
+    return [n * (m // d) for n, d in zip(nums, dens)], m
 
 
 def parse_field(text: str) -> FieldDesc:

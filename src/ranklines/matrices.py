@@ -111,7 +111,7 @@ class Matrix:
 def check_shape(M: Matrix, field: FieldDesc, nrows: int, ncols: int) -> None:
     """Raise unless M is nrows x ncols over field: FieldMismatchError for
     the field, ValueError for the size."""
-    if M.field != field:
+    if M.field is not field and M.field != field:  # FieldDesc's __eq__ compares tuples
         raise FieldMismatchError(f"cannot mix {M.field} and {field}")
     if (M.nrows, M.ncols) != (nrows, ncols):
         raise ValueError(f"expected a {nrows}x{ncols} matrix, got {M.nrows}x{M.ncols}")

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd as int_gcd
+from math import gcd as int_gcd, isqrt
 
-from .fields import FieldDesc, RawValue, _is_prime, clear_denominators
+from .fields import FieldDesc, RawValue, _clear_fractions, _is_prime
 
 NEG_INF = float("-inf")
 
@@ -192,39 +192,56 @@ def rational_roots(poly: Poly) -> list[Fraction]:
     then |num|), so 1 comes before -1 and 1/2 before 2; each root appears
     once.
 
-    The roots are found p-adically (R. Loos, "Computing rational zeros of
-    integral polynomials by p-adic expansion", SIAM J. Comput. 12, 1983;
-    von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 15 and
-    section 5.10), in time polynomial in the coefficients' bit size:
+    Past degree 2 the roots are found p-adically (R. Loos, "Computing
+    rational zeros of integral polynomials by p-adic expansion", SIAM J.
+    Comput. 12, 1983; von zur Gathen & Gerhard, *Modern Computer Algebra*,
+    ch. 15 and section 5.10).  Every step takes time polynomial in the
+    coefficients' bit size:
 
     1. the factor t^k is removed, giving the root 0;
-    2. f is made primitive, and p is the smallest of the odd primes 3 to
+    2. degrees 1 and 2 are answered in closed form: f_1*t + f_0 has the
+       root -f_0/f_1, and a*t^2 + b*t + c has the roots (-b +- r)/2a
+       exactly when D = b^2 - 4ac >= 0 is a square, r = isqrt(D); every
+       direction of rank <= 2 has a pencil polynomial of degree <= 2.
+       Higher degrees go on:
+    3. f is made primitive, and p is the smallest of the odd primes 3 to
        23 that does not divide its leading coefficient and at which every
        root of f mod p, found by evaluating every residue, is simple
        (f' does not vanish there).  A rational root a/b has b | lc(f), so
        it maps to a root mod p, and a simple root mod p has exactly one
        p-adic lift, so f itself need not be squarefree;
-    3. if no such prime is among them, f becomes the squarefree part
+    4. if no such prime is among them, f becomes the squarefree part
        f / gcd(f, f') and p is the smallest such odd prime for it;
-    4. each root x mod p is Newton (Hensel) lifted, squaring the modulus m
+    5. each root x mod p is Newton (Hensel) lifted, squaring the modulus m
        each step, until m > 2 * |f_0| * |f_d|.  The inverse s of f'(x) is
        lifted alongside x, as s <- s * (2 - f'(x) * s) mod m, so one
        modular inverse (mod p) serves every step (ibid., ch. 9);
-    5. a/b is recovered by rational reconstruction with |a| <= |f_0| and
+    6. a/b is recovered by rational reconstruction with |a| <= |f_0| and
        0 < b <= |f_d|, which bound every rational root of f;
-    6. a candidate is kept only if the integer homogeneous form
+    7. a candidate is kept only if the integer homogeneous form
        sum_k f_k * a^k * b^(d-k) is exactly 0.
     """
     if poly.field.kind != "rat":
         raise ValueError("rational root search requires the rational field")
     if poly.is_zero:
         raise ValueError("the zero polynomial has every rational root")
-    f = clear_denominators(poly.coeffs)[0]
+    f = _clear_fractions(poly.coeffs)[0]
     # Strip the t^k factor: 0 is a root iff the constant term vanishes.
     roots: list[Fraction] = [Fraction(0)] if f[0] == 0 else []
     while f[0] == 0:
         f.pop(0)
-    if len(f) > 1:
+    if len(f) == 2:
+        roots.append(Fraction(-f[0], f[1]))
+    elif len(f) == 3:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        if disc >= 0:
+            r = isqrt(disc)
+            if r * r == disc:
+                roots.append(Fraction(r - b, 2 * a))
+                if r:  # a double root is listed once
+                    roots.append(Fraction(-r - b, 2 * a))
+    elif len(f) > 3:
         f = _primitive(f)
         found = _simple_root_prime(f, _SCAN_PRIMES)
         if found is None:

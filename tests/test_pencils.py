@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -468,6 +469,55 @@ def test_packed_pencils_match_the_laplace_oracles_at_the_width_bound():
         if A.is_square:
             assert det_pencil(A, N) == _det_cofactor(_pencil_entries(A, N), A.field)
         assert minor_gcd(A, N) == minor_gcd_laplace(A, N)
+
+
+def _packed_rows_by_properties(A: Matrix, N: Matrix):
+    """_packed_rows over Q, cleared through the public numerator and denominator."""
+    p, rows, bound, scale = A.ncols, [], 1, 1
+    for vals in (ra + rb for ra, rb in zip(A.rows, N.rows)):
+        m = lcm(*(v.denominator for v in vals))
+        row = [v.numerator * (m // v.denominator) for v in vals]
+        bound, scale = bound * (sum(map(abs, row)) + 1), scale * m
+        rows.append(row)
+    k = bound.bit_length() + 1
+    return [[x + (y << k) for x, y in zip(row[:p], row[p:])] for row in rows], k, scale
+
+
+def test_packed_rows_read_each_fraction_like_its_public_properties():
+    # _packed_rows reads a Fraction's numerator and denominator slots directly.
+    rng = random.Random(60)
+    drawn = []
+
+    def value():
+        num = rng.randint(-(1 << 60), 1 << 60)
+        drawn.append(Fraction(num, rng.choice((1, 1, 2, 3, 35, rng.getrandbits(60) | 1))))
+        return drawn[-1]
+
+    for n, p in ((1, 1), (2, 2), (3, 3), (4, 4), (3, 2), (4, 3), (5, 2)):
+        for _ in range(20):
+            A, N = (Matrix.from_rows(RATIONALS, [[value() for _ in range(p)] for _ in range(n)])
+                    for _ in range(2))
+            assert pencils._packed_rows(A, N) == _packed_rows_by_properties(A, N)
+    assert any(v < 0 for v in drawn) and any(v.denominator > 1 for v in drawn)
+    assert any(abs(v.numerator).bit_length() == 60 for v in drawn)
+
+
+def test_int_entries_over_q_classify_like_their_fractions():
+    # A Matrix built directly may hold ints over Q, which have no Fraction
+    # slots; rows with them fall back to the public properties.
+    def with_ints(M: Matrix) -> Matrix:
+        return Matrix(RATIONALS, M.nrows, M.ncols,
+                      tuple(tuple(int(v) if v.denominator == 1 else v for v in row) for row in M.rows))
+
+    kinds = set()
+    for A, N, _ in _traffic_lines(random.Random(41), 120):
+        rawA, rawN = with_ints(A), with_ints(N)
+        kinds.update(tuple(type(v) for v in row) for row in rawA.rows + rawN.rows)
+        assert pencils._packed_rows(rawA, rawN) == pencils._packed_rows(A, N)
+        assert classify_line(rawA, rawN) == classify_line(A, N)
+    # all-int, all-Fraction and mixed rows
+    assert {frozenset(k) for k in kinds} >= {frozenset({int}), frozenset({Fraction}),
+                                              frozenset({int, Fraction})}
 
 
 # --------------------------------------------------------------- classify_line

@@ -376,6 +376,111 @@ def test_squarefree_certificate_by_a_prime(monkeypatch):
         assert len(calls) == gcd_calls, str(p)
 
 
+# ----------------------------------------------- closed forms through degree 2
+
+
+def test_closed_form_examples():
+    # Each against its hand-worked roots and the trial-division oracle.
+    for coeffs, roots in (
+            ((6, -5, 1), [2, 3]),                  # D = 1, a square
+            ((-2, 0, 1), []),                      # D = 8, not a square
+            ((9, -12, 4), [Fraction(3, 2)]),       # D = 0: the double root once
+            ((1, 1, 1), []),                       # D = -3
+            ((-6, 0, 6), [1, -1]),                 # content 6
+            ((6, 4), [Fraction(-3, 2)]),           # content 2, degree 1
+            ((2, 3, -2), [2, Fraction(-1, 2)]),    # leading coefficient -2
+            ((0, 0, 6, -5, 1), [0, 2, 3]),         # t^2 (t - 2)(t - 3)
+            ((0, Fraction(1, 2), Fraction(-1, 3)), [0, Fraction(3, 2)])):
+        p = _poly(RATIONALS, *coeffs)
+        assert rational_roots(p) == roots == _rational_roots_trial(p), str(p)
+
+
+def _low_degree_inputs(seed: int, count: int) -> list[Poly]:
+    """Seeded polynomials of degree 1 or 2 after the t^k strip, roots a/b
+    with |a| <= 12 and b <= 4.
+
+    Each is a rational scalar, negative half the time, times c*t - d or
+    (b1*t - a1)(b2*t - a2) plus a constant e in -3..3 (a square
+    discriminant at e = 0, and at e != 0 mostly a non-square, zero or
+    negative one), and every third input also times t^k, k = 1..3.
+    """
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        scalar = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 5))
+        if i % 2:
+            p = _poly(RATIONALS, -rng.randint(-12, 12) or 1, rng.randint(1, 4))
+        else:
+            f = [(-rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(2)]
+            p = _product(*(_poly(RATIONALS, *c) for c in f))
+            p = poly_add(p, _poly(RATIONALS, rng.randint(-3, 3)))
+        p = _scale(p, scalar)
+        for _ in range(rng.randint(1, 3) if i % 3 == 0 else 0):
+            p = poly_mul(p, T)
+        out.append(p)
+    return out
+
+
+def _stripped_ints(p: Poly) -> list[int]:
+    mult = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (mult // c.denominator) for c in p.coeffs]
+    while ints[0] == 0:
+        ints.pop(0)
+    return ints
+
+
+def test_closed_forms_match_trial_division_oracle():
+    polys = _low_degree_inputs(seed=35, count=600)
+    discs = []
+    for p in polys:
+        assert rational_roots(p) == _rational_roots_trial(p), str(p)
+        ints = _stripped_ints(p)
+        if len(ints) == 3:
+            c, b, a = ints
+            discs.append(b * b - 4 * a * c)
+    # The inputs reach every branch of the degree-2 form, with both signs of
+    # the leading coefficient, non-primitive integer forms and a t^k factor.
+    assert any(d > 0 and isqrt(d) ** 2 == d for d in discs)
+    assert any(d > 0 and isqrt(d) ** 2 != d for d in discs)
+    assert 0 in discs and any(d < 0 for d in discs)
+    assert {_stripped_ints(p)[-1] > 0 for p in polys} == {True, False}
+    assert any(gcd(*_stripped_ints(p)) > 1 for p in polys)
+    assert any(p.coeffs[0] == 0 for p in polys)
+
+
+def test_closed_forms_with_100_bit_coefficients():
+    # Trial division cannot factor these.  f * (t^2 + 1) has the rational
+    # roots of f and degree 3 or 4, so the p-adic search on it is the oracle.
+    rng = random.Random(100)
+    t2_plus_1 = poly_add(poly_mul(T, T), ONE)
+    for i in range(120):
+        if i % 3 == 0:
+            p = _poly(RATIONALS, rng.getrandbits(100) - (1 << 99), rng.getrandbits(100) | 1)
+        else:
+            f = [(rng.getrandbits(50) - (1 << 49), rng.getrandbits(50) | 1) for _ in range(2)]
+            p = _product(*(_poly(RATIONALS, *c) for c in f))
+            if i % 3 == 1:
+                assert {r for r in rational_roots(p) if r} == {Fraction(-a, b) for a, b in f if a}
+            else:  # almost surely a non-square discriminant now
+                p = poly_add(p, ONE)
+        if i % 4 == 0:
+            p = poly_mul(p, T)
+        assert max(abs(c.numerator) for c in p.coeffs).bit_length() >= 95
+        assert rational_roots(p) == rational_roots(poly_mul(p, t2_plus_1)), str(p)
+
+
+def test_closed_forms_skip_the_prime_scan(monkeypatch):
+    calls = []
+    scan = polynomials._simple_root_prime
+    monkeypatch.setattr(polynomials, "_simple_root_prime",
+                        lambda f, primes: calls.append(len(f) - 1) or scan(f, primes))
+    for coeffs in ((3, 2), (6, -5, 1), (1, 1, 1), (9, -12, 4), (0, 0, 0, -2, 0, 1), (0, 5)):
+        rational_roots(_poly(RATIONALS, *coeffs))
+    assert calls == []
+    assert rational_roots(_poly(RATIONALS, -6, 11, -6, 1)) == [1, 2, 3]  # (t - 1)(t - 2)(t - 3)
+    assert calls == [3]
+
+
 def test_roots_only_supported_over_rationals():
     with pytest.raises(ValueError):
         rational_roots(_poly(F5, 0, 1))
