@@ -17,8 +17,7 @@ from typing import Iterator, Union
 
 RawValue = Union[int, Fraction]
 
-_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
-# A Fraction's own slots, read at C speed; the properties above are Python calls.
+# A Fraction's own slots, read at C speed; its properties are Python calls.
 _fraction_num, _fraction_den = attrgetter("_numerator"), attrgetter("_denominator")
 
 MAX_MODULUS = 1 << 16
@@ -171,21 +170,16 @@ RATIONALS = FieldDesc("rat")
 
 
 def clear_denominators(values) -> tuple[list[int], int]:
-    """(m * v for v in values, m) where m is the lcm of the rationals' denominators."""
-    m = lcm(*map(_denominator, values))
-    if m == 1:
-        return list(map(_numerator, values)), 1
-    return [v.numerator * (m // v.denominator) for v in values], m
+    """(m * v for v in values, m) where m is the lcm of the rationals' denominators.
 
-
-def _clear_fractions(values) -> tuple[list[int], int]:
-    """clear_denominators for rationals, reading each Fraction's numerator
-    and denominator once; a value that is not a Fraction (an int entry of a
-    Matrix built directly) sends the whole list to clear_denominators."""
+    Each Fraction's numerator and denominator are read once, from its slots;
+    a list holding any other value (an int entry of a Matrix built directly
+    over Q) is read through the public properties instead.
+    """
     try:
         nums, dens = list(map(_fraction_num, values)), list(map(_fraction_den, values))
     except AttributeError:
-        return clear_denominators(values)
+        nums, dens = [v.numerator for v in values], [v.denominator for v in values]
     m = lcm(*dens)
     if m == 1:
         return nums, 1

@@ -186,6 +186,10 @@ class _DirectionPlan(NamedTuple):
     # the last row of P and w the last column of Q, as the (index, weight)
     # pairs of its nonzero weights on row-major vec(M); otherwise None.
     corner: tuple[tuple[int, RawValue], ...] | None
+    # On a square shape, the side condition's block maps (P[r:, :], Q[:, r:])
+    # for rank r, so that P[r:, :] @ M @ Q[:, r:] is the lower-right block of
+    # P @ M @ Q; otherwise None.
+    block_maps: tuple[Matrix, Matrix] | None
     # The searches' member tests for canonical N of this rank, each (name,
     # lane_mask, passes): lane_mask(ops, T, ones) tests a block of members
     # on a square shape over GF(2) or GF(3) and is None elsewhere;
@@ -212,8 +216,10 @@ def _direction_plan(shape, N: Matrix) -> _DirectionPlan:
     full_rank = ("full-rank",
                  (lambda ops, T, ones: _full_rank_mask(ops, T, ones, rk)) if lanes else None,
                  lambda rows: _first_rank_drop(f, rows, canonical_rows, p) is None)
+    block_maps = (Matrix(f, n - rk, n, P.rows[rk:]),
+                  Matrix(f, n, n - rk, tuple(row[rk:] for row in Q.rows))) if n == p else None
     if n != p or rk != n - 1:
-        return _DirectionPlan(rk, canonical, (P, Q), None, full_rank, None)
+        return _DirectionPlan(rk, canonical, (P, Q), None, block_maps, full_rank, None)
     w = [row[rk] for row in Q.rows]
     weights = (a * b for a in P.rows[rk] for b in w)
     corner = tuple((i, c) for i, c in enumerate(weights) if c)
@@ -221,7 +227,7 @@ def _direction_plan(shape, N: Matrix) -> _DirectionPlan:
     constant_det = ("constant-determinant",
                     (lambda ops, T, ones: _block_mask(ops, T, ones)) if lanes else None,
                     lambda rows: _constant_det(rows, rk, pm))
-    return _DirectionPlan(rk, canonical, (P, Q), corner, full_rank, constant_det)
+    return _DirectionPlan(rk, canonical, (P, Q), corner, block_maps, full_rank, constant_det)
 
 
 # The one plan cache, by the identity of the direction: a campaign hands
@@ -506,17 +512,12 @@ def _minors(ops: _Planes, rows, minors: Mapping | None = None) -> Mapping:
 
 
 @lru_cache(maxsize=512)
-def _head_minors(q: int, head: tuple) -> MappingProxyType:
-    """_minors of the rows ``head`` (a tuple of row tuples of tables), shared
-    read-only by every block whose fixed rows hold the same tables."""
-    return MappingProxyType(_minors(_PLANES[q], head))
-
-
-def _fixed_minors(ops: _Planes, rows: tuple) -> MappingProxyType | None:
-    """The memoized minors of the rows of a block that a lane test never
-    changes, a tuple of row tuples; None for no rows.  Never the whole
-    block: a test expands at least one row of its own below them."""
-    return _head_minors(ops.order, rows) if rows else None
+def _head_minors(q: int, head: tuple) -> MappingProxyType | None:
+    """_minors of the rows ``head`` (a tuple of row tuples of tables) that a
+    lane test never changes, shared read-only by every block whose fixed
+    rows hold the same tables; None for no rows.  Never the whole block: a
+    test expands at least one row of its own below them."""
+    return MappingProxyType(_minors(_PLANES[q], head)) if head else None
 
 
 def _block_mask(ops: _Planes, T: tuple, ones: int) -> int:
@@ -540,7 +541,7 @@ def _block_mask(ops: _Planes, T: tuple, ones: int) -> int:
                 mask &= ~ops.nonzero(markov)
                 if not mask:
                     return 0
-    det = _minors(ops, T[last:], _fixed_minors(ops, T[:last])).get((1 << len(T)) - 1)
+    det = _minors(ops, T[last:], _head_minors(ops.order, T[:last])).get((1 << len(T)) - 1)
     return mask & ops.nonzero(det) if det is not None else 0
 
 
@@ -558,7 +559,7 @@ def _full_rank_mask(ops: _Planes, T, ones: int, r: int) -> int:
     if r:
         moving, fixed = T[:r], _minors(ops, T[r:])
     else:
-        moving, fixed = T[-1:], _fixed_minors(ops, T[:-1])
+        moving, fixed = T[-1:], _head_minors(ops.order, T[:-1])
     full = (1 << len(T)) - 1
     mask = ones
     for t in range(ops.order if r else 1):

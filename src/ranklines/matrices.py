@@ -350,15 +350,17 @@ def det(M: Matrix) -> Scalar:
     """Exact determinant; the empty 0x0 matrix has determinant 1."""
     if not M.is_square:
         raise ValueError(f"determinant requires a square matrix, got {M.nrows}x{M.ncols}")
-    # Clear each row's denominators (an integer's is 1), run the integer
-    # kernel, and bring det / scale into the field.
+    f = M.field
+    if f.is_finite:
+        return Scalar(f, _det_modp(M.rows, f.modulus))
+    # Clear each row's denominators, run the integer kernel, and divide by the scale.
     scale = 1
     int_rows: list[list[int]] = []
     for row in M.rows:
         ints, mult = clear_denominators(row)
         scale *= mult
         int_rows.append(ints)
-    return Scalar(M.field, M.field.normalize(Fraction(_det_bareiss_int(int_rows), scale)))
+    return Scalar(f, Fraction(_det_bareiss_int(int_rows), scale))
 
 
 # ---------------------------------------------------------------------------

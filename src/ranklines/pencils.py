@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .fields import Scalar, _clear_fractions
+from .fields import Scalar, clear_denominators
 from .matrices import Matrix, _check_tall, _det_bareiss_int, check_shape
 
 # rank_rows is unused here; bench/trace.py wraps pencils.rank_rows by name.
@@ -74,7 +74,7 @@ def _packed_rows(A: Matrix, N: Matrix) -> tuple[list[list[int]], int, int]:
     rows, bound, scale = [], 1, 1
     for ra, rb in zip(A.rows, N.rows):
         if q is None:
-            row, m = _clear_fractions(ra + rb)
+            row, m = clear_denominators(ra + rb)
             scale *= m
         else:
             row = [v - q if 2 * v > q else v for v in ra + rb]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import count
 from math import gcd as int_gcd, isqrt
 
-from .fields import FieldDesc, RawValue, _clear_fractions, _is_prime
+from .fields import FieldDesc, RawValue, _is_prime, clear_denominators
 
 NEG_INF = float("-inf")
 
@@ -225,7 +225,7 @@ def rational_roots(poly: Poly) -> list[Fraction]:
         raise ValueError("rational root search requires the rational field")
     if poly.is_zero:
         raise ValueError("the zero polynomial has every rational root")
-    f = _clear_fractions(poly.coeffs)[0]
+    f = clear_denominators(poly.coeffs)[0]
     # Strip the t^k factor: 0 is a root iff the constant term vanishes.
     roots: list[Fraction] = [Fraction(0)] if f[0] == 0 else []
     while f[0] == 0:

@@ -341,9 +341,9 @@ def enumerate_subspaces(shape: MatrixSpaceShape, codim: int):
     A cell's bases are product(*options), options[i] every fill of row i.
     The arguments are checked when it is called, not when iteration starts.
     product builds every row's fills before a cell's first basis (GF(2) 5x5
-    codim 17: 8 s and 248 MiB to the first subspace), yet it stays: it is
-    about 3x faster per subspace than a lazy _iter_coset walk of each cell
-    (0.86 vs 2.70 us on GF(3) 4x2 codim 2; Python 3.11, 2 vCPUs).
+    codim 17: 2.9 s and 271 MiB peak RSS to the first subspace), yet it
+    stays: it is about 3x faster per subspace than a lazy _iter_coset walk
+    of each cell (0.86 vs 2.70 us on GF(3) 4x2 codim 2; Python 3.11, 2 vCPUs).
     """
     m, q = _ambient(shape, codim), shape.field.order
     return (LinearMatrixSubspace(shape, basis, prof)

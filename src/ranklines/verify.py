@@ -260,13 +260,12 @@ def _side_condition_exists(spec: CampaignSpec, space, plan: _DirectionPlan, r: i
     last row of P and w the last column of Q, which is linear in M: it
     vanishes somewhere on the coset iff it is zero on the base or nonzero
     on a basis row, so only its nonzero weights are read.  For smaller r
-    the blocks of a coset form a coset of blocks, which is walked.  (P, Q)
-    and the corner's weights come from the plan, which a campaign takes
-    once per direction, not once per case.
+    the blocks of a coset form a coset of blocks, which is walked.  The
+    block maps P[r:, :] and Q[:, r:] and the corner's weights come from the
+    plan, which a campaign takes once per direction, not once per case.
     """
-    n, f = spec.n, spec.field
-    pm = f.modulus
-    if r == n - 1:
+    pm = spec.field.modulus
+    if r == spec.n - 1:
         base = space.offset
         if base is None:
             return True
@@ -278,10 +277,7 @@ def _side_condition_exists(spec: CampaignSpec, space, plan: _DirectionPlan, r: i
             if (value % pm == 0) is (vec is base):
                 return True
         return False
-    # The lower-right block of P @ M @ Q is P[r:, :] @ M @ Q[:, r:].
-    P, Q = plan.normal_form
-    blocks = transport(space, Matrix(f, n - r, n, P.rows[r:]),
-                       Matrix(f, n, n - r, tuple(row[r:] for row in Q.rows)))
+    blocks = transport(space, *plan.block_maps)
     return any(_det_modp(rows, pm) == 0 for rows in blocks.elements(budget=spec.element_budget))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,29 @@ def test_normalize_canonicalizes_representatives():
     assert r == Fraction(3) and isinstance(r, Fraction)
     with pytest.raises(ZeroDivisionError):
         GF(3).normalize(Fraction(1, 3))
+
+
+def test_normalize_reads_scalars_and_strings():
+    assert GF(3).normalize(Scalar(GF(3), 2)) == 2
+    assert RATIONALS.normalize(Scalar(RATIONALS, Fraction(1, 2))) == Fraction(1, 2)
+    assert GF(3).normalize("5") == GF(3).normalize("-1") == 2
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FieldDesc("real"), ValueError, "unknown field kind 'real'"),
+    (lambda: RATIONALS.elements(), ValueError, "cannot enumerate an infinite field"),
+    (lambda: GF(3).normalize(Scalar(GF(5), 1)), FieldMismatchError,
+     "scalar from gf 5 used in gf 3"),
+    (lambda: RATIONALS.normalize(Scalar(GF(5), 1)), FieldMismatchError,
+     "scalar from gf 5 used in rat"),
+    (lambda: GF(3).normalize("1/2"), ValueError, "invalid literal for int()"),
+    (lambda: GF(3).normalize(1.5), TypeError, "cannot coerce 1.5 into gf 3"),
+    (lambda: RATIONALS.normalize(1.5), TypeError, "cannot coerce 1.5 into rat"),
+], ids=["unknown-kind", "elements-of-Q", "scalar-gf", "scalar-rat", "string-gf", "float-gf",
+        "float-rat"])
+def test_fields_refuse_what_they_cannot_represent(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_modular_arithmetic_round_trip():

@@ -417,6 +417,19 @@ def test_square_side_conditions_require_square_input():
 # ------------------------------------------------------------- witness search
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: witness_search(from_generators(MatrixSpaceShape(F2, 2, 2), []),
+                            canonical_N(F2, 2, 2, 1), strategy="greedy"),
+     "unknown strategy 'greedy'"),
+    (lambda: constant_det_witness_search(from_generators(MatrixSpaceShape(F2, 3, 2), []),
+                                         canonical_N(F2, 3, 2, 1)),
+     "constant-determinant search requires a square shape"),
+], ids=["unknown-strategy", "constant-det-tall"])
+def test_searches_refuse_a_strategy_or_shape_they_do_not_have(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_witness_search_full_space_finds_subdiagonal_style_witness():
     space = _full_space(F2, 3, 2)
     N = canonical_N(F2, 3, 2, 1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -84,6 +85,12 @@ def test_arithmetic_and_shape_guards():
         A + Matrix.zeros(F5, 2, 3)
     with pytest.raises(FieldMismatchError):
         A + Matrix.zeros(F3, 2, 2)
+
+
+@pytest.mark.parametrize("i, j", [(2, 0), (0, 3), (-1, 0)])
+def test_unit_refuses_a_position_outside_the_shape(i, j):
+    with pytest.raises(ValueError, match=re.escape(f"unit position ({i}, {j}) outside 2x3")):
+        Matrix.unit(F2, 2, 3, i, j)
 
 
 def test_matmul_matches_hand_product():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import time
 import tracemalloc
 from itertools import combinations, islice
@@ -670,6 +671,20 @@ def test_parse_subspace_rejects_garbage():
         parse_subspace_text("field gf 2\nsize 3 -1\ndim 0\n")
     with pytest.raises(ValueError):
         parse_subspace_text("field gf 2\nsize 1 1\ndim 1 2\n1\n")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_subspace_text("field gf 2\nsize 1 1\n"),
+     "expected a 'dim <d>' line after the size line"),
+    (lambda: parse_subspace_text("field gf 2\nsize 1 1\nbase\n1\n"),
+     "expected a 'dim <d>' line after the size line"),
+    (lambda: parse_subspace_text("field gf 2\nsize 1 2\ndim 2\n1 1\n1 1\n"),
+     "basis rows span dimension 1, not the declared 2"),
+    (lambda: unvectorize(_shape(F2, 2, 2), (0, 1, 0)), "vector length 3 does not match 2x2"),
+], ids=["no-dim", "base-before-dim", "dependent-rows", "unvectorize-length"])
+def test_space_texts_and_vectors_refuse_a_wrong_layout(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("value", ["-1", "+1", "1x", ""], ids=repr)

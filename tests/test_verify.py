@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import pickle
 import random
+import re
 import resource
 import signal
 import threading
@@ -131,6 +132,22 @@ def test_validate_rejects_negative_random_conjugates():
     with pytest.raises(CampaignSpecError, match="random conjugates must be at least 0"):
         validate_spec(_spec(random_conjugates=-3))
     validate_spec(_spec(random_conjugates=0))
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(n=2, p=3), "need n >= p >= 1, got n=2, p=3"),
+    (dict(p=0, rank_range=(0,)), "need n >= p >= 1, got n=3, p=0"),
+    (dict(workers=0), "workers must be at least 1"),
+    (dict(element_budget=0), "element budget must be positive"),
+    (dict(codims=()), "at least one codimension is required"),
+    (dict(rank_range=()), "at least one direction rank is required"),
+    (dict(codims=(7,), allow_out_of_hypothesis=True), "codimension 7 outside [0, 6]"),
+    (dict(theorem="pencil", rank_range=(2,)), "theorem pencil needs square matrices, got 3x2"),
+], ids=["n-below-p", "p-zero", "workers", "element-budget", "no-codims", "no-ranks",
+        "codim-beyond-m", "pencil-tall"])
+def test_validate_refuses_each_malformed_parameter(changes, message):
+    with pytest.raises(CampaignSpecError, match=re.escape(message)):
+        validate_spec(_spec(**changes))
 
 
 def test_validate_refuses_a_repeated_codimension_or_rank():
@@ -291,6 +308,8 @@ def test_a_campaign_converts_no_coset_and_builds_a_matrix_only_for_a_witness(mon
     # A coset is carried as raw vectors from the sampler or enumerator to
     # the searches: no case vectorizes a Matrix or builds one from a
     # vector, and the only Matrix a case makes is the witness it finds.
+    # Below rank n - 1 the square side condition walks a coset of blocks,
+    # whose block maps the direction's plan holds.
     made = {"vectorize": 0, "unvectorize": 0, "Matrix": 0}
 
     def counted(name, f):
@@ -301,7 +320,8 @@ def test_a_campaign_converts_no_coset_and_builds_a_matrix_only_for_a_witness(mon
     sampled = CampaignSpec(theorem="remark2-strong", field=F3, n=3, p=3, codims=(1,),
                            rank_range=(2,), mode="sample", samples=400, seed=11)
     swept = CampaignSpec(theorem="pencil", field=F2, n=3, p=3, codims=(1,), rank_range=(2,))
-    for spec in (sampled, swept):
+    blocks = CampaignSpec(theorem="square", field=F2, n=3, p=3, codims=(1,), rank_range=(0, 1))
+    for spec in (sampled, swept, blocks):
         run_campaign(spec)  # builds the direction's cached Matrix objects
         for name in ("vectorize", "unvectorize"):
             monkeypatch.setattr(spaces, name, counted(name, getattr(spaces, name)))
@@ -432,6 +452,33 @@ def test_out_of_hypothesis_failures_become_findings():
         assert rec.codim in (1, 2)
     # findings replay deterministically
     assert replay_failure(rep.findings[0], spec)
+
+
+def test_remark2_findings_name_their_member_count_and_replay():
+    # Past the hypothesis (codim 6 > n - 2), a coset of dimension 3 can hold
+    # no constant-determinant member; each such case is a finding whose
+    # detail counts the 27 members its search tried.
+    spec = CampaignSpec(theorem="remark2-strong", field=F3, n=3, p=3, codims=(6,),
+                        rank_range=(2,), mode="sample", samples=300, seed=1,
+                        allow_out_of_hypothesis=True)
+    rep = run_campaign(spec)
+    assert rep.verified and rep.failures == ()
+    assert len(rep.findings) == 84
+    for record in rep.findings:
+        assert record.detail == f"no constant-determinant member among {3 ** 3}"
+        assert replay_failure(record, spec)
+
+
+def test_flanders_failure_names_the_members_of_a_low_rank_space(monkeypatch):
+    # The whole 2 x 2 space has dimension 4 > n * r = 2, so it holds a
+    # member of rank 2 and only a wrong rank kernel can fail it: capped at
+    # r, the kernel reports every member as rank <= r.
+    real = verify.rank_rows
+    monkeypatch.setattr(verify, "rank_rows", lambda *args: min(real(*args), 1))
+    spec = CampaignSpec(theorem="flanders", field=F2, n=2, p=2, codims=(0,), rank_range=(1,))
+    rep = run_campaign(spec)
+    assert rep.verdict == "failed"
+    assert [record.detail for record in rep.failures] == ["all 16 members have rank <= 1"]
 
 
 def _children_cpu() -> float:
