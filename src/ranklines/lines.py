@@ -14,7 +14,7 @@ import random
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
-from itertools import chain, count, islice, repeat
+from itertools import chain, compress, count, islice, product, repeat
 from operator import and_, itemgetter, mul, xor
 from types import MappingProxyType
 from typing import ClassVar, NamedTuple
@@ -192,7 +192,8 @@ class _DirectionPlan(NamedTuple):
     block_maps: tuple[Matrix, Matrix] | None
     # The searches' member tests for canonical N of this rank, each (name,
     # lane_mask, passes): lane_mask(ops, T, ones) tests a block of members
-    # on a square shape over GF(2) or GF(3) and is None elsewhere;
+    # on a square shape over GF(2) or GF(3) and is None elsewhere, and the
+    # name picks the same kernel for the member table there;
     # passes(rows) tests one member's raw rows.  constant_det is None unless
     # the shape is square and the rank n-1.
     full_rank: tuple
@@ -320,13 +321,20 @@ def _first_in_coset(space, N: Matrix, plan: _DirectionPlan, budget: int,
     A non-canonical N is moved to canonical form by mapping the basis and
     base once by the plan's (P, Q), which keeps the member order and each
     member's verdict: P (A + tN) Q has the rank of A + tN and, when square,
-    determinant det P * det Q * det(A + tN).  With a lane test, a block of
-    members is tested at a time (_bitsliced_first; block 0 from the base
-    alone), and the member found is rebuilt from its coset digits and
-    tested once more by passes, an independent check of the kernel.
-    Otherwise passes tests each member of space.elements, or of the moved
-    coset, and the one that passes is the witness as it stands; found with
-    N moved, it is rebuilt from its digits in the space's basis and base.
+    determinant det P * det Q * det(A + tN).  With a lane test and N
+    canonical, a shape of at most _TABLE_MEMBERS matrices reads the test's
+    member table (_member_table, _table_first): the coset's non-pivot
+    equations select its members in the table, and the lowest one is the
+    walk's witness, as a canonical coset walks its members in the
+    lexicographic order of their row-major vectors.  A moved N, a larger
+    shape, or a table refused for holding more than _TABLE_LANES[q]
+    members, tests a block of members at a time instead (_bitsliced_first;
+    block 0 from the base alone).  Either way the member found is rebuilt
+    from its coset digits (and must equal the table's member) and tested
+    once more by passes, an independent check of the kernel.  Otherwise
+    passes tests each member of space.elements, or of the moved coset, and
+    the one that passes is the witness as it stands; found with N moved,
+    it is rebuilt from its digits in the space's basis and base.
     ``cases_examined`` counts the members up to the witness, or all q^d.
     """
     shape = space.shape
@@ -338,6 +346,7 @@ def _first_in_coset(space, N: Matrix, plan: _DirectionPlan, budget: int,
         _coset_size(shape, len(basis), budget)
         if moved:
             basis, base = transport_rows(space, *plan.normal_form)
+    f, d = shape.field, len(space.basis)
     if lane_mask is None:
         # space.elements checks the budget at the first member.
         for s, a_rows in enumerate(_iter_coset(shape, basis, base, None) if moved else
@@ -347,13 +356,18 @@ def _first_in_coset(space, N: Matrix, plan: _DirectionPlan, budget: int,
         else:
             s = None
     else:
-        s = _bitsliced_first(shape, basis, base, lane_mask)
+        table = (None if moved or f.order ** shape.ambient_dim > _TABLE_MEMBERS else
+                 _member_table(f.order, shape.n, name, plan.rank))
+        if table is not None:
+            s, digits, x = _table_first(table, space)
+        elif (s := _bitsliced_first(shape, basis, base, lane_mask)) is not None:
+            digits = _odometer_digits(s, f.modulus, d)
         if s is not None:
-            digits = _odometer_digits(s, shape.field.modulus, len(basis))
             a_rows = _member(shape, basis, base, digits)
+            if table is not None and bytes(chain.from_iterable(a_rows)) != x:
+                raise RuntimeError(f"coset member {digits} is not the table's member {list(x)}")
             if not passes(a_rows):
                 raise RuntimeError(f"coset member {digits} fails the {name} test")
-    f, d = shape.field, len(space.basis)
     if s is None:
         return SearchOutcome(EXHAUSTED_NO_WITNESS, None, f.modulus ** d)
     if moved:
@@ -400,9 +414,12 @@ def _constant_det(rows, last: int, pm: int) -> bool:
 # block 0 built from the base, 3^6 lanes ran sample-remark2-gf3 at a
 # median 15,000-15,180 ops/s against 11,260 for 3^5 and 14,050 for 3^7,
 # which also peaked 1.5 MiB higher (10 pairs each, 10 s, seed 1, 2
-# vCPUs; 3^6 won every pair).  2^12 ran the exhaustive
-# GF(2), n = 4, codim 0,1 remark2-conjecture campaign faster than 2^11 or
-# 2^13, measured before the memos.  A full-rank search whose witness lies
+# vCPUs; 3^6 won every pair).  That workload's GF(3) 3x3 searches now
+# read a member table, so the figure stands for the blocks that remain:
+# moved directions, GF(3) 3x3 at r = 0, and GF(3) n >= 4, none of which
+# it times.  2^12 ran the exhaustive GF(2), n = 4, codim 0,1
+# remark2-conjecture campaign faster than 2^11 or 2^13, measured before
+# the memos and the member tables.  A full-rank search whose witness lies
 # early in a block still tests the whole block.
 _LANE_DIGITS = {2: 12, 3: 6}
 
@@ -425,12 +442,15 @@ class _Planes(NamedTuple):
     neg: Callable
     nonzero: Callable  # table -> int mask of its nonzero lanes
     spread: Callable  # (value, all lanes) -> the value in every lane
+    equal: Callable  # (table, value, all lanes) -> int mask of the lanes holding value
     order: int
 
 
-_GF2 = _Planes(xor, and_, lambda a: a, lambda a: a, lambda v, ones: ones if v else 0, 2)
+_GF2 = _Planes(xor, and_, lambda a: a, lambda a: a, lambda v, ones: ones if v else 0,
+               lambda a, v, ones: a if v else ones ^ a, 2)
 _GF3 = _Planes(_add3, _mul3, lambda a: (a[1], a[0]), lambda a: a[0] | a[1],
-               lambda v, ones: ((0, 0), (ones, 0), (0, ones))[v], 3)
+               lambda v, ones: ((0, 0), (ones, 0), (0, ones))[v],
+               lambda a, v, ones: a[v - 1] if v else ones ^ (a[0] | a[1]), 3)
 _PLANES = {2: _GF2, 3: _GF3}
 
 
@@ -609,3 +629,110 @@ def _entry(ops: _Planes, v: int, table, ones: int):
     if table is None:
         return ops.spread(v, ones) if v else None
     return ops.add(ops.spread(v, ones), table) if v else table
+
+
+# ---------------------------------------------------------------------------
+# member tables: one lane test of every n x n matrix, read by each coset
+#
+# Lane s of _digit_tables(q, m), m = n*n, is the matrix whose row-major
+# entries are the m digits of s, first digit slowest, so lane order is the
+# lexicographic order of row-major vectors.  A canonical coset (RREF
+# basis, base zero at the pivots) walks its members in that same order:
+# two members first differ at the pivot of the first coset digit they
+# differ in, as every column left of it holds the same digits of both.
+# So the lowest passing lane inside the coset is the walk's witness.
+
+# Tables are built where q^m is at most _TABLE_MEMBERS (GF(3) 3x3 and
+# GF(2) 4x4 at most) and kept where at most _TABLE_LANES[q] members pass;
+# past either bound the search walks lane blocks.
+_TABLE_MEMBERS = 1 << 16
+_TABLE_LANES = {2: 1 << 14, 3: 1 << 12}
+
+# Translations: _PICK turns a mask's binary digits into bytes 0 and 1, and
+# _DIGIT_IS[v] turns byte v into the digit "1" and every other byte into "0".
+_PICK = bytes.maketrans(b"01", b"\0\1")
+_DIGIT_IS = tuple(bytes(49 if b == v else 48 for b in range(256)) for v in range(3))
+
+
+class _MemberTable(NamedTuple):
+    """The members of one shape that pass one test, in lane order; its
+    tables hold member i in lane i."""
+
+    members: bytes  # their row-major entries, m bytes a member
+    split: int  # the first entry of the second half
+    # halves[h][u]: the table of u . x over half h of the entries, for each
+    # u in GF(q)^(size of the half)
+    halves: tuple
+    ones: int  # every lane
+
+
+@lru_cache(maxsize=8)
+def _member_table(q: int, n: int, name: str, r: int) -> _MemberTable | None:
+    """The n x n matrices over GF(q) whose line with canonical_N(n, n, r)
+    passes the named test, found by the test's own lane kernel on all
+    q^(n*n) of them as one block; None when more than _TABLE_LANES[q]
+    pass.  The caller keeps q^(n*n) within _TABLE_MEMBERS."""
+    m = n * n
+    ops = _PLANES[q]
+    ones, X = _digit_tables(q, m)
+    T = tuple(zip(*[iter(X)] * n))
+    mask = (_block_mask(ops, T, ones) if name == "constant-determinant" else
+            _full_rank_mask(ops, T, ones, r))
+    if mask.bit_count() > _TABLE_LANES[q]:
+        return None
+    picks = format(mask, "b").encode().translate(_PICK)[::-1]
+    members = bytes(chain.from_iterable(compress(product(range(q), repeat=m), picks)))
+    ones = (1 << len(members) // m) - 1
+    entries = []  # the table of each entry
+    for k in range(m):
+        planes = [int(members[k::m].translate(_DIGIT_IS[v])[::-1] or b"0", 2)
+                  for v in range(1, q)]
+        entries.append(planes[0] if q == 2 else tuple(planes))
+    split, halves = m // 2, []
+    for part in entries[:split], entries[split:]:
+        half = {(): ops.spread(0, ones)}
+        for x in part:  # one add a table, to its prefix's table
+            steps = (None, x, ops.neg(x))
+            half = {u + (c,): ops.add(t, steps[c]) if c else t
+                    for u, t in half.items() for c in range(q)}
+        halves.append(half)
+    return _MemberTable(members, split, tuple(halves), ones)
+
+
+@lru_cache(maxsize=1024)
+def _non_pivots(pivots: tuple, m: int) -> tuple:
+    """The columns 0..m-1 that are not in pivots, in order."""
+    return tuple(j for j in range(m) if j not in pivots)
+
+
+def _table_first(table: _MemberTable, space):
+    """(s, digits, x) of the first member of a canonical coset, in its own
+    order, that lies in the table: its number, its coset digits and its
+    row-major entries as bytes; or (None, None, None).
+
+    Each non-pivot column j gives the coset one equation, u . x = -base[j]
+    with u[j] = q - 1 and u[pivot_i] = basis[i][j]; its table is the sum of
+    the tables of u's two halves.  The lanes that meet every equation are
+    the coset's members in the table, and the lowest is the first in the
+    coset's order; its digits are its entries at the pivots.
+    """
+    shape = space.shape
+    q, n = shape.field.order, shape.n
+    m = n * n
+    ops, split, ones = _PLANES[q], table.split, table.ones
+    low, high = table.halves
+    basis, pivots, base = space.basis, space.pivots, space.offset
+    mask = ones
+    for j in _non_pivots(pivots, m):
+        u = [0] * m
+        u[j] = q - 1
+        for pc, row in zip(pivots, basis):
+            u[pc] = row[j]
+        value = ops.add(low[tuple(u[:split])], high[tuple(u[split:])])
+        mask &= ops.equal(value, -base[j] % q if base is not None else 0, ones)
+        if not mask:
+            return None, None, None
+    i = (mask & -mask).bit_length() - 1
+    x = table.members[i * m:(i + 1) * m]
+    digits = [x[pc] for pc in pivots]
+    return reduce(lambda s, c: s * q + c, digits, 0), digits, x

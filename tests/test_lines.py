@@ -727,10 +727,13 @@ def test_constant_det_search_keeps_member_order_for_any_direction(field):
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5], ids=str)
-def test_constant_det_search_matches_the_full_walk_oracle(field):
-    # The search tests the transported coset, bitsliced over GF(2) and
-    # GF(3); the oracle tests every member of the space's own order by
-    # det_pencil.  Status, witness and count must all agree.
+def test_constant_det_search_matches_the_full_walk_oracle(field, monkeypatch):
+    # The search reads a member table or tests the transported coset,
+    # bitsliced over GF(2) and GF(3); the oracle tests every member of the
+    # space's own order by det_pencil.  Status, witness and count must all
+    # agree, on each route and both sides of the table bound.
+    routes = _search_routes(monkeypatch)
+    sides: dict = {}
     rng = random.Random(f"constant-det-slice:{field}")
     q = field.order
     max_dim = {2: 10, 3: 6, 5: 4}[q]
@@ -745,10 +748,22 @@ def test_constant_det_search_matches_the_full_walk_oracle(field):
                      random_subspace(shape, codim, rng))
             moved = random_invertible(field, n, rng) @ N0 @ random_invertible(field, n, rng)
             for N in (N0, moved):
+                routes.clear()
                 out = constant_det_witness_search(space, N)
                 assert out == constant_det_search_full_walk(space, N), (space, N)
                 found[out.found] += 1
+                if side := _table_side(field, n, n):
+                    assert routes == [_expected_route(field, n, n - 1, "constant-determinant",
+                                                      N == N0)]
+                    sides.setdefault(side, set()).add((n, n - 1, out.found, N == N0))
+                else:
+                    assert routes == []
     assert min(found.values()) > 50, found
+    if field.order <= 3:
+        ranks_by_n: dict = {"in": {}, "past": {}}
+        for n in range(1, 6):
+            ranks_by_n[_table_side(field, n, n)][n] = [n - 1]
+        _check_sides(sides, ranks_by_n)
 
 
 @pytest.mark.parametrize("field", [F2, F3], ids=str)
@@ -884,8 +899,10 @@ def test_bitsliced_search_finds_witnesses_at_block_edges(field, monkeypatch):
 
 
 def test_constant_det_search_checks_the_budget_before_any_table(monkeypatch):
+    # The block walk: no member table within a bound of 0.
     def refuse(*args):
         raise AssertionError("a table was built")
+    monkeypatch.setattr(lines, "_TABLE_MEMBERS", 0)
     monkeypatch.setattr(lines, "_digit_tables", refuse)
     for field in (F2, F3):
         space, N = _full_space(field, 3, 3), canonical_N(field, 3, 3, 2)
@@ -950,7 +967,9 @@ def test_lane_memos_are_bounded_and_keep_every_report(monkeypatch):
     # a case, and bounded: a sampled GF(3) remark2-strong campaign and the
     # GF(2) 3 x 3 main sweep that the benchmark pins give the same
     # signatures with both memos cleared before every case as with them
-    # warm, and no search changes a cached minors dict.
+    # warm, and no search changes a cached minors dict.  Both campaigns
+    # walk lane blocks here: no member table within a bound of 0.
+    monkeypatch.setattr(lines, "_TABLE_MEMBERS", 0)
     memos = (lines._lane_table, lines._head_minors)
     assert all(isinstance(memo.cache_info().maxsize, int) for memo in memos)
     handed = []
@@ -1013,6 +1032,8 @@ def test_bitsliced_search_walks_the_slow_digits_only_past_block_zero(field, monk
     # Block 0 is the base's own values: a search whose witness lies in it
     # starts no _iter_coset walk, and every other search starts one.  With
     # q^2 lanes to a block, seeded witnesses fall in and past block 0.
+    # No member table within a bound of 0, so every search walks blocks.
+    monkeypatch.setattr(lines, "_TABLE_MEMBERS", 0)
     walks = []
     real = lines._iter_coset
     monkeypatch.setattr(lines, "_iter_coset", lambda *a: walks.append(a) or real(*a))
@@ -1036,7 +1057,9 @@ def test_bitsliced_search_walks_the_slow_digits_only_past_block_zero(field, monk
 
 def test_bitsliced_witness_is_tested_again(monkeypatch):
     # A kernel that passed every lane would return coset member 0, the
-    # zero matrix here; the scalar re-test refuses it.
+    # zero matrix here; the scalar re-test refuses it.  The block walk: no
+    # member table within a bound of 0.
+    monkeypatch.setattr(lines, "_TABLE_MEMBERS", 0)
     monkeypatch.setattr(lines, "_block_mask", lambda ops, T, ones: ones)
     for field in (F2, F3):
         with pytest.raises(RuntimeError, match="fails the constant-determinant test"):
@@ -1147,38 +1170,94 @@ def test_full_rank_lanes_match_the_scalar_rank_test(field, n):
 
 
 # Every shape goes through lines._first_in_coset: the square GF(2)/GF(3)
-# shapes take the bitsliced blocks, and the tall shapes and GF(5) walk the
-# coset, transported to canonical N when N is moved.
-FULL_WALK_SHAPES = {2: [(1, 1), (2, 2), (3, 3), (3, 2), (4, 2), (4, 3)],
-                    3: [(1, 1), (2, 2), (3, 3), (3, 2), (4, 2)],
+# shapes read a member table (canonical N, q^(n*n) within its bound) or
+# take the bitsliced blocks, and the tall shapes and GF(5) walk the coset,
+# transported to canonical N when N is moved.  GF(2) 5 x 5 and GF(3) 4 x 4
+# lie past the table bound.
+FULL_WALK_SHAPES = {2: [(1, 1), (2, 2), (3, 3), (3, 2), (4, 2), (4, 3), (4, 4), (5, 5)],
+                    3: [(1, 1), (2, 2), (3, 3), (3, 2), (4, 2), (4, 4)],
                     5: [(2, 2), (3, 3), (3, 2), (4, 2)]}
 
 
+def _search_routes(monkeypatch):
+    """A list each search adds its route to: "table" when it reads a member
+    table, "lanes" when it walks lane blocks; a member walk adds nothing."""
+    routes = []
+    for name, route in (("_table_first", "table"), ("_bitsliced_first", "lanes")):
+        real = getattr(lines, name)
+        monkeypatch.setattr(lines, name,
+                            lambda *a, real=real, route=route: routes.append(route) or real(*a))
+    return routes
+
+
+def _table_side(field, n, p):
+    """"in" or "past" the member-table bound for a square GF(2) or GF(3)
+    shape; None for the shapes that walk their members."""
+    if n != p or field.order > 3:
+        return None
+    return "in" if field.order ** (n * n) <= lines._TABLE_MEMBERS else "past"
+
+
+def _expected_route(field, n, r, name, canonical):
+    """The route a square GF(2)/GF(3) search takes: a table only for
+    canonical N within both bounds."""
+    if canonical and _table_side(field, n, n) == "in":
+        return "table" if lines._member_table(field.order, n, name, r) is not None else "lanes"
+    return "lanes"
+
+
+def _check_sides(sides, ranks_by_n):
+    """Both sides of the table bound have found and no-witness searches,
+    canonical and moved N, and every rank of each of their shapes."""
+    assert set(sides) == {"in", "past"}, sides
+    for side, seen in sides.items():
+        assert {hit for _, _, hit, _ in seen} == {True, False}, side
+        assert {canonical for *_, canonical in seen} == {True, False}, side
+        assert {(n, r) for n, r, _, _ in seen} == {
+            (n, r) for n, ranks in ranks_by_n[side].items() for r in ranks}, side
+
+
 @pytest.mark.parametrize("field", [F2, F3, GF(5)], ids=str)
-def test_witness_search_matches_the_full_walk_oracle(field):
+def test_witness_search_matches_the_full_walk_oracle(field, monkeypatch):
     # Random cosets and subspaces at every direction rank, canonical and
     # moved: status, witness and count must equal the member-by-member
-    # walk of the space's own order.
+    # walk of the space's own order, on each route and both sides of the
+    # table bound.
+    routes = _search_routes(monkeypatch)
     rng = random.Random(f"full-rank-oracle:{field}")
     max_dim = {2: 8, 3: 5, 5: 4}[field.order]
     found = {False: 0, True: 0}
     ranks = set()
+    sides: dict = {}
     for n, p in FULL_WALK_SHAPES[field.order]:
         shape = MatrixSpaceShape(field, n, p)
         m = n * p
+        side = _table_side(field, n, p)
         for k in range(24):
             codim = m - rng.randint(0, min(m, max_dim))
             space = (random_affine(shape, codim, rng) if k % 3 else
                      random_subspace(shape, codim, rng))
             N0 = canonical_N(field, n, p, k % p)
             for N in (N0, _moved(N0, rng)):
+                routes.clear()
                 out = witness_search(space, N)
                 assert out == witness_search_full_walk(space, N), (space, N)
                 found[out.found] += 1
                 ranks.add((n, p, k % p, out.found))
+                if side is not None:
+                    assert routes == [_expected_route(field, n, k % p, "full-rank", N == N0)]
+                    sides.setdefault(side, set()).add((n, k % p, out.found, N == N0))
+                else:
+                    assert routes == []
     assert min(found.values()) > 20, found
     assert {(n, p, r) for n, p, r, hit in ranks if hit} == {
         (n, p, r) for n, p in FULL_WALK_SHAPES[field.order] for r in range(p)}
+    if field.order <= 3:
+        ranks_by_n: dict = {"in": {}, "past": {}}
+        for n, p in FULL_WALK_SHAPES[field.order]:
+            if _table_side(field, n, p):
+                ranks_by_n[_table_side(field, n, p)][n] = range(n)
+        _check_sides(sides, ranks_by_n)
 
 
 def test_square_witness_search_pins_the_small_cases():
@@ -1236,6 +1315,8 @@ def test_square_witness_search_finds_witnesses_at_block_edges(field, monkeypatch
 def test_bitsliced_full_rank_witness_is_tested_again(monkeypatch):
     # A full-rank kernel that passed every lane would return coset member
     # 0, the zero matrix here, at every rank; the scalar re-test refuses it.
+    # The block walk: no member table within a bound of 0.
+    monkeypatch.setattr(lines, "_TABLE_MEMBERS", 0)
     monkeypatch.setattr(lines, "_full_rank_mask", lambda ops, T, ones, r: ones)
     for field in (F2, F3):
         for r in range(3):
@@ -1245,8 +1326,10 @@ def test_bitsliced_full_rank_witness_is_tested_again(monkeypatch):
 
 def test_full_rank_search_checks_the_budget_before_any_table(monkeypatch):
     # The same error as the member walk's, raised before a digit table.
+    # The block walk: no member table within a bound of 0.
     def refuse(*args):
         raise AssertionError("a table was built")
+    monkeypatch.setattr(lines, "_TABLE_MEMBERS", 0)
     monkeypatch.setattr(lines, "_digit_tables", refuse)
     for field in (F2, F3):
         space, N = _full_space(field, 3, 3), canonical_N(field, 3, 3, 1)
@@ -1258,6 +1341,97 @@ def test_full_rank_search_checks_the_budget_before_any_table(monkeypatch):
         assert str(search.value) == str(walk.value)
         with pytest.raises(AssertionError, match="a table was built"):
             witness_search(space, N, budget=budget + 1)
+
+
+# ------------------------------------------------------------- member tables
+
+
+@pytest.fixture
+def cold_tables():
+    """The member-table memo, emptied before the test and after it, so a
+    table built with a patched kernel never outlives the test."""
+    lines._member_table.cache_clear()
+    yield lines._member_table
+    lines._member_table.cache_clear()
+
+
+def _refuse(what):
+    def refused(*args):
+        raise AssertionError(what)
+    return refused
+
+
+def test_table_witness_is_tested_again(monkeypatch, cold_tables):
+    # The table twin of the two block-walk re-tests: kernels that pass lane
+    # 0 alone, the zero matrix, build tables whose first member in the full
+    # space is that matrix, and the scalar re-test refuses it.
+    monkeypatch.setattr(lines, "_bitsliced_first", _refuse("a block was walked"))
+    monkeypatch.setattr(lines, "_block_mask", lambda ops, T, ones: 1)
+    monkeypatch.setattr(lines, "_full_rank_mask", lambda ops, T, ones, r: 1)
+    for field in (F2, F3):
+        space = _full_space(field, 3, 3)
+        with pytest.raises(RuntimeError, match="fails the constant-determinant test"):
+            constant_det_witness_search(space, canonical_N(field, 3, 3, 2))
+        for r in range(3):
+            with pytest.raises(RuntimeError, match="fails the full-rank test"):
+                witness_search(space, canonical_N(field, 3, 3, r))
+
+
+def test_table_witness_is_the_rebuilt_coset_member(monkeypatch, cold_tables):
+    # The member the table names must be the one the coset's own digits
+    # rebuild; a rebuild at other digits is refused before any re-test.
+    real = lines._member
+    monkeypatch.setattr(lines, "_member", lambda shape, basis, base, digits: real(
+        shape, basis, base, [(c + 1) % shape.field.order for c in digits]))
+    for field in (F2, F3):
+        with pytest.raises(RuntimeError, match="is not the table's member"):
+            constant_det_witness_search(_full_space(field, 3, 3), canonical_N(field, 3, 3, 2))
+
+
+def test_searches_check_the_budget_before_building_a_table(monkeypatch, cold_tables):
+    # The table twin of the two budget tests: with the memo empty, an
+    # over-budget coset raises the walk's error before a table is built,
+    # and a coset within budget builds one before any block is walked.
+    monkeypatch.setattr(lines, "_digit_tables", _refuse("a table was built"))
+    monkeypatch.setattr(lines, "_bitsliced_first", _refuse("a block was walked"))
+    for field in (F2, F3):
+        space = _full_space(field, 3, 3)
+        budget = field.order ** 9 - 1
+        for search, N in ((constant_det_witness_search, canonical_N(field, 3, 3, 2)),
+                          (witness_search, canonical_N(field, 3, 3, 1))):
+            with pytest.raises(BudgetExceededError) as walk:
+                next(space.elements(budget=budget))
+            with pytest.raises(BudgetExceededError) as searched:
+                search(space, N, budget=budget)
+            assert str(searched.value) == str(walk.value)
+            with pytest.raises(AssertionError, match="a table was built"):
+                search(space, N, budget=budget + 1)
+    assert cold_tables.cache_info().currsize == 0
+
+
+def test_member_table_memo_is_bounded_and_keeps_every_report(monkeypatch, cold_tables):
+    # The table twin of the lane-memo test: the member-table memo is keyed
+    # by (q, n, test, r), never by a case, and bounded.  A sampled GF(3)
+    # remark2-strong campaign and the GF(2) 3 x 3 main sweep that the
+    # benchmark pins read four tables, and give the same signatures with
+    # the memo cleared before every case as with it warm.
+    assert isinstance(cold_tables.cache_info().maxsize, int)
+    monkeypatch.setattr(lines, "_bitsliced_first", _refuse("a block was walked"))
+    specs = [CampaignSpec(theorem="remark2-strong", field=F3, n=3, p=3, codims=(1,),
+                          rank_range=(2,), mode="sample", samples=300, seed=11),
+             CampaignSpec(theorem="main", field=F2, n=3, p=3, codims=(0, 1),
+                          rank_range=(0, 1, 2))]
+    warm = [run_campaign(spec).signature() for spec in specs]
+    info = cold_tables.cache_info()
+    assert info.currsize == 4 and info.hits > 1500, info
+    real_case = verify._process_case
+
+    def cold(*args):
+        cold_tables.cache_clear()
+        return real_case(*args)
+    monkeypatch.setattr(verify, "_process_case", cold)
+    assert [run_campaign(spec).signature() for spec in specs] == warm
+    assert hashlib.sha256(warm[1].encode()).hexdigest() == _bench_sweep_pin(monkeypatch, 3, 3)
 
 
 def test_only_square_small_field_searches_skip_the_member_walk(monkeypatch):

@@ -504,6 +504,26 @@ def test_elements_match_the_reference_odometer_member_by_member(field):
 # ------------------------------------------------------------------- transport
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5)], ids=str)
+def test_elements_come_in_the_lexicographic_order_of_row_major_vectors(field):
+    # A canonical coset's odometer order is the lexicographic order of its
+    # members' row-major vectors: two members first differ at the pivot of
+    # the first digit they differ in.  The searches' member tables rest on
+    # this order.
+    rng = random.Random(f"lex-order:{field}")
+    max_dim = {2: 8, 3: 5, 5: 3}[field.order]
+    for n, p in ((1, 1), (2, 2), (3, 3), (3, 2), (4, 4)):
+        shape = _shape(field, n, p)
+        m = n * p
+        for k in range(12):
+            codim = m - rng.randint(0, min(m, max_dim))
+            space = (random_affine(shape, codim, rng) if k % 2 else
+                     random_subspace(shape, codim, rng))
+            vectors = [tuple(v for row in rows for v in row) for rows in space.elements()]
+            assert len(vectors) == field.order ** space.dim
+            assert all(a < b for a, b in zip(vectors, vectors[1:])), space
+
+
 def test_transport_preserves_dim_and_membership():
     rng = random.Random(13)
     shape = _shape(F3, 3, 2)
