@@ -14,7 +14,7 @@ import random
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
-from itertools import chain, compress, count, islice, product, repeat
+from itertools import chain, compress, product, repeat
 from operator import and_, itemgetter, mul, xor
 from types import MappingProxyType
 from typing import ClassVar, NamedTuple
@@ -128,9 +128,10 @@ class SearchOutcome:
 
 
 def _first_rank_drop(field: FieldDesc, a_rows, n_rows, p: int) -> int | None:
-    """The smallest t in the (finite) field with rank(A + tN) < p, or None."""
+    """The smallest t in the (finite) field with rank(A + tN) < p, or None.
+    A line with N = 0 is one point, so its rank is taken once."""
     pm = field.modulus
-    for t in range(pm):
+    for t in range(pm if any(map(any, n_rows)) else 1):
         if rank_rows(field, line_rows(a_rows, n_rows, t, pm), p) < p:
             return t
     return None
@@ -321,17 +322,16 @@ def _first_in_coset(space, N: Matrix, plan: _DirectionPlan, budget: int,
     A non-canonical N is moved to canonical form by mapping the basis and
     base once by the plan's (P, Q), which keeps the member order and each
     member's verdict: P (A + tN) Q has the rank of A + tN and, when square,
-    determinant det P * det Q * det(A + tN).  With a lane test and N
-    canonical, a shape of at most _TABLE_MEMBERS matrices reads the test's
-    member table (_member_table, _table_first): the coset's non-pivot
-    equations select its members in the table, and the lowest one is the
-    walk's witness, as a canonical coset walks its members in the
-    lexicographic order of their row-major vectors.  A moved N, a larger
-    shape, or a table refused for holding more than _TABLE_LANES[q]
-    members, tests a block of members at a time instead (_bitsliced_first;
-    block 0 from the base alone).  Either way the member found is rebuilt
-    from its coset digits (and must equal the table's member) and tested
-    once more by passes, an independent check of the kernel.  Otherwise
+    determinant det P * det Q * det(A + tN).  With a lane test, N
+    canonical and q^(n*n) at most _TABLE_MEMBERS, the search reads the
+    test's member table (_member_table, _table_first): the coset's
+    non-pivot equations select its members in the table, and the lowest
+    one is the walk's witness, as a canonical coset walks its members in
+    the lexicographic order of their row-major vectors.  A moved N, or a
+    larger shape, tests a block of members at a time instead
+    (_bitsliced_first).  Either way the member found is rebuilt from its
+    coset digits (and must equal the table's member) and tested once more
+    by passes, an independent check of the kernel.  Otherwise
     passes tests each member of space.elements, or of the moved coset, and
     the one that passes is the witness as it stands; found with N moved,
     it is rebuilt from its digits in the space's basis and base.
@@ -356,15 +356,14 @@ def _first_in_coset(space, N: Matrix, plan: _DirectionPlan, budget: int,
         else:
             s = None
     else:
-        table = (None if moved or f.order ** shape.ambient_dim > _TABLE_MEMBERS else
-                 _member_table(f.order, shape.n, name, plan.rank))
-        if table is not None:
-            s, digits, x = _table_first(table, space)
+        table = not moved and f.order ** shape.ambient_dim <= _TABLE_MEMBERS
+        if table:
+            s, digits, x = _table_first(_member_table(f.order, shape.n, name, plan.rank), space)
         elif (s := _bitsliced_first(shape, basis, base, lane_mask)) is not None:
             digits = _odometer_digits(s, f.modulus, d)
         if s is not None:
             a_rows = _member(shape, basis, base, digits)
-            if table is not None and bytes(chain.from_iterable(a_rows)) != x:
+            if table and bytes(chain.from_iterable(a_rows)) != x:
                 raise RuntimeError(f"coset member {digits} is not the table's member {list(x)}")
             if not passes(a_rows):
                 raise RuntimeError(f"coset member {digits} fails the {name} test")
@@ -410,17 +409,16 @@ def _constant_det(rows, last: int, pm: int) -> bool:
 # that is zero in every lane, so products with it are skipped.
 
 # Fast digits per block, so q^b lanes, for both searches; when the corner
-# moves with those digits, a q-th of the lanes have a zero corner.  With
-# block 0 built from the base, 3^6 lanes ran sample-remark2-gf3 at a
-# median 15,000-15,180 ops/s against 11,260 for 3^5 and 14,050 for 3^7,
-# which also peaked 1.5 MiB higher (10 pairs each, 10 s, seed 1, 2
-# vCPUs; 3^6 won every pair).  That workload's GF(3) 3x3 searches now
-# read a member table, so the figure stands for the blocks that remain:
-# moved directions, GF(3) 3x3 at r = 0, and GF(3) n >= 4, none of which
-# it times.  2^12 ran the exhaustive GF(2), n = 4, codim 0,1
-# remark2-conjecture campaign faster than 2^11 or 2^13, measured before
-# the memos and the member tables.  A full-rank search whose witness lies
-# early in a block still tests the whole block.
+# moves with those digits, a q-th of the lanes have a zero corner.  3^6
+# lanes ran the GF(3) 3x3 remark2-strong searches of sample-remark2-gf3
+# at a median 15,000-15,180 ops/s against 11,260 for 3^5 and 14,050 for
+# 3^7, which also peaked 1.5 MiB higher (10 pairs each, 10 s, seed 1, 2
+# vCPUs; 3^6 won every pair), and 2^12 ran the exhaustive GF(2), n = 4,
+# codim 0,1 remark2-conjecture campaign faster than 2^11 or 2^13; both
+# were measured before the memos and the member tables.  Those searches
+# now read member tables, so neither figure was taken on the blocks that
+# remain: moved directions, GF(2) n >= 5 and GF(3) n >= 4.  A full-rank
+# search whose witness lies early in a block still tests the whole block.
 _LANE_DIGITS = {2: 12, 3: 6}
 
 
@@ -475,12 +473,12 @@ def _digit_tables(q: int, b: int):
 
 
 # Two memos serve the lane tests: _lane_table, for both searches, and
-# _head_minors, for _block_mask and the full-rank test at r = 0.  Each is
-# keyed by the field and the pattern of one entry or of a block's fixed
-# rows alone, never by a case, so cosets that share a pattern share its
-# memo entry, within a search and across cases.  Their
-# bounds are entry counts: a lane table is at most q^b bits a plane (2^12
-# bits over GF(2)), and a minors dict holds at most C(n, k) tables.
+# _head_minors, for _block_mask alone.  Each is keyed by the field and the
+# pattern of one entry or of a block's fixed rows alone, never by a case,
+# so cosets that share a pattern share its memo entry, within a search
+# and across cases.  Their bounds are entry counts: a lane table is at
+# most q^b bits a plane (2^12 bits over GF(2)), and a minors dict holds
+# at most C(n, k) tables.
 
 
 @lru_cache(maxsize=4096)
@@ -570,16 +568,13 @@ def _full_rank_mask(ops: _Planes, T, ones: int, r: int) -> int:
 
     Row order does not change whether a determinant is zero, so the minors
     of rows r..n-1, which no t moves, are taken once, and each t only adds
-    its rows 0..r-1 (t on the diagonal) below them.  Those rows include the
-    last, whose tables vary from case to case, so the memo is not asked:
-    on the GF(2) 3x3 main sweep it hit 7 and 63 of 512 times at r = 1 and
-    2.  At r = 0 no t moves a row; the memo then holds rows 0..n-2, as for
-    _block_mask (447 of 512 hits), and row n-1 is added.
+    its rows 0..r-1 (t on the diagonal) below them; at r = 0 that is one
+    t and no row.  Rows r..n-1 include the last, whose tables vary from
+    case to case, so the head memo is not asked: on the GF(2) 3x3 main
+    sweep it hit 7 and 63 of 512 times at r = 1 and 2, and at r = 0 on
+    GF(2) 5x5 the blocks ran faster without it.
     """
-    if r:
-        moving, fixed = T[:r], _minors(ops, T[r:])
-    else:
-        moving, fixed = T[-1:], _head_minors(ops.order, T[:-1])
+    moving, fixed = T[:r], _minors(ops, T[r:])
     full = (1 << len(T)) - 1
     mask = ones
     for t in range(ops.order if r else 1):
@@ -599,9 +594,8 @@ def _bitsliced_first(shape, basis, base, lane_mask: Callable) -> int | None:
     The last digits, q^b of them to a block, are the lanes of one table per
     entry (_lane_table), looked up by the entry's slow-digit value and its
     column of coefficients in the b fast basis rows.  The slow digits step
-    through the blocks in order, and the first block with a passing lane
-    stops it.  Block 0 holds the base's own values (its slow digits are
-    0); the _iter_coset walk starts only when none of its lanes passes.
+    through the blocks in order (_iter_coset of the slow basis rows), and
+    the first block with a passing lane stops it.
     """
     n, q = shape.n, shape.field.order
     ops = _PLANES[q]
@@ -609,18 +603,13 @@ def _bitsliced_first(shape, basis, base, lane_mask: Callable) -> int | None:
     b = min(d, _LANE_DIGITS[q])
     ones = _digit_tables(q, b)[0]
     columns = tuple(zip(*basis[d - b:])) if b else ((),) * (n * n)
-    values, blocks = base if base is not None else repeat(0), None
-    for block in count():
+    for block, rows in enumerate(_iter_coset(shape, basis[:d - b], base, None)):
         # n tables at a time from one iterator: the rows of the block.
-        T = tuple(zip(*[map(_lane_table, repeat(q), values, columns)] * n))
+        T = tuple(zip(*[map(_lane_table, repeat(q), chain.from_iterable(rows), columns)] * n))
         mask = lane_mask(ops, T, ones)
         if mask:
             return block * q ** b + (mask & -mask).bit_length() - 1
-        if blocks is None:
-            blocks = islice(_iter_coset(shape, basis[:d - b], base, None), 1, None)
-        if (rows := next(blocks, None)) is None:
-            return None
-        values = chain.from_iterable(rows)
+    return None
 
 
 def _entry(ops: _Planes, v: int, table, ones: int):
@@ -643,10 +632,8 @@ def _entry(ops: _Planes, v: int, table, ones: int):
 # So the lowest passing lane inside the coset is the walk's witness.
 
 # Tables are built where q^m is at most _TABLE_MEMBERS (GF(3) 3x3 and
-# GF(2) 4x4 at most) and kept where at most _TABLE_LANES[q] members pass;
-# past either bound the search walks lane blocks.
+# GF(2) 4x4 at most); past it the search walks lane blocks.
 _TABLE_MEMBERS = 1 << 16
-_TABLE_LANES = {2: 1 << 14, 3: 1 << 12}
 
 # Translations: _PICK turns a mask's binary digits into bytes 0 and 1, and
 # _DIGIT_IS[v] turns byte v into the digit "1" and every other byte into "0".
@@ -667,19 +654,17 @@ class _MemberTable(NamedTuple):
 
 
 @lru_cache(maxsize=8)
-def _member_table(q: int, n: int, name: str, r: int) -> _MemberTable | None:
+def _member_table(q: int, n: int, name: str, r: int) -> _MemberTable:
     """The n x n matrices over GF(q) whose line with canonical_N(n, n, r)
     passes the named test, found by the test's own lane kernel on all
-    q^(n*n) of them as one block; None when more than _TABLE_LANES[q]
-    pass.  The caller keeps q^(n*n) within _TABLE_MEMBERS."""
+    q^(n*n) of them as one block.  The caller keeps q^(n*n) within
+    _TABLE_MEMBERS."""
     m = n * n
     ops = _PLANES[q]
     ones, X = _digit_tables(q, m)
     T = tuple(zip(*[iter(X)] * n))
     mask = (_block_mask(ops, T, ones) if name == "constant-determinant" else
             _full_rank_mask(ops, T, ones, r))
-    if mask.bit_count() > _TABLE_LANES[q]:
-        return None
     picks = format(mask, "b").encode().translate(_PICK)[::-1]
     members = bytes(chain.from_iterable(compress(product(range(q), repeat=m), picks)))
     ones = (1 << len(members) // m) - 1

@@ -753,8 +753,7 @@ def test_constant_det_search_matches_the_full_walk_oracle(field, monkeypatch):
                 assert out == constant_det_search_full_walk(space, N), (space, N)
                 found[out.found] += 1
                 if side := _table_side(field, n, n):
-                    assert routes == [_expected_route(field, n, n - 1, "constant-determinant",
-                                                      N == N0)]
+                    assert routes == [_expected_route(field, n, N == N0)]
                     sides.setdefault(side, set()).add((n, n - 1, out.found, N == N0))
                 else:
                     assert routes == []
@@ -968,7 +967,8 @@ def test_lane_memos_are_bounded_and_keep_every_report(monkeypatch):
     # GF(2) 3 x 3 main sweep that the benchmark pins give the same
     # signatures with both memos cleared before every case as with them
     # warm, and no search changes a cached minors dict.  Both campaigns
-    # walk lane blocks here: no member table within a bound of 0.
+    # walk lane blocks here: no member table within a bound of 0.  The
+    # remark2 blocks ask the head memo; the sweep's full-rank test never does.
     monkeypatch.setattr(lines, "_TABLE_MEMBERS", 0)
     memos = (lines._lane_table, lines._head_minors)
     assert all(isinstance(memo.cache_info().maxsize, int) for memo in memos)
@@ -984,7 +984,11 @@ def test_lane_memos_are_bounded_and_keep_every_report(monkeypatch):
                           rank_range=(2,), mode="sample", samples=300, seed=11),
              CampaignSpec(theorem="main", field=F2, n=3, p=3, codims=(0, 1),
                           rank_range=(0, 1, 2))]
-    warm = [run_campaign(spec).signature() for spec in specs]
+    warm, asked = [], []
+    for spec in specs:
+        warm.append(run_campaign(spec).signature())
+        asked.append(len(handed) - sum(asked))
+    assert asked[0] >= 300 and asked[1] == 0, asked  # about one per remark2 case
     real_case = verify._process_case
 
     def cold(*args):
@@ -994,7 +998,6 @@ def test_lane_memos_are_bounded_and_keep_every_report(monkeypatch):
     monkeypatch.setattr(verify, "_process_case", cold)
     assert [run_campaign(spec).signature() for spec in specs] == warm
     assert hashlib.sha256(warm[1].encode()).hexdigest() == _bench_sweep_pin(monkeypatch, 3, 3)
-    assert len(handed) > 1500  # the remark2 blocks, and the sweep at r = 0
     for q, head, minors, at_return in handed:
         assert minors == at_return == lines._minors(lines._PLANES[q], head)
 
@@ -1025,34 +1028,6 @@ def test_row_text_memo_is_bounded_and_keeps_every_report(monkeypatch):
     assert [run_campaign(spec).signature() for spec in specs] == warm
     assert len(cleared) > 300
     assert hashlib.sha256(warm[1].encode()).hexdigest() == _bench_sweep_pin(monkeypatch, 3, 3)
-
-
-@pytest.mark.parametrize("field", [F2, F3], ids=str)
-def test_bitsliced_search_walks_the_slow_digits_only_past_block_zero(field, monkeypatch):
-    # Block 0 is the base's own values: a search whose witness lies in it
-    # starts no _iter_coset walk, and every other search starts one.  With
-    # q^2 lanes to a block, seeded witnesses fall in and past block 0.
-    # No member table within a bound of 0, so every search walks blocks.
-    monkeypatch.setattr(lines, "_TABLE_MEMBERS", 0)
-    walks = []
-    real = lines._iter_coset
-    monkeypatch.setattr(lines, "_iter_coset", lambda *a: walks.append(a) or real(*a))
-    q = field.order
-    monkeypatch.setattr(lines, "_LANE_DIGITS", {q: 2})
-    shape = MatrixSpaceShape(field, 3, 3)
-    rng = random.Random(f"block-zero:{field}")
-    seen = set()
-    for _ in range(100):
-        space = random_affine(shape, rng.choice((4, 6)), rng)
-        r = rng.randrange(3)
-        for search, N in ((constant_det_witness_search, canonical_N(field, 3, 3, 2)),
-                          (witness_search, canonical_N(field, 3, 3, r))):
-            walks.clear()
-            out = search(space, N)
-            in_block_zero = out.found and out.cases_examined <= q * q
-            assert len(walks) == (not in_block_zero), (space, N, out)
-            seen.add((search, in_block_zero))
-    assert len(seen) == 4, seen
 
 
 def test_bitsliced_witness_is_tested_again(monkeypatch):
@@ -1198,12 +1173,10 @@ def _table_side(field, n, p):
     return "in" if field.order ** (n * n) <= lines._TABLE_MEMBERS else "past"
 
 
-def _expected_route(field, n, r, name, canonical):
-    """The route a square GF(2)/GF(3) search takes: a table only for
-    canonical N within both bounds."""
-    if canonical and _table_side(field, n, n) == "in":
-        return "table" if lines._member_table(field.order, n, name, r) is not None else "lanes"
-    return "lanes"
+def _expected_route(field, n, canonical):
+    """The route a square GF(2)/GF(3) search takes: a table exactly for
+    canonical N within the bound, known before any table is built."""
+    return "table" if canonical and _table_side(field, n, n) == "in" else "lanes"
 
 
 def _check_sides(sides, ranks_by_n):
@@ -1245,7 +1218,7 @@ def test_witness_search_matches_the_full_walk_oracle(field, monkeypatch):
                 found[out.found] += 1
                 ranks.add((n, p, k % p, out.found))
                 if side is not None:
-                    assert routes == [_expected_route(field, n, k % p, "full-rank", N == N0)]
+                    assert routes == [_expected_route(field, n, N == N0)]
                     sides.setdefault(side, set()).add((n, k % p, out.found, N == N0))
                 else:
                     assert routes == []
@@ -1451,3 +1424,60 @@ def test_only_square_small_field_searches_skip_the_member_walk(monkeypatch):
         calls.clear()
         out = witness_search(space, N)
         assert len(calls) == out.cases_examined > 1, (space, N)
+
+
+def test_full_rank_searches_at_rank_zero_read_the_largest_tables(monkeypatch, cold_tables):
+    # The full-rank tables at r = 0 keep the most members of any in-bound
+    # table: 11,232 of GF(3) 3 x 3 and 20,160 of GF(2) 4 x 4.  Canonical
+    # searches there read them, at codims inside and past the hypothesis,
+    # walk no block, and equal the full walk.  The matrices with a zero
+    # first column have no witness.
+    routes = _search_routes(monkeypatch)
+    rng = random.Random("rank-zero-tables")
+    for field, n, kept in ((F3, 3, 11_232), (F2, 4, 20_160)):
+        shape = MatrixSpaceShape(field, n, n)
+        N = canonical_N(field, n, n, 0)
+        singular = from_generators(shape, [Matrix.unit(field, n, n, i, j)
+                                           for i in range(n) for j in range(1, n)])
+        found = set()
+        for codim in range(2 * n - 1):
+            for k in range(4):
+                space = (singular if codim == n and not k else
+                         random_affine(shape, codim, rng) if k else
+                         random_subspace(shape, codim, rng))
+                routes.clear()
+                out = witness_search(space, N)
+                assert routes == ["table"] and out == witness_search_full_walk(space, N), space
+                found.add(out.found)
+        assert found == {True, False}, (field, found)
+        table = lines._member_table(field.order, n, "full-rank", 0)
+        assert len(table.members) == kept * n * n
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=str)
+def test_a_line_with_a_zero_direction_takes_one_rank(field, monkeypatch):
+    # At r = 0, N = 0 and the line is one point: its rank is taken once.
+    # At r >= 1 a full-rank line takes q ranks, one per t, and a line whose
+    # rank drops first at t0 takes t0 + 1.  A walked search at r = 0 takes
+    # one rank per member.
+    calls = []
+    real = lines.rank_rows
+    monkeypatch.setattr(lines, "rank_rows", lambda *a: calls.append(1) or real(*a))
+    q = field.order
+    rng = random.Random(f"zero-direction-ranks:{field}")
+    seen = set()
+    for n, p in ((2, 2), (3, 2), (3, 3)):
+        for r in range(p):
+            N = canonical_N(field, n, p, r)
+            for _ in range(30):
+                A = random_matrix(field, n, p, rng)
+                calls.clear()
+                t0 = lines._first_rank_drop(field, A.rows, N.rows, p)
+                assert len(calls) == (1 if r == 0 else q if t0 is None else t0 + 1), (A, r)
+                seen.add((r > 0, t0 is None))
+    assert seen == {(False, True), (False, False), (True, True), (True, False)}, seen
+    space, N = sharpness_example(3, 2, field)
+    zero = canonical_N(field, 3, 2, 0)
+    calls.clear()
+    out = witness_search(space, zero)
+    assert len(calls) == out.cases_examined > 1, out
